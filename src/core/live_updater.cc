@@ -14,17 +14,69 @@ namespace e2lshos::core {
 //
 // Pages are page_bytes_-sized, absolutely aligned (page_off % page == 0),
 // so a flushed page can never straddle the private-block boundary that
-// PublishLocked maintains. Reads materialize the covering pages from the
-// device (through the updater's private read queue) and serve from them,
-// which also makes a row's later (radius, l) pairs see blocks its earlier
-// pairs wrote. Writes only dirty cached pages; nothing reaches the device
-// until Flush() issues every dirty page as one WriteBatch burst.
+// PublishLocked maintains. Stage() materializes every page covering a
+// list of extents with one burst of reads on the updater's private queue;
+// Read/Write then serve from the staged pages, which also makes a row's
+// later (radius, l) pairs see blocks its earlier pairs wrote. Pages that
+// start at or past `fresh_from` hold nothing anyone can reference (they
+// lie wholly past the row's allocation cursor), so they are staged zeroed
+// instead of read. Writes only dirty staged pages; nothing reaches the
+// device until Flush() issues every dirty page as one WriteBatch burst.
 // ---------------------------------------------------------------------------
 class LiveUpdater::StagedIo {
  public:
-  StagedIo(storage::BlockDevice* read_dev, storage::BlockDevice* write_dev,
-           uint32_t page_bytes)
-      : read_dev_(read_dev), write_dev_(write_dev), page_(page_bytes) {}
+  struct Extent {
+    uint64_t offset = 0;
+    uint32_t length = 0;
+  };
+
+  StagedIo(storage::BlockDevice* read_queue, storage::BlockDevice* write_dev,
+           uint32_t page_bytes, uint64_t fresh_from = UINT64_MAX)
+      : read_queue_(read_queue),
+        write_dev_(write_dev),
+        page_(page_bytes),
+        fresh_from_(fresh_from) {}
+
+  /// Stage every page covering `extents` that is not staged yet, reading
+  /// those below fresh_from in one burst. On failure the pages this call
+  /// added are dropped again.
+  Status Stage(const Extent* extents, size_t count) {
+    const uint64_t cap = read_queue_->capacity();
+    for (size_t i = 0; i < count; ++i) {
+      const Extent& e = extents[i];
+      if (!storage::RangeInCapacity(e.offset, e.length, cap)) {
+        return Status::OutOfRange("staged I/O beyond device capacity");
+      }
+    }
+    const size_t first_new = pages_.size();
+    std::vector<storage::IoRequest> reads;
+    for (size_t i = 0; i < count; ++i) {
+      const Extent& e = extents[i];
+      for (uint64_t off = e.offset / page_ * page_; off < e.offset + e.length;
+           off += page_) {
+        if (by_offset_.count(off) > 0) continue;
+        auto page = std::make_unique<Page>();
+        page->off = off;
+        page->len = static_cast<uint32_t>(std::min<uint64_t>(page_, cap - off));
+        page->buf.Reset(page_, std::max<size_t>(page_, storage::kSectorBytes));
+        if (off < fresh_from_) {
+          reads.push_back({off, page->len, page->buf.data(), 0});
+        } else {
+          std::memset(page->buf.data(), 0, page->len);
+        }
+        by_offset_.emplace(off, pages_.size());
+        pages_.push_back(std::move(page));
+      }
+    }
+    const Status st = read_queue_->ReadSync(reads.data(), reads.size());
+    if (!st.ok()) {
+      for (size_t i = first_new; i < pages_.size(); ++i) {
+        by_offset_.erase(pages_[i]->off);
+      }
+      pages_.resize(first_new);
+    }
+    return st;
+  }
 
   Status Read(uint64_t offset, void* out, uint32_t length) {
     return Access(offset, out, length, /*write=*/false);
@@ -64,16 +116,18 @@ class LiveUpdater::StagedIo {
     util::AlignedBuffer buf;
   };
 
+  /// Serve from staged pages; a page not staged yet is staged on its own
+  /// (a burst of one), so every access stays correct without a Stage().
   Status Access(uint64_t offset, void* data, uint32_t length, bool write) {
+    const Extent extent{offset, length};
+    E2_RETURN_NOT_OK(Stage(&extent, 1));
     uint8_t* cursor = static_cast<uint8_t*>(data);
     uint64_t cur = offset;
     uint32_t left = length;
     while (left > 0) {
-      E2_ASSIGN_OR_RETURN(Page * page, Materialize(cur / page_ * page_));
+      // Stage() checked the extent against capacity, so the page covers cur.
+      Page* page = pages_[by_offset_.at(cur / page_ * page_)].get();
       const uint32_t in_page = static_cast<uint32_t>(cur - page->off);
-      if (in_page >= page->len) {
-        return Status::OutOfRange("staged I/O beyond device capacity");
-      }
       const uint32_t take = std::min(left, page->len - in_page);
       if (write) {
         std::memcpy(page->buf.data() + in_page, cursor, take);
@@ -88,26 +142,10 @@ class LiveUpdater::StagedIo {
     return Status::OK();
   }
 
-  Result<LiveUpdater::StagedIo::Page*> Materialize(uint64_t page_off) {
-    auto it = by_offset_.find(page_off);
-    if (it != by_offset_.end()) return pages_[it->second].get();
-    const uint64_t cap = read_dev_->capacity();
-    if (page_off >= cap) {
-      return Status::OutOfRange("staged I/O beyond device capacity");
-    }
-    auto page = std::make_unique<Page>();
-    page->off = page_off;
-    page->len = static_cast<uint32_t>(std::min<uint64_t>(page_, cap - page_off));
-    page->buf.Reset(page_, std::max<size_t>(page_, storage::kSectorBytes));
-    E2_RETURN_NOT_OK(read_dev_->ReadSync(page_off, page->buf.data(), page->len));
-    by_offset_.emplace(page_off, pages_.size());
-    pages_.push_back(std::move(page));
-    return pages_.back().get();
-  }
-
-  storage::BlockDevice* read_dev_;
+  storage::BlockDevice* read_queue_;
   storage::BlockDevice* write_dev_;
   const uint32_t page_;
+  const uint64_t fresh_from_;
   std::vector<std::unique_ptr<Page>> pages_;
   std::unordered_map<uint64_t, size_t> by_offset_;
 };
@@ -121,12 +159,18 @@ LiveUpdater::LiveUpdater(StorageIndex* index) : index_(index) {
   base_rows_ = index_->n_;
   next_block_ = index_->next_block_idx_;
   tombstones_ = index_->tombstones_;
+  // Default options: a queue deep enough to hold a whole staging burst.
   if (storage::MultiQueueDevice* mq = index_->device_->multi_queue()) {
-    storage::QueueOptions opts;
-    opts.queue_capacity = 8;
-    opts.io_threads = 1;
-    auto queue = mq->CreateQueue(opts);
-    if (queue.ok()) read_queue_ = std::move(*queue);
+    auto queue = mq->CreateQueue(storage::QueueOptions{});
+    if (queue.ok()) {
+      read_queue_ = std::move(*queue);
+    } else {
+      queue_status_ = queue.status();
+    }
+  } else {
+    queue_status_ = Status::FailedPrecondition(
+        "live inserts need a device with native queues; " +
+        index_->device_->name() + " has none");
   }
   // Round the private boundary up so no staging RMW window covers a
   // byte of the built image (tables included: for block 0 the window
@@ -140,6 +184,7 @@ LiveUpdater::LiveUpdater(StorageIndex* index) : index_(index) {
 
 Result<uint32_t> LiveUpdater::Insert(const float* row) {
   if (row == nullptr) return Status::InvalidArgument("null row");
+  if (read_queue_ == nullptr) return queue_status_;
   std::lock_guard<std::mutex> lock(mu_);
   uint32_t id = 0;
   const uint64_t cursor = next_block_;
@@ -155,6 +200,7 @@ Result<uint32_t> LiveUpdater::InsertBatch(const float* rows, uint32_t count) {
   if (rows == nullptr || count == 0) {
     return Status::InvalidArgument("empty insert batch");
   }
+  if (read_queue_ == nullptr) return queue_status_;
   std::lock_guard<std::mutex> lock(mu_);
   const uint32_t dim = index_->dim_;
   uint32_t first = 0;
@@ -221,8 +267,11 @@ Status LiveUpdater::StageInsertLocked(const float* row, uint32_t* id_out) {
   const uint32_t per_block = layout.objects_per_block();
   const uint32_t block_bytes = layout.block_bytes;
 
-  StagedIo io(read_queue_ != nullptr ? read_queue_.get() : device, device,
-              page_bytes_);
+  // Pages from the allocation cursor's page boundary up hold only blocks
+  // this row is about to allocate: they are written whole, never read.
+  const uint64_t cursor_addr = layout.BlockAddr(next_block_);
+  StagedIo io(read_queue_.get(), device, page_bytes_,
+              (cursor_addr + page_bytes_ - 1) / page_bytes_ * page_bytes_);
   std::vector<uint8_t> block(block_bytes);
   // Row-local state, committed only when every pair succeeds.
   std::unordered_map<uint64_t, uint64_t> delta;
@@ -239,68 +288,96 @@ Status LiveUpdater::StageInsertLocked(const float* row, uint32_t* id_out) {
     return addr;
   };
 
+  // Hash every (radius, l) pair once. A bucket's head comes from the
+  // overlay when a published insert redirected it, from its table entry
+  // when the built bucket is non-empty, and is 0 (empty) otherwise.
+  struct Pair {
+    uint64_t key = 0;
+    uint64_t table_addr = 0;
+    uint64_t head = 0;
+    uint32_t fp = 0;
+    bool from_table = false;
+  };
+  std::vector<Pair> pairs;
+  pairs.reserve(static_cast<size_t>(layout.num_radii) * layout.L);
+  std::vector<StagedIo::Extent> extents;
+  extents.reserve(pairs.capacity());
   for (uint32_t r = 0; r < layout.num_radii; ++r) {
     for (uint32_t l = 0; l < layout.L; ++l) {
       const uint32_t h = index_->family_.Get(r, l).Hash32(row);
       const uint32_t slot = layout.fp.TableIndex(h);
-      const uint32_t fp = layout.fp.Fingerprint(h);
-      const uint64_t key = index_->BucketKey(r, l, slot);
-
-      uint64_t head = 0;
-      if (auto dit = delta.find(key); dit != delta.end()) {
-        head = dit->second;
-      } else if (auto oit = overlay_.find(key); oit != overlay_.end()) {
-        head = oit->second;
+      Pair p;
+      p.key = index_->BucketKey(r, l, slot);
+      p.fp = layout.fp.Fingerprint(h);
+      if (auto oit = overlay_.find(p.key); oit != overlay_.end()) {
+        p.head = oit->second;
       } else if (index_->SlotNonEmpty(r, l, slot)) {
-        E2_RETURN_NOT_OK(
-            io.Read(layout.TableEntryAddr(r, l, slot), &head, sizeof(head)));
+        p.table_addr = layout.TableEntryAddr(r, l, slot);
+        p.from_table = true;
+        extents.push_back({p.table_addr, sizeof(p.head)});
       }
+      pairs.push_back(p);
+    }
+  }
+  // First burst: every table entry; second burst: every head block.
+  E2_RETURN_NOT_OK(io.Stage(extents.data(), extents.size()));
+  extents.clear();
+  for (Pair& p : pairs) {
+    if (p.from_table) {
+      E2_RETURN_NOT_OK(io.Read(p.table_addr, &p.head, sizeof(p.head)));
+    }
+    if (p.head != 0) extents.push_back({p.head, block_bytes});
+  }
+  E2_RETURN_NOT_OK(io.Stage(extents.data(), extents.size()));
 
-      bool placed = false;
-      if (head != 0) {
-        E2_RETURN_NOT_OK(io.Read(head, block.data(), block_bytes));
-        BlockHeader hdr = BlockHeader::DecodeFrom(block.data());
-        const uint32_t count = std::min<uint32_t>(hdr.count, per_block);
-        if (count < per_block) {
-          codec_.Write(block.data() + kBlockHeaderBytes +
-                           static_cast<size_t>(count) * kObjectInfoBytes,
-                       id, fp);
-          hdr.count = static_cast<uint16_t>(count + 1);
-          hdr.EncodeTo(block.data());
-          if (index_->checksums_enabled_) {
-            StampBlockCrc(block.data(), block_bytes);
-          }
-          const uint64_t head_idx = (head - layout.bucket_base) / block_bytes;
-          if (head_idx >= private_floor_) {
-            // Writer-private head: append in place.
-            E2_RETURN_NOT_OK(io.Write(head, block.data(), block_bytes));
-          } else {
-            // Published head: copy-on-write to a fresh private block.
-            // The published block leaks until a rebuild.
-            E2_ASSIGN_OR_RETURN(const uint64_t copy_addr, alloc_block());
-            E2_RETURN_NOT_OK(io.Write(copy_addr, block.data(), block_bytes));
-            delta[key] = copy_addr;
-          }
-          placed = true;
-        }
-      }
-      if (!placed) {
-        // Empty bucket or full head: prepend a fresh private block.
-        E2_ASSIGN_OR_RETURN(const uint64_t new_addr, alloc_block());
-        BlockHeader hdr;
-        hdr.next = head;
-        hdr.count = 1;
+  for (const Pair& p : pairs) {
+    const uint64_t key = p.key;
+    const uint64_t head = p.head;
+    const uint32_t fp = p.fp;
+    bool placed = false;
+    if (head != 0) {
+      E2_RETURN_NOT_OK(io.Read(head, block.data(), block_bytes));
+      BlockHeader hdr = BlockHeader::DecodeFrom(block.data());
+      const uint32_t count = std::min<uint32_t>(hdr.count, per_block);
+      if (count < per_block) {
+        codec_.Write(block.data() + kBlockHeaderBytes +
+                         static_cast<size_t>(count) * kObjectInfoBytes,
+                     id, fp);
+        hdr.count = static_cast<uint16_t>(count + 1);
         hdr.EncodeTo(block.data());
-        codec_.Write(block.data() + kBlockHeaderBytes, id, fp);
-        std::memset(block.data() + kBlockHeaderBytes + kObjectInfoBytes, 0,
-                    block_bytes - kBlockHeaderBytes - kObjectInfoBytes);
         if (index_->checksums_enabled_) {
           StampBlockCrc(block.data(), block_bytes);
         }
-        E2_RETURN_NOT_OK(io.Write(new_addr, block.data(), block_bytes));
-        delta[key] = new_addr;
-        if (head == 0) ++new_slots;
+        const uint64_t head_idx = (head - layout.bucket_base) / block_bytes;
+        if (head_idx >= private_floor_) {
+          // Writer-private head: append in place.
+          E2_RETURN_NOT_OK(io.Write(head, block.data(), block_bytes));
+        } else {
+          // Published head: copy-on-write to a fresh private block.
+          // The published block leaks until a rebuild.
+          E2_ASSIGN_OR_RETURN(const uint64_t copy_addr, alloc_block());
+          E2_RETURN_NOT_OK(io.Write(copy_addr, block.data(), block_bytes));
+          delta[key] = copy_addr;
+        }
+        placed = true;
       }
+    }
+    if (!placed) {
+      // Empty bucket or full head: prepend a fresh private block.
+      E2_ASSIGN_OR_RETURN(const uint64_t new_addr, alloc_block());
+      BlockHeader hdr;
+      hdr.next = head;
+      hdr.count = 1;
+      hdr.EncodeTo(block.data());
+      codec_.Write(block.data() + kBlockHeaderBytes, id, fp);
+      std::memset(block.data() + kBlockHeaderBytes + kObjectInfoBytes, 0,
+                  block_bytes - kBlockHeaderBytes - kObjectInfoBytes);
+      if (index_->checksums_enabled_) {
+        StampBlockCrc(block.data(), block_bytes);
+      }
+      E2_RETURN_NOT_OK(io.Write(new_addr, block.data(), block_bytes));
+      delta[key] = new_addr;
+      if (head == 0) ++new_slots;
     }
   }
 
@@ -383,16 +460,24 @@ Status LiveUpdater::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
   const IndexLayout& layout = index_->layout_;
   if (!overlay_.empty()) {
-    StagedIo io(read_queue_ != nullptr ? read_queue_.get() : index_->device_,
-                index_->device_, page_bytes_);
-    std::unordered_set<uint64_t> dirty_sectors;
+    // Overlay entries exist only after an insert, which needs read_queue_.
+    StagedIo io(read_queue_.get(), index_->device_, page_bytes_);
     const uint64_t slots = layout.slots_per_table();
+    std::vector<StagedIo::Extent> extents;  // one table entry per overlay key
+    extents.reserve(overlay_.size());
     for (const auto& [key, addr] : overlay_) {
       const uint64_t pair = key / slots;
       const uint32_t slot = static_cast<uint32_t>(key % slots);
       const uint32_t r = static_cast<uint32_t>(pair / layout.L);
       const uint32_t l = static_cast<uint32_t>(pair % layout.L);
-      const uint64_t table_addr = layout.TableEntryAddr(r, l, slot);
+      extents.push_back({layout.TableEntryAddr(r, l, slot), sizeof(addr)});
+    }
+    // One burst stages every table page an entry lands in.
+    E2_RETURN_NOT_OK(io.Stage(extents.data(), extents.size()));
+    std::unordered_set<uint64_t> dirty_sectors;
+    const StagedIo::Extent* entry = extents.data();
+    for (const auto& [key, addr] : overlay_) {
+      const uint64_t table_addr = (entry++)->offset;
       E2_RETURN_NOT_OK(io.Write(table_addr, &addr, sizeof(addr)));
       index_->bitmap_[key >> 6] |= 1ULL << (key & 63);
       if (index_->checksums_enabled_) {
@@ -402,12 +487,17 @@ Status LiveUpdater::Flush() {
     E2_ASSIGN_OR_RETURN(const uint64_t flushed, io.Flush());
     counters_.staged_bytes += flushed;
     // Recompute the dirty table-sector CRCs from the device bytes (the
-    // flush above made them current).
+    // flush above made them current), re-read in one burst.
+    extents.clear();
     for (const uint64_t sec : dirty_sectors) {
+      extents.push_back({layout.table_base + sec * storage::kSectorBytes,
+                         index_->TableSectorValidBytes(sec)});
+    }
+    E2_RETURN_NOT_OK(io.Stage(extents.data(), extents.size()));
+    for (const StagedIo::Extent& e : extents) {
       uint8_t sector[storage::kSectorBytes];
-      const uint32_t valid = index_->TableSectorValidBytes(sec);
-      E2_RETURN_NOT_OK(io.Read(
-          layout.table_base + sec * storage::kSectorBytes, sector, valid));
+      E2_RETURN_NOT_OK(io.Read(e.offset, sector, e.length));
+      const uint64_t sec = index_->TableSectorIndex(e.offset);
       index_->table_crcs_[sec] = index_->ComputeTableSectorCrc(sec, sector);
     }
     overlay_.clear();

@@ -36,6 +36,12 @@
 //     the StorageIndex and the device by Flush(), which requires
 //     quiescence (no queries in flight) — Index::Save provides it.
 //
+//   * Staging reads run at device queue depth: a row hashes its radii x L
+//     pairs once, reads every table entry it needs in one burst on the
+//     updater's private queue, then every head block in a second burst,
+//     and writes the blocks it allocates without reading them. Flush()
+//     folds the overlay in bursts the same way.
+//
 // Thread safety: any number of mutator threads may call
 // Insert/Remove/Restore concurrently (an internal mutex serializes
 // them); readers never take that mutex. Flush() additionally requires
@@ -83,6 +89,9 @@ class LiveUpdater {
 
   /// Insert one row (dim = index->dim() floats); returns the assigned
   /// id (== effective n before the call) and publishes a new epoch.
+  /// Inserts stage through a private device queue: on a device without
+  /// native queues (or one that refused a queue) Insert and InsertBatch
+  /// return FailedPrecondition (or the refusal) and change nothing.
   Result<uint32_t> Insert(const float* row);
   /// Insert `count` contiguous rows; assigns ids first_id..first_id+
   /// count-1 and publishes ONCE after the last row — mid-batch rows are
@@ -115,10 +124,11 @@ class LiveUpdater {
 
  private:
   /// Read-modify-write page cache over the device for one staged row:
-  /// reads are served from staged pages first (so a row sees blocks a
-  /// previous row in the same batch wrote), writes accumulate and hit
-  /// the device in one WriteBatch burst — or are discarded wholesale if
-  /// the row fails, keeping every row all-or-nothing on the device.
+  /// pages are staged by read bursts on read_queue_ (never read when
+  /// they lie past the allocation cursor), reads are served from staged
+  /// pages, writes accumulate and hit the device in one WriteBatch
+  /// burst — or are discarded wholesale if the row fails, keeping every
+  /// row all-or-nothing on the device.
   class StagedIo;
 
   /// Stage one row end to end and flush its pages; commits overlay/row
@@ -134,13 +144,15 @@ class LiveUpdater {
   StorageIndex* index_;
   mutable std::mutex mu_;
 
-  /// Private read lane for staging. ReadSync spin-polls the device it is
-  /// called on, so staging reads through the shared device would steal
-  /// (and be robbed of) serving completions; every in-tree backend hands
-  /// out native queues, and the updater takes one for itself. Null only
-  /// on a device with no native queues, where staging falls back to the
-  /// shared device — safe only when nothing else polls it.
+  /// Private queue for staging reads, created with the default
+  /// QueueOptions so a whole burst is in flight at once. A burst harvests
+  /// every completion of the device it polls, so it must never run on
+  /// the shared device the serving threads poll: every URI scheme hands
+  /// out native queues, and the updater takes one for itself. Null when
+  /// the device has none or refused one; inserts then fail with
+  /// queue_status_ (removes and restores read nothing and still work).
   std::unique_ptr<storage::BlockDevice> read_queue_;
+  Status queue_status_;
 
   ObjectInfoCodec codec_;
   uint32_t page_bytes_ = 0;  ///< RMW window: max(io_alignment, 512).

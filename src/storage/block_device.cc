@@ -1,5 +1,7 @@
 #include "storage/block_device.h"
 
+#include <algorithm>
+#include <iterator>
 #include <thread>
 
 namespace e2lshos::storage {
@@ -9,30 +11,54 @@ Status BlockDevice::RegisterBuffers(
   return Status::Unimplemented("fixed buffers are not supported by " + name());
 }
 
-Status BlockDevice::ReadSync(uint64_t offset, void* buf, uint32_t length) {
-  IoRequest req;
-  req.offset = offset;
-  req.length = length;
-  req.buf = buf;
-  req.user_data = ~0ULL;
-  E2_RETURN_NOT_OK(SubmitRead(req));
-  IoCompletion comp;
-  // mem:-class devices complete before the first poll, so a short grace
-  // spin keeps them syscall-free; past that the completion is being held
-  // back by a timed or real device and a tight loop would starve every
-  // other thread on the core for the full service time.
-  uint32_t polls = 0;
+Status BlockDevice::ReadSync(const IoRequest* reqs, size_t count) {
+  Status first_error = Status::OK();
+  std::vector<bool> done(count, false);
+  size_t submitted = 0;
+  size_t in_flight = 0;
+  IoCompletion comps[64];
+  uint32_t idle_polls = 0;
   for (;;) {
-    const size_t n = PollCompletions(&comp, 1);
-    if (n == 0 && ++polls > 64) std::this_thread::yield();
-    if (n == 1) {
-      if (comp.user_data != ~0ULL) {
-        return Status::Internal("unexpected completion during sync read");
+    while (submitted < count && first_error.ok()) {
+      IoRequest req = reqs[submitted];
+      req.user_data = submitted;
+      const Status st = SubmitRead(req);
+      // A full queue with reads of ours in flight drains below; with none
+      // in flight it can never drain for us, so it is the error.
+      if (st.code() == StatusCode::kResourceExhausted && in_flight > 0) break;
+      if (!st.ok()) {
+        first_error = st;
+        break;
       }
-      if (comp.code != StatusCode::kOk) {
-        return Status(comp.code, "sync read failed");
+      ++submitted;
+      ++in_flight;
+    }
+    if (in_flight == 0) return first_error;  // all done, or nothing to drain
+    const size_t got =
+        PollCompletions(comps, std::min(std::size(comps), in_flight));
+    // mem:-class devices complete before the first poll, so a short grace
+    // spin keeps them syscall-free; past that the completions are being
+    // held back by a timed or real device and a tight loop would starve
+    // every other thread on the core for the full service time.
+    if (got == 0) {
+      if (++idle_polls > 64) std::this_thread::yield();
+      continue;
+    }
+    idle_polls = 0;
+    for (size_t i = 0; i < got; ++i) {
+      const uint64_t tag = comps[i].user_data;
+      if (tag >= submitted || done[tag]) {
+        if (first_error.ok()) {
+          first_error =
+              Status::Internal("unexpected completion during sync read");
+        }
+        continue;
       }
-      return Status::OK();
+      done[tag] = true;
+      --in_flight;
+      if (comps[i].code != StatusCode::kOk && first_error.ok()) {
+        first_error = Status(comps[i].code, "sync read failed");
+      }
     }
   }
 }

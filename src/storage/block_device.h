@@ -181,9 +181,22 @@ class BlockDevice {
   virtual Status RegisterBuffers(
       const std::vector<std::pair<void*, size_t>>& regions);
 
-  /// Convenience: submit one read and spin until it completes.
-  /// This is the "synchronous I/O" execution mode of Fig. 1(A).
-  Status ReadSync(uint64_t offset, void* buf, uint32_t length);
+  /// Submit a burst of `count` reads and spin until every one completes:
+  /// the "synchronous I/O" execution mode of Fig. 1(A), at queue depth
+  /// `count` instead of 1. The requests' user_data is ignored — the
+  /// burst tags each read with its index and matches completions by that
+  /// tag, so nothing else may poll this device meanwhile (use a private
+  /// queue). A full queue (ResourceExhausted) is drained, then the rest
+  /// resubmitted. The first failure stops further submissions and is
+  /// returned only once every submitted read has completed, so no caller
+  /// buffer is released under a read still in flight.
+  Status ReadSync(const IoRequest* reqs, size_t count);
+
+  /// One read: ReadSync over a single request.
+  Status ReadSync(uint64_t offset, void* buf, uint32_t length) {
+    const IoRequest req{offset, length, buf, 0};
+    return ReadSync(&req, 1);
+  }
 };
 
 }  // namespace e2lshos::storage

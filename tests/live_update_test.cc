@@ -17,8 +17,13 @@
 //  * Fault absorption: with injected transient read faults + the retry
 //    layer, failed inserts roll back cleanly and a retried insert lands
 //    intact.
+//  * Staging I/O: an Insert reads only table entries and blocks that
+//    existed before it, each page once, in bursts deeper than one on
+//    the updater's own queue; over a device without native queues,
+//    inserts refuse and change nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <string>
@@ -27,7 +32,11 @@
 #include <vector>
 
 #include "api/index.h"
+#include "core/builder.h"
+#include "core/live_updater.h"
 #include "data/generators.h"
+#include "storage/memory_device.h"
+#include "storage/queue_router.h"
 #include "storage/uring_device.h"
 
 namespace e2lshos {
@@ -163,7 +172,7 @@ TEST(LiveUpdate, InsertBatchIsOneEpochWithConsecutiveIds) {
 // ---------------------------------------------------------------------------
 
 TEST(LiveUpdate, SaveFlushesOverlayWithBitIdenticalResults) {
-  for (const std::string scheme : {"mem:", "file:"}) {
+  for (const std::string scheme : {"mem:", "sim:cssd", "file:"}) {
     auto t = MakeData();
     std::string uri = scheme;
     if (scheme == "file:") {
@@ -215,6 +224,166 @@ TEST(LiveUpdate, SaveFlushesOverlayWithBitIdenticalResults) {
     ASSERT_TRUE(hidden.ok());
     EXPECT_NE((*hidden)[0].id, 42u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Staging I/O: bursts on the updater's own queue
+// ---------------------------------------------------------------------------
+
+/// Native-queue wrapper over a MemoryDevice that logs, per queue, every
+/// read's offset and the peak number of reads in flight, plus the end of
+/// the highest byte ever written through the device itself.
+class RecordingDevice : public storage::BlockDevice,
+                        public storage::MultiQueueDevice {
+ public:
+  struct QueueLog {
+    std::vector<uint64_t> offsets;
+    uint32_t in_flight = 0;
+    uint32_t peak_in_flight = 0;
+  };
+
+  explicit RecordingDevice(std::unique_ptr<storage::MemoryDevice> inner)
+      : inner_(std::move(inner)) {}
+
+  Status SubmitRead(const storage::IoRequest& req) override {
+    return inner_->SubmitRead(req);
+  }
+  size_t PollCompletions(storage::IoCompletion* out, size_t max) override {
+    return inner_->PollCompletions(out, max);
+  }
+  Status Write(uint64_t offset, const void* data, uint32_t length) override {
+    written_end_ = std::max(written_end_, offset + length);
+    return inner_->Write(offset, data, length);
+  }
+  uint64_t capacity() const override { return inner_->capacity(); }
+  uint32_t outstanding() const override { return inner_->outstanding(); }
+  std::string name() const override { return "recording"; }
+  storage::DeviceStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+  storage::MultiQueueDevice* multi_queue() override { return this; }
+  uint32_t max_queues() const override { return inner_->max_queues(); }
+  Result<std::unique_ptr<storage::BlockDevice>> CreateQueue(
+      const storage::QueueOptions& options) override {
+    E2_ASSIGN_OR_RETURN(auto queue, inner_->CreateQueue(options));
+    logs_.push_back(std::make_unique<QueueLog>());
+    return std::unique_ptr<storage::BlockDevice>(
+        new Queue(std::move(queue), logs_.back().get()));
+  }
+
+  uint64_t written_end() const { return written_end_; }
+  const std::vector<std::unique_ptr<QueueLog>>& logs() const { return logs_; }
+
+ private:
+  class Queue : public storage::BlockDevice {
+   public:
+    Queue(std::unique_ptr<storage::BlockDevice> inner, QueueLog* log)
+        : inner_(std::move(inner)), log_(log) {}
+    Status SubmitRead(const storage::IoRequest& req) override {
+      E2_RETURN_NOT_OK(inner_->SubmitRead(req));
+      log_->offsets.push_back(req.offset);
+      log_->peak_in_flight = std::max(log_->peak_in_flight, ++log_->in_flight);
+      return Status::OK();
+    }
+    size_t PollCompletions(storage::IoCompletion* out, size_t max) override {
+      const size_t n = inner_->PollCompletions(out, max);
+      log_->in_flight -= static_cast<uint32_t>(n);
+      return n;
+    }
+    Status Write(uint64_t offset, const void* data, uint32_t length) override {
+      return inner_->Write(offset, data, length);
+    }
+    uint64_t capacity() const override { return inner_->capacity(); }
+    uint32_t outstanding() const override { return inner_->outstanding(); }
+    std::string name() const override { return "recording queue"; }
+    storage::DeviceStats stats() const override { return inner_->stats(); }
+    void ResetStats() override { inner_->ResetStats(); }
+
+   private:
+    std::unique_ptr<storage::BlockDevice> inner_;
+    QueueLog* log_;
+  };
+
+  std::unique_ptr<storage::MemoryDevice> inner_;
+  uint64_t written_end_ = 0;
+  std::vector<std::unique_ptr<QueueLog>> logs_;
+};
+
+/// Build straight through the core builder onto `device`.
+Result<std::unique_ptr<core::StorageIndex>> BuildCore(
+    const TestData& t, storage::BlockDevice* device) {
+  lsh::E2lshConfig cfg = t.cfg;
+  cfg.x_max = t.gen.base.XMax();
+  E2_ASSIGN_OR_RETURN(
+      const lsh::E2lshParams params,
+      lsh::ComputeParams(t.gen.base.n(), t.gen.base.dim(), cfg));
+  return core::IndexBuilder::Build(t.gen.base, params, device);
+}
+
+TEST(LiveUpdate, InsertReadsOnlyOldPagesOnceEachInDeepBursts) {
+  auto t = MakeData();
+  auto mem = storage::MemoryDevice::Create(256ULL << 20);
+  ASSERT_TRUE(mem.ok());
+  RecordingDevice dev(std::move(*mem));
+  auto index = BuildCore(t, &dev);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const uint64_t built_end = dev.written_end();
+  const core::IndexLayout& layout = (*index)->layout();
+
+  core::LiveUpdater live(index->get());
+  ASSERT_EQ(dev.logs().size(), 1u);  // the updater's private queue
+  const RecordingDevice::QueueLog& log = *dev.logs()[0];
+  const auto extras = MakeExtraRows(1);
+  auto id = live.Insert(extras.Row(0));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(live.n(), t.gen.base.n() + 1);
+
+  // Every read is of a table entry or of a block the build wrote: the
+  // blocks the insert allocates are written without being read.
+  ASSERT_FALSE(log.offsets.empty());
+  const uint64_t table_end = layout.table_base + layout.total_table_bytes();
+  for (const uint64_t off : log.offsets) {
+    const bool table_entry = off >= layout.table_base && off < table_end;
+    const bool old_block =
+        off >= layout.bucket_base &&
+        (off - layout.bucket_base) % layout.block_bytes == 0 &&
+        off + layout.block_bytes <= built_end;
+    EXPECT_TRUE(table_entry || old_block) << "read at " << off;
+  }
+  std::vector<uint64_t> sorted = log.offsets;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << "a page was read twice";
+  // The reads went out as bursts, not one at a time.
+  EXPECT_GT(log.peak_in_flight, 1u);
+}
+
+TEST(LiveUpdate, InsertWithoutNativeQueuesFailsAndChangesNothing) {
+  auto t = MakeData();
+  auto mem = storage::MemoryDevice::Create(256ULL << 20);
+  ASSERT_TRUE(mem.ok());
+  auto index = BuildCore(t, mem->get());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  // A QueueRouter view has no native queues: a staging burst on it would
+  // swallow every other routed queue's completions, so inserts refuse.
+  storage::QueueRouter router(mem->get());
+  auto routed = router.CreateQueue();
+  auto view = (*index)->WithDevice(routed.get());
+  core::LiveUpdater live(view.get());
+  const uint64_t n0 = live.n();
+  const auto extras = MakeExtraRows(2);
+
+  EXPECT_EQ(live.Insert(extras.Row(0)).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(live.InsertBatch(extras.Row(0), 2).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(live.n(), n0);
+  EXPECT_EQ(live.epoch_seq(), 0u);
+  EXPECT_EQ(live.counters().inserts, 0u);
+  EXPECT_EQ(live.counters().staged_bytes, 0u);
+  // Removes and restores read nothing from the device: unaffected.
+  EXPECT_TRUE(live.Remove(3).ok());
+  EXPECT_TRUE(live.Restore(3).ok());
 }
 
 // ---------------------------------------------------------------------------

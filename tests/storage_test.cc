@@ -10,6 +10,7 @@
 #include "storage/file_device.h"
 #include "storage/interface_model.h"
 #include "storage/memory_device.h"
+#include "storage/multi_queue.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "util/aligned_buffer.h"
@@ -156,6 +157,64 @@ TEST(SimulatedDevice, QueueCapacityEnforced) {
   IoRequest req{0, 512, buf.data(), 0};
   for (int i = 0; i < 4; ++i) ASSERT_TRUE((*dev)->SubmitRead(req).ok());
   EXPECT_EQ((*dev)->SubmitRead(req).code(), StatusCode::kResourceExhausted);
+}
+
+// A burst of 64 reads through ReadSync on a native sim:cssd queue that
+// holds only 4: the call has to harvest and resubmit until all land.
+// Requests run in reverse offset order with one shared user_data, so
+// only the burst's own tagging can match completions to buffers.
+struct SyncBurst {
+  static constexpr int kReads = 64;
+  std::unique_ptr<BlockDevice> device;
+  std::unique_ptr<BlockDevice> queue;
+  std::vector<util::AlignedBuffer> bufs;
+  std::vector<IoRequest> reqs;
+};
+
+SyncBurst MakeSyncBurst(const std::string& uri) {
+  SyncBurst b;
+  DeviceUriOpenOptions open;
+  open.capacity = 1 << 20;
+  auto dev = OpenDeviceUri(uri, open);
+  EXPECT_TRUE(dev.ok()) << uri << ": " << dev.status().ToString();
+  if (!dev.ok()) return b;
+  b.device = std::move(*dev);
+  QueueOptions qopt;
+  qopt.queue_capacity = 4;
+  auto queue = b.device->multi_queue()->CreateQueue(qopt);
+  EXPECT_TRUE(queue.ok()) << queue.status().ToString();
+  if (!queue.ok()) return b;
+  b.queue = std::move(*queue);
+  b.bufs.resize(SyncBurst::kReads);
+  for (int i = 0; i < SyncBurst::kReads; ++i) {
+    const uint64_t sector = SyncBurst::kReads - 1 - i;
+    WritePattern(b.device.get(), sector * 512, 512, 500 + sector);
+    b.bufs[i].Reset(512);
+    b.reqs.push_back({sector * 512, 512, b.bufs[i].data(), 7});
+  }
+  return b;
+}
+
+TEST(ReadSyncBurst, DeepBurstOnShallowQueueFillsEveryBuffer) {
+  SyncBurst b = MakeSyncBurst("sim:cssd");
+  ASSERT_NE(b.queue, nullptr);
+  ASSERT_TRUE(b.queue->ReadSync(b.reqs.data(), b.reqs.size()).ok());
+  for (int i = 0; i < SyncBurst::kReads; ++i) {
+    const uint64_t sector = b.reqs[i].offset / 512;
+    EXPECT_TRUE(CheckPattern(b.bufs[i].data(), 512, 500 + sector))
+        << "read " << i;
+  }
+  EXPECT_EQ(b.queue->outstanding(), 0u);
+  EXPECT_EQ(b.queue->stats().reads_completed,
+            static_cast<uint64_t>(SyncBurst::kReads));
+}
+
+TEST(ReadSyncBurst, FailedBurstReturnsOnlyAfterEveryReadCompleted) {
+  SyncBurst b = MakeSyncBurst("sim:cssd?fault=complete:1");
+  ASSERT_NE(b.queue, nullptr);
+  EXPECT_FALSE(b.queue->ReadSync(b.reqs.data(), b.reqs.size()).ok());
+  // No read may still be in flight into a buffer the caller now frees.
+  EXPECT_EQ(b.queue->outstanding(), 0u);
 }
 
 TEST(SimulatedDevice, LatencyGrowsWhenSaturated) {
