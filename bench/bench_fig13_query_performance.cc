@@ -65,7 +65,6 @@ void RunShardedMode(const bench::Workload& w, core::StorageIndex* master,
                       .Set("bench", "fig13_sharded")
                       .Set("dataset", w.spec.name)
                       .Set("shards", s)
-                      .Set("queue_mode", engine.queue_mode())
                       .Set("qps", batch->QueriesPerSecond())
                       .Set("mean_ios", batch->MeanIos())
                       .Set("wall_ms", static_cast<double>(batch->wall_ns) / 1e6)

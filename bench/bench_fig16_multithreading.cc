@@ -48,13 +48,11 @@ int main(int argc, char** argv) {
     double n_io = 0;
     double iops_total = 0;
   };
-  // One sharded run: QPS plus the queue plumbing the engine resolved
-  // ("native" per-shard device queues vs the QueueRouter shim) and the
-  // per-shard read counts from the per-queue device counters — the
-  // balance evidence behind the one-queue-pair-per-thread claim.
+  // One sharded run: QPS plus the per-shard read counts from the
+  // per-queue device counters — the balance evidence behind the
+  // one-queue-pair-per-thread claim.
   struct ShardedRun {
     double qps = 0;
-    const char* queue_mode = "direct";
     uint64_t shard_reads_min = 0;
     uint64_t shard_reads_max = 0;
     uint64_t shard_reads_total = 0;
@@ -83,7 +81,6 @@ int main(int argc, char** argv) {
     auto batch = engine.SearchBatch(replicated, 1);
     ShardedRun run;
     run.qps = batch.ok() ? batch->QueriesPerSecond() : 0.0;
-    run.queue_mode = engine.queue_mode();
     for (uint32_t shard = 0; shard < engine.num_shards(); ++shard) {
       const uint64_t reads =
           engine.shard_device(shard)->stats().reads_completed;
@@ -165,7 +162,6 @@ int main(int argc, char** argv) {
                       .Set("dataset", name)
                       .Set("threads", t)
                       .Set("hw_threads", hw)
-                      .Set("queue_mode", cssd_run.queue_mode)
                       .Set("srs_measured_qps", srs_meas)
                       .Set("srs_model_qps", srs_model)
                       .Set("cssd_measured_qps", cssd_meas)
@@ -182,9 +178,9 @@ int main(int argc, char** argv) {
     }
     if (t == threads.back()) {
       std::printf(
-          "\nQueue plumbing: %s (per-shard reads at %u threads: cSSDx4 "
-          "min/max %llu/%llu, XLFDDx12 min/max %llu/%llu)\n",
-          cssd_run.queue_mode, t,
+          "\nPer-shard reads at %u threads: cSSDx4 min/max %llu/%llu, "
+          "XLFDDx12 min/max %llu/%llu\n",
+          t,
           static_cast<unsigned long long>(cssd_run.shard_reads_min),
           static_cast<unsigned long long>(cssd_run.shard_reads_max),
           static_cast<unsigned long long>(xlfdd_run.shard_reads_min),

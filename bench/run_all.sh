@@ -67,15 +67,6 @@ jmax() {
     END { if (seen) printf "%g", m; else printf "0" }' "$1"
 }
 
-# First string value of a key (empty when absent).
-jstr() {
-  awk -v k="$2" '
-    match($0, "\"" k "\":\"[^\"]*\"") {
-      print substr($0, RSTART + length(k) + 4, RLENGTH - length(k) - 5);
-      exit
-    }' "$1"
-}
-
 run_bench() {
   name="$1"
   shift
@@ -132,19 +123,17 @@ git_rev="$(git -C "$(dirname "$0")/.." rev-parse --short HEAD 2>/dev/null || ech
 
   f="$raw/bench_fig13_query_performance.jsonl"
   if [ -s "$f" ]; then
-    printf '%b    "fig13_query_performance": {"peak_speedup_io_uring": %s, "peak_speedup_xlfdd": %s, "peak_sharded_qps": %s, "queue_mode": "%s"}' \
+    printf '%b    "fig13_query_performance": {"peak_speedup_io_uring": %s, "peak_speedup_xlfdd": %s, "peak_sharded_qps": %s}' \
       "$sep" "$(jmax "$f" speedup_e2lshos_io_uring)" \
-      "$(jmax "$f" speedup_e2lshos_xlfdd)" "$(jmax "$f" qps)" \
-      "$(jstr "$f" queue_mode)"
+      "$(jmax "$f" speedup_e2lshos_xlfdd)" "$(jmax "$f" qps)"
     sep=",\n"
   fi
 
   f="$raw/bench_fig16_multithreading.jsonl"
   if [ -s "$f" ]; then
-    printf '%b    "fig16_multithreading": {"peak_cssd_qps": %s, "peak_xlfdd_qps": %s, "peak_srs_qps": %s, "queue_mode": "%s"}' \
+    printf '%b    "fig16_multithreading": {"peak_cssd_qps": %s, "peak_xlfdd_qps": %s, "peak_srs_qps": %s}' \
       "$sep" "$(jmax "$f" cssd_measured_qps)" \
-      "$(jmax "$f" xlfdd_measured_qps)" "$(jmax "$f" srs_measured_qps)" \
-      "$(jstr "$f" queue_mode)"
+      "$(jmax "$f" xlfdd_measured_qps)" "$(jmax "$f" srs_measured_qps)"
     sep=",\n"
   fi
 

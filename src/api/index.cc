@@ -169,9 +169,9 @@ Result<std::unique_ptr<Index>> Index::Open(const std::string& path,
 }
 
 Status Index::Save(const std::string& path) const {
-  // The volatile-device branch reads the image through raw device polls,
-  // which would steal completions from the shard QueueRouters of a live
-  // serving run — same single-owner rule as the query entry points.
+  // The volatile-device branch reads the image through the device-level
+  // path, which a 1-shard serving run polls directly and would lose
+  // completions to — same single-owner rule as the query entry points.
   E2_RETURN_NOT_OK(FailIfServing("Save"));
   {
     // Sync staged live mutations into the index and the device (the
@@ -207,18 +207,12 @@ Status Index::EnsureEngine() {
   opts.total_contexts = search_.contexts_per_shard * resolved;
   opts.total_inflight_ios = search_.inflight_per_shard * resolved;
   opts.synchronous = search_.synchronous;
-  // The URI's queue knobs: queues=0 forces the QueueRouter shim, queues=N
-  // caps native queues at N (beyond that the whole set routes), the
-  // default lets every shard take a native queue when the device has
-  // them. fixed=1 registers each shard engine's I/O arena at startup.
-  if (uri_.queues == 0) {
-    opts.queue_mode = core::QueueMode::kRouter;
-  } else if (uri_.queues != storage::DeviceUri::kQueuesAuto) {
-    opts.max_native_queues = uri_.queues;
-  }
+  // fixed=1 registers each shard engine's I/O arena at startup.
   opts.register_fixed_buffers = uri_.fixed_buffers;
-  engine_ = std::make_unique<core::ShardedQueryEngine>(index_.get(), &base_,
-                                                       opts);
+  auto engine =
+      std::make_unique<core::ShardedQueryEngine>(index_.get(), &base_, opts);
+  E2_RETURN_NOT_OK(engine->status());
+  engine_ = std::move(engine);
   return Status::OK();
 }
 

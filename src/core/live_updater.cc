@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "storage/multi_queue.h"
 #include "util/aligned_buffer.h"
 
 namespace e2lshos::core {
@@ -160,17 +159,11 @@ LiveUpdater::LiveUpdater(StorageIndex* index) : index_(index) {
   next_block_ = index_->next_block_idx_;
   tombstones_ = index_->tombstones_;
   // Default options: a queue deep enough to hold a whole staging burst.
-  if (storage::MultiQueueDevice* mq = index_->device_->multi_queue()) {
-    auto queue = mq->CreateQueue(storage::QueueOptions{});
-    if (queue.ok()) {
-      read_queue_ = std::move(*queue);
-    } else {
-      queue_status_ = queue.status();
-    }
+  auto queue = index_->device_->CreateQueue(storage::QueueOptions{});
+  if (queue.ok()) {
+    read_queue_ = std::move(*queue);
   } else {
-    queue_status_ = Status::FailedPrecondition(
-        "live inserts need a device with native queues; " +
-        index_->device_->name() + " has none");
+    queue_status_ = queue.status();
   }
   // Round the private boundary up so no staging RMW window covers a
   // byte of the built image (tables included: for block 0 the window

@@ -89,9 +89,9 @@ class LiveUpdater {
 
   /// Insert one row (dim = index->dim() floats); returns the assigned
   /// id (== effective n before the call) and publishes a new epoch.
-  /// Inserts stage through a private device queue: on a device without
-  /// native queues (or one that refused a queue) Insert and InsertBatch
-  /// return FailedPrecondition (or the refusal) and change nothing.
+  /// Inserts stage through a private device queue: on a device that
+  /// cannot create one, Insert and InsertBatch return the device's error
+  /// and change nothing.
   Result<uint32_t> Insert(const float* row);
   /// Insert `count` contiguous rows; assigns ids first_id..first_id+
   /// count-1 and publishes ONCE after the last row — mid-batch rows are
@@ -148,9 +148,9 @@ class LiveUpdater {
   /// QueueOptions so a whole burst is in flight at once. A burst harvests
   /// every completion of the device it polls, so it must never run on
   /// the shared device the serving threads poll: every URI scheme hands
-  /// out native queues, and the updater takes one for itself. Null when
-  /// the device has none or refused one; inserts then fail with
-  /// queue_status_ (removes and restores read nothing and still work).
+  /// out queues, and the updater takes one for itself. Null when the
+  /// device refused one; inserts then fail with queue_status_ (removes
+  /// and restores read nothing and still work).
   std::unique_ptr<storage::BlockDevice> read_queue_;
   Status queue_status_;
 

@@ -82,27 +82,25 @@ ShardedQueryEngine::ShardedQueryEngine(const StorageIndex* index,
     return;
   }
 
-  // One device queue per shard: native rings when the device offers them
-  // (and policy allows), the QueueRouter shim otherwise.
-  storage::AcquireOptions aq;
-  aq.queue.queue_capacity = shard_opts_.max_inflight_ios;
-  aq.force_router = options.queue_mode == QueueMode::kRouter;
-  aq.max_native = options.max_native_queues;
-  storage::QueueSet queue_set =
-      storage::AcquireQueues(index_->device(), shards, aq);
-  native_queues_ = queue_set.native;
-  router_ = std::move(queue_set.router);
-
+  storage::QueueOptions queue_options;
+  queue_options.queue_capacity = shard_opts_.max_inflight_ios;
   shard_devices_.reserve(shards);
   views_.reserve(shards);
   engines_.reserve(shards);
   for (uint32_t s = 0; s < shards; ++s) {
-    std::unique_ptr<storage::BlockDevice> queue =
-        std::move(queue_set.queues[s]);
-    if (options.wrap_shard_device) {
-      queue = options.wrap_shard_device(std::move(queue));
+    auto queue = index_->device()->CreateQueue(queue_options);
+    if (!queue.ok()) {
+      status_ = queue.status();
+      engines_.clear();
+      views_.clear();
+      shard_devices_.clear();
+      return;
     }
-    shard_devices_.push_back(std::move(queue));
+    std::unique_ptr<storage::BlockDevice> device = std::move(queue).value();
+    if (options.wrap_shard_device) {
+      device = options.wrap_shard_device(std::move(device));
+    }
+    shard_devices_.push_back(std::move(device));
     views_.push_back(index_->WithDevice(shard_devices_.back().get()));
     engines_.push_back(std::make_unique<QueryEngine>(views_.back().get(), base_,
                                                      shard_opts_));
@@ -116,6 +114,7 @@ Result<BatchResult> ShardedQueryEngine::SearchBatch(const data::Dataset& queries
     return Status::InvalidArgument("query dimension mismatch");
   }
   if (k == 0) return Status::InvalidArgument("k must be > 0");
+  E2_RETURN_NOT_OK(status_);
 
   if (pool_ == nullptr) {
     // Single-shard fast path: run inline on the caller's thread.

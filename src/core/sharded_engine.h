@@ -11,11 +11,9 @@
 //     shard, so the merged results preserve query order;
 //   * every shard owns an independent queue over the shared device
 //     (NVMe multi-queue semantics: a shard never consumes another
-//     shard's completions). On a multi-queue-capable device each shard
-//     gets a NATIVE queue — its own io_uring ring / pread slice /
-//     completion inbox — so the per-shard submit/poll hot path crosses
-//     no shared lock; otherwise the QueueRouter shim multiplexes the
-//     single completion stream in software;
+//     shard's completions) — its own io_uring ring / pread slice /
+//     completion inbox, made by BlockDevice::CreateQueue — so the
+//     per-shard submit/poll hot path crosses no shared lock;
 //   * per-shard context / inflight budgets are derived from global
 //     budgets, so the device-visible queue depth stays at the configured
 //     cap no matter how many shards poll it;
@@ -30,16 +28,9 @@
 
 #include "core/query_engine.h"
 #include "core/storage_index.h"
-#include "storage/multi_queue.h"
 #include "util/thread_pool.h"
 
 namespace e2lshos::core {
-
-/// \brief How shards acquire device queues (the `queues=` URI knob).
-enum class QueueMode {
-  kAuto,    ///< Native queues when the device offers them, router otherwise.
-  kRouter,  ///< Always the QueueRouter shim (the pre-multi-queue behavior).
-};
 
 struct ShardOptions {
   /// Number of per-core engines; 0 = one per hardware thread.
@@ -53,16 +44,11 @@ struct ShardOptions {
   uint32_t total_inflight_ios = 256;
   /// Fig. 1(A) mode: every shard runs one blocking I/O at a time.
   bool synchronous = false;
-  /// Queue-acquisition policy for the per-shard devices.
-  QueueMode queue_mode = QueueMode::kAuto;
-  /// Cap on native queues (0 = uncapped): asking for more shards than
-  /// this falls back to the router for ALL shards (never a mixed set).
-  uint32_t max_native_queues = 0;
   /// Register every shard engine's I/O arena with its device at startup
   /// (UringDevice: READ_FIXED, no per-I/O page pinning). Best-effort —
   /// devices without fixed-buffer support simply run unregistered.
   bool register_fixed_buffers = false;
-  /// Optional decorator applied to each shard's routed queue before the
+  /// Optional decorator applied to each shard's device queue before the
   /// shard engine sees it — e.g. wrap it in a storage::ChargedDevice so
   /// every shard pays its own per-core interface submission cost.
   std::function<std::unique_ptr<storage::BlockDevice>(
@@ -70,7 +56,7 @@ struct ShardOptions {
       wrap_shard_device;
 };
 
-/// Hard cap on shards (a QueueRouter supports at most 255 queues).
+/// Hard cap on shards (each takes one device queue).
 inline constexpr uint32_t kMaxShards = 255;
 
 /// Resolve a requested shard count (0 = one per hardware thread) to the
@@ -110,9 +96,15 @@ class ShardedQueryEngine {
   /// StorageIndex view (DRAM metadata is duplicated per shard, as in the
   /// Fig. 16 per-thread setup). A 1-shard engine with no device wrapper
   /// degenerates to a plain QueryEngine on the index's device: no queue
-  /// pair, no worker thread, no batch copy.
+  /// pair, no worker thread, no batch copy. Otherwise every shard takes
+  /// a queue from BlockDevice::CreateQueue; when one cannot be created,
+  /// the engine has no shards and status() (returned by SearchBatch and
+  /// StreamingServer::Start) carries the device's error.
   ShardedQueryEngine(const StorageIndex* index, const data::Dataset* base,
                      const ShardOptions& options = {});
+
+  /// OK, or why the per-shard device queues could not be created.
+  const Status& status() const { return status_; }
 
   /// Run top-k ANNS for every query in `queries` across all shards.
   /// Results are in query order. As long as the per-radius candidate cap
@@ -136,15 +128,6 @@ class ShardedQueryEngine {
   /// must not run concurrently with per-shard dispatch.
   QueryEngine* shard_engine(uint32_t s) { return engines_[s].get(); }
 
-  /// True when every shard runs on a native device queue (no QueueRouter
-  /// lock is reachable from the serving hot path).
-  bool native_queues() const { return native_queues_; }
-  /// "direct" (1-shard degenerate path, straight on the index's device),
-  /// "native", or "router" — the `queue_mode` key of bench JSONL rows.
-  const char* queue_mode() const {
-    if (pool_ == nullptr) return "direct";
-    return native_queues_ ? "native" : "router";
-  }
   /// The device shard `s` actually submits to (its queue, after any
   /// wrap_shard_device decoration) — per-shard stats come from here.
   storage::BlockDevice* shard_device(uint32_t s) {
@@ -156,10 +139,7 @@ class ShardedQueryEngine {
   const StorageIndex* index_;
   const data::Dataset* base_;
   EngineOptions shard_opts_;
-  bool native_queues_ = false;
-  /// Fallback shim; null on the native-queue and degenerate paths.
-  /// Declared before shard_devices_ so the queues are destroyed first.
-  std::unique_ptr<storage::QueueRouter> router_;
+  Status status_;
   std::vector<std::unique_ptr<storage::BlockDevice>> shard_devices_;
   std::vector<std::unique_ptr<StorageIndex>> views_;
   std::vector<std::unique_ptr<QueryEngine>> engines_;

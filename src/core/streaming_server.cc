@@ -24,6 +24,7 @@ StreamingServer::~StreamingServer() {
 }
 
 Status StreamingServer::Start(QueryStream* stream) {
+  E2_RETURN_NOT_OK(engine_->status());
   if (options_.k == 0) return Status::InvalidArgument("k must be > 0");
   if (stream->dim() != engine_->dim()) {
     return Status::InvalidArgument("stream dimension mismatch");
@@ -131,6 +132,10 @@ bool StreamingServer::FormBatch(std::vector<StreamQuery>* batch,
         if (!batch->empty()) {
           if (util::NowNs() - first_pull_ns >= max_wait_ns) return false;
           std::this_thread::yield();
+        } else if (!shed->empty()) {
+          // Nothing to serve: deliver the rejections now rather than
+          // holding them until more traffic fills the shed list.
+          return false;
         } else {
           // Idle: nothing pulled yet, nothing to flush. Sleep briefly so
           // an idle server doesn't spin a core per shard.

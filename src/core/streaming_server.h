@@ -94,8 +94,9 @@ class StreamingServer {
   StreamingServer& operator=(const StreamingServer&) = delete;
 
   /// Spawn one worker per shard pulling from `stream` (which must
-  /// outlive the serving run). Fails if already running, if k == 0, or
-  /// on a stream/engine dimension mismatch.
+  /// outlive the serving run). Fails if already running, if k == 0, on
+  /// a stream/engine dimension mismatch, or with the engine's status()
+  /// when its shard queues could not be created.
   Status Start(QueryStream* stream);
 
   /// Block until every worker exits: the stream reported kClosed and all

@@ -11,6 +11,10 @@ Status BlockDevice::RegisterBuffers(
   return Status::Unimplemented("fixed buffers are not supported by " + name());
 }
 
+QueueResult BlockDevice::CreateQueue(const QueueOptions&) {
+  return Status::Unimplemented(name() + " cannot create queues");
+}
+
 Status BlockDevice::ReadSync(const IoRequest* reqs, size_t count) {
   Status first_error = Status::OK();
   std::vector<bool> done(count, false);

@@ -22,7 +22,10 @@
 //    writes on an idempotent fd).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,8 +34,6 @@
 #include "util/status.h"
 
 namespace e2lshos::storage {
-
-class MultiQueueDevice;  // storage/multi_queue.h
 
 /// \brief The read unit used throughout the paper: the minimum NVMe
 /// sector size.
@@ -96,30 +97,43 @@ struct DeviceStats {
   uint64_t update_staged_bytes = 0;  ///< Device bytes written by staging.
   uint64_t update_lag = 0;  ///< Ops staged but not yet reader-visible.
   util::LatencyHistogram read_latency;
+
+  /// Fold `more` in: counters add, the latency histogram merges.
+  /// bytes_cached adds too: per-queue snapshots report 0 and only the
+  /// cache device that owns the store contributes the gauge, so the
+  /// aggregate stays the gauge.
+  void Merge(const DeviceStats& more) {
+    reads_submitted += more.reads_submitted;
+    reads_completed += more.reads_completed;
+    bytes_read += more.bytes_read;
+    bytes_written += more.bytes_written;
+    busy_ns += more.busy_ns;
+    cache_hits += more.cache_hits;
+    cache_misses += more.cache_misses;
+    cache_evictions += more.cache_evictions;
+    bytes_cached += more.bytes_cached;
+    faults_injected += more.faults_injected;
+    retries += more.retries;
+    retries_exhausted += more.retries_exhausted;
+    updates_applied += more.updates_applied;
+    epochs_published += more.epochs_published;
+    update_staged_bytes += more.update_staged_bytes;
+    update_lag += more.update_lag;
+    read_latency.Merge(more.read_latency);
+  }
 };
 
-/// Fold `more` into `into`: counters add, the latency histogram merges.
-/// bytes_cached adds too: per-queue snapshots report 0 and only the cache
-/// parent contributes the gauge, so the aggregate stays the gauge.
-inline void MergeDeviceStats(DeviceStats* into, const DeviceStats& more) {
-  into->reads_submitted += more.reads_submitted;
-  into->reads_completed += more.reads_completed;
-  into->bytes_read += more.bytes_read;
-  into->bytes_written += more.bytes_written;
-  into->busy_ns += more.busy_ns;
-  into->cache_hits += more.cache_hits;
-  into->cache_misses += more.cache_misses;
-  into->cache_evictions += more.cache_evictions;
-  into->bytes_cached += more.bytes_cached;
-  into->faults_injected += more.faults_injected;
-  into->retries += more.retries;
-  into->retries_exhausted += more.retries_exhausted;
-  into->updates_applied += more.updates_applied;
-  into->epochs_published += more.epochs_published;
-  into->update_staged_bytes += more.update_staged_bytes;
-  into->update_lag += more.update_lag;
-  into->read_latency.Merge(more.read_latency);
-}
+/// \brief Per-queue configuration for BlockDevice::CreateQueue.
+struct QueueOptions {
+  /// Max submitted-but-unharvested reads on this queue.
+  uint32_t queue_capacity = 256;
+  /// FileDevice queues only: width of the queue's private pread-thread
+  /// slice (its share of the per-queue "hardware" parallelism).
+  uint32_t io_threads = 2;
+};
+
+class BlockDevice;
+using QueueResult = Result<std::unique_ptr<BlockDevice>>;
 
 class BlockDevice {
  public:
@@ -167,11 +181,16 @@ class BlockDevice {
   virtual DeviceStats stats() const = 0;
   virtual void ResetStats() = 0;
 
-  /// Native multi-queue capability (NVMe semantics: one queue pair per
-  /// serving thread; see storage/multi_queue.h). nullptr = no native
-  /// queues; callers fall back to the QueueRouter shim, typically via
-  /// AcquireQueues which does so automatically.
-  virtual MultiQueueDevice* multi_queue() { return nullptr; }
+  /// Create an independently-pollable queue over this device (NVMe
+  /// semantics: one queue pair per serving thread, paper Sec. 6.5). The
+  /// queue owns its submissions and completions: polling it never
+  /// consumes another queue's completions, and its outstanding()/stats()
+  /// cover only its own traffic, while the device's stats() keep
+  /// counting every queue, live or destroyed. Thread-safe; the queue is
+  /// driven by one thread at a time and must not outlive the device.
+  /// Every device and layer here implements it; the default is
+  /// Unimplemented.
+  virtual QueueResult CreateQueue(const QueueOptions& options);
 
   /// Pin caller-owned buffer regions with the device so reads into them
   /// skip per-I/O setup (io_uring READ_FIXED). Call before I/O is in
@@ -197,6 +216,61 @@ class BlockDevice {
     const IoRequest req{offset, length, buf, 0};
     return ReadSync(&req, 1);
   }
+};
+
+/// \brief The attach/retire bookkeeping every device and layer shares.
+///
+/// A device keeps one registry for the queues it hands out: a queue
+/// attaches at construction and retires at destruction. The registry
+/// sees only each queue's own endpoint through three hooks on `Queue` —
+/// `Counters OwnCounters() const`, `uint32_t OwnOutstanding() const` and
+/// `void ResetOwnCounters()` — so a layer's queue leaves out the inner
+/// queue it wraps, which the inner device's registry already counts.
+/// Retiring folds a queue's final counters into a retired total, so a
+/// device's counters never go backwards when a queue dies; ResetAll
+/// zeroes the live queues and the retired total alike. `Counters` needs
+/// a `Merge`. Thread-safe.
+template <class Queue, class Counters = DeviceStats>
+class QueueRegistry {
+ public:
+  /// Returns the queue's attach sequence number: 1, 2, ..., never reused.
+  uint64_t Attach(Queue* queue) {
+    std::lock_guard<std::mutex> lock(mu_);
+    live_.push_back(queue);
+    return ++attached_;
+  }
+
+  void Retire(const Queue* queue) {
+    std::lock_guard<std::mutex> lock(mu_);
+    retired_.Merge(queue->OwnCounters());
+    live_.erase(std::find(live_.begin(), live_.end(), queue));
+  }
+
+  /// Fold every queue's counters, live and retired, into `into`.
+  void AddTo(Counters* into) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    into->Merge(retired_);
+    for (const Queue* q : live_) into->Merge(q->OwnCounters());
+  }
+
+  uint32_t Outstanding() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    uint32_t total = 0;
+    for (const Queue* q : live_) total += q->OwnOutstanding();
+    return total;
+  }
+
+  void ResetAll() {
+    std::lock_guard<std::mutex> lock(mu_);
+    retired_ = Counters{};
+    for (Queue* q : live_) q->ResetOwnCounters();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<Queue*> live_;
+  Counters retired_;
+  uint64_t attached_ = 0;
 };
 
 }  // namespace e2lshos::storage

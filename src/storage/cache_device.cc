@@ -7,8 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/aligned_buffer.h"
-
 namespace e2lshos::storage {
 
 namespace {
@@ -165,267 +163,38 @@ class CacheDevice::Store {
 };
 
 // ---------------------------------------------------------------------------
-// Lane: the hit/miss submit-poll path over one inner endpoint. The
-// device-level path runs one lane over the inner device; every native
-// queue runs its own lane over a private inner queue, so lanes never
-// share a lock — only the store's per-shard locks are common ground.
+// CacheDevice: the hit/miss submit-poll path over one inner endpoint.
+// The device drives the inner device; every queue drives a private inner
+// queue, so endpoints never share a lock — only the store's per-shard
+// locks are common ground.
 // ---------------------------------------------------------------------------
 
-class CacheDevice::Lane {
- public:
-  Lane(Store* store, BlockDevice* endpoint, uint64_t device_capacity,
-       uint32_t io_alignment, uint32_t inbox_capacity,
-       uint32_t max_cached_read_blocks)
-      : store_(store),
-        endpoint_(endpoint),
-        capacity_(device_capacity),
-        align_(io_alignment),
-        inbox_capacity_(std::max(1u, inbox_capacity)),
-        max_cached_bytes_(static_cast<uint64_t>(max_cached_read_blocks) *
-                          store->block_bytes()) {}
-
-  Status SubmitRead(const IoRequest& req) {
-    if (req.buf == nullptr || req.length == 0) {
-      return Status::InvalidArgument("null buffer or zero length");
-    }
-    if (!RangeInCapacity(req.offset, req.length, capacity_)) {
-      return Status::OutOfRange("read beyond device capacity");
-    }
-    // Enforce the inner device's alignment contract on the hit path too:
-    // a cached copy must not make a request succeed that the bare device
-    // would reject.
-    if (align_ > 1 &&
-        (req.offset % align_ != 0 || req.length % align_ != 0)) {
-      return Status::InvalidArgument(
-          "read not aligned to the device's io_alignment");
-    }
-    const uint32_t bb = store_->block_bytes();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (inbox_.size() + in_flight_ >= inbox_capacity_) {
-      return Status::ResourceExhausted("cache queue full");
-    }
-    const uint64_t widened_off = req.offset / bb * bb;
-    const uint64_t widened_end = (req.offset + req.length + bb - 1) / bb * bb;
-    // Cacheable = small enough and the widened extent stays on-device
-    // (a clamped tail could break the inner alignment contract).
-    const bool cacheable = widened_end - widened_off <= max_cached_bytes_ &&
-                           widened_end <= capacity_;
-    if (cacheable && store_->ReadIfCached(req.offset, req.length, req.buf)) {
-      IoCompletion comp;
-      comp.user_data = req.user_data;
-      comp.code = StatusCode::kOk;
-      comp.latency_ns = 0;
-      inbox_.push_back(comp);
-      ++stats_.reads_submitted;
-      ++stats_.reads_completed;
-      stats_.bytes_read += req.length;
-      ++stats_.cache_hits;
-      stats_.read_latency.Add(0);
-      return Status::OK();
-    }
-    const size_t si = AcquireSlot();
-    Slot& slot = *slots_[si];
-    slot.orig = req;
-    slot.epoch = store_->write_epoch();
-    slot.bypass = !cacheable;
-    IoRequest inner;
-    inner.user_data = si;
-    if (cacheable) {
-      slot.widened_off = widened_off;
-      slot.widened_len = static_cast<uint32_t>(widened_end - widened_off);
-      if (slot.stage.size() < slot.widened_len) {
-        slot.stage.Reset(slot.widened_len, std::max(bb, kSectorBytes));
-      }
-      inner.offset = widened_off;
-      inner.length = slot.widened_len;
-      inner.buf = slot.stage.data();
-    } else {
-      inner.offset = req.offset;
-      inner.length = req.length;
-      inner.buf = req.buf;
-    }
-    const Status submitted = endpoint_->SubmitRead(inner);
-    if (!submitted.ok()) {
-      ReleaseSlot(si);
-      return submitted;  // e.g. ResourceExhausted: caller polls and retries
-    }
-    ++in_flight_;
-    ++stats_.reads_submitted;
-    ++stats_.cache_misses;
-    return Status::OK();
-  }
-
-  size_t Poll(IoCompletion* out, size_t max) {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t n = 0;
-    while (n < max && !inbox_.empty()) {
-      out[n++] = inbox_.front();
-      inbox_.pop_front();
-    }
-    if (n >= max || in_flight_ == 0) return n;
-    IoCompletion raw[kPollBatch];
-    const size_t got =
-        endpoint_->PollCompletions(raw, std::min(max - n, kPollBatch));
-    for (size_t i = 0; i < got; ++i) {
-      const size_t si = static_cast<size_t>(raw[i].user_data);
-      Slot& slot = *slots_[si];
-      IoCompletion comp = raw[i];
-      comp.user_data = slot.orig.user_data;
-      if (comp.code == StatusCode::kOk && !slot.bypass) {
-        std::memcpy(slot.orig.buf,
-                    slot.stage.data() + (slot.orig.offset - slot.widened_off),
-                    slot.orig.length);
-        store_->InsertBlocks(slot.widened_off, slot.widened_len,
-                             slot.stage.data(), slot.epoch);
-      }
-      ++stats_.reads_completed;
-      stats_.bytes_read += slot.orig.length;
-      stats_.read_latency.Add(comp.latency_ns);
-      ReleaseSlot(si);
-      --in_flight_;
-      out[n++] = comp;
-    }
-    return n;
-  }
-
-  void AddWriteBytes(uint64_t bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.bytes_written += bytes;
-  }
-
-  uint32_t outstanding() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<uint32_t>(inbox_.size() + in_flight_);
-  }
-
-  DeviceStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-
-  void ResetStats() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = DeviceStats{};
-  }
-
- private:
-  static constexpr size_t kPollBatch = 64;
-
-  struct Slot {
-    util::AlignedBuffer stage;
-    IoRequest orig;
-    uint64_t widened_off = 0;
-    uint32_t widened_len = 0;
-    uint64_t epoch = 0;
-    bool bypass = false;
-  };
-
-  size_t AcquireSlot() {
-    if (!free_slots_.empty()) {
-      const size_t si = free_slots_.back();
-      free_slots_.pop_back();
-      return si;
-    }
-    slots_.push_back(std::make_unique<Slot>());
-    return slots_.size() - 1;
-  }
-  void ReleaseSlot(size_t si) { free_slots_.push_back(si); }
-
-  Store* store_;
-  BlockDevice* endpoint_;
-  const uint64_t capacity_;
-  const uint32_t align_;
-  const uint32_t inbox_capacity_;
-  const uint64_t max_cached_bytes_;
-
-  mutable std::mutex mu_;
-  std::deque<IoCompletion> inbox_;  ///< Hit completions awaiting Poll.
-  std::vector<std::unique_ptr<Slot>> slots_;
-  std::vector<size_t> free_slots_;
-  uint32_t in_flight_ = 0;  ///< Miss reads outstanding on the endpoint.
-  DeviceStats stats_;
-};
-
-// ---------------------------------------------------------------------------
-// Queue: one native cache queue = a private lane over one inner queue.
-// ---------------------------------------------------------------------------
-
-class CacheDevice::Queue : public BlockDevice {
- public:
-  Queue(CacheDevice* parent, std::unique_ptr<BlockDevice> endpoint,
-        uint32_t id, uint32_t inbox_capacity)
-      : parent_(parent),
-        endpoint_(std::move(endpoint)),
-        lane_(parent->store_.get(), endpoint_.get(), parent->capacity(),
-              parent->io_alignment(), inbox_capacity,
-              parent->options_.max_cached_read_blocks),
-        id_(id) {
-    parent_->queue_registry_.Add(this);
-  }
-  ~Queue() override { parent_->queue_registry_.Remove(this); }
-
-  Status SubmitRead(const IoRequest& req) override {
-    return lane_.SubmitRead(req);
-  }
-  size_t PollCompletions(IoCompletion* out, size_t max) override {
-    return lane_.Poll(out, max);
-  }
-  Status Write(uint64_t offset, const void* data, uint32_t length) override {
-    return parent_->Write(offset, data, length);
-  }
-  uint64_t capacity() const override { return parent_->capacity(); }
-  uint32_t io_alignment() const override { return parent_->io_alignment(); }
-  uint32_t outstanding() const override { return lane_.outstanding(); }
-  std::string name() const override {
-    return parent_->name() + " nq" + std::to_string(id_);
-  }
-  DeviceStats stats() const override { return lane_.stats(); }
-  void ResetStats() override { lane_.ResetStats(); }
-
- private:
-  CacheDevice* parent_;
-  std::unique_ptr<BlockDevice> endpoint_;
-  Lane lane_;
-  uint32_t id_;
-};
-
-// ---------------------------------------------------------------------------
-// CacheDevice.
-// ---------------------------------------------------------------------------
+namespace {
+constexpr size_t kPollBatch = 64;
+}  // namespace
 
 CacheDevice::CacheDevice(std::unique_ptr<BlockDevice> owned,
-                         BlockDevice* inner, const Options& options)
-    : owned_(std::move(owned)), inner_(inner), options_(options) {
-  const uint32_t bb = std::max(inner_->io_alignment(), kSectorBytes);
-  store_ = std::make_unique<Store>(bb, options_.capacity_bytes / bb,
-                                   options_.shards);
-  lane_ = std::make_unique<Lane>(store_.get(), inner_, inner_->capacity(),
-                                 inner_->io_alignment(),
-                                 std::max(1u, options_.queue_capacity),
-                                 options_.max_cached_read_blocks);
+                         BlockDevice* inner, const Options& options,
+                         std::shared_ptr<Store> store, CacheDevice* parent)
+    : owned_(std::move(owned)),
+      inner_(inner),
+      options_(options),
+      store_(std::move(store)),
+      parent_(parent),
+      capacity_(inner->capacity()),
+      align_(inner->io_alignment()),
+      max_cached_bytes_(static_cast<uint64_t>(options.max_cached_read_blocks) *
+                        store_->block_bytes()) {
+  if (parent_ != nullptr) parent_->queues_.Attach(this);
 }
 
-CacheDevice::~CacheDevice() = default;
-
-Result<std::unique_ptr<CacheDevice>> CacheDevice::Create(
-    std::unique_ptr<BlockDevice> inner, const Options& options) {
-  if (inner == nullptr) return Status::InvalidArgument("null inner device");
-  BlockDevice* raw = inner.get();
-  const uint32_t bb = std::max(raw->io_alignment(), kSectorBytes);
-  if (options.capacity_bytes < bb) {
-    return Status::InvalidArgument(
-        "cache capacity " + std::to_string(options.capacity_bytes) +
-        " smaller than one cache block (" + std::to_string(bb) + " bytes)");
-  }
-  if (options.max_cached_read_blocks == 0) {
-    return Status::InvalidArgument("max_cached_read_blocks must be >= 1");
-  }
-  return std::unique_ptr<CacheDevice>(
-      new CacheDevice(std::move(inner), raw, options));
+CacheDevice::~CacheDevice() {
+  if (parent_ != nullptr) parent_->queues_.Retire(this);
 }
 
-Result<std::unique_ptr<CacheDevice>> CacheDevice::Wrap(
-    BlockDevice* inner, const Options& options) {
+Result<std::unique_ptr<CacheDevice>> CacheDevice::Make(
+    std::unique_ptr<BlockDevice> owned, BlockDevice* inner,
+    const Options& options) {
   if (inner == nullptr) return Status::InvalidArgument("null inner device");
   const uint32_t bb = std::max(inner->io_alignment(), kSectorBytes);
   if (options.capacity_bytes < bb) {
@@ -436,27 +205,153 @@ Result<std::unique_ptr<CacheDevice>> CacheDevice::Wrap(
   if (options.max_cached_read_blocks == 0) {
     return Status::InvalidArgument("max_cached_read_blocks must be >= 1");
   }
-  return std::unique_ptr<CacheDevice>(
-      new CacheDevice(nullptr, inner, options));
+  Options opts = options;
+  opts.queue_capacity = std::max(1u, opts.queue_capacity);
+  auto store =
+      std::make_shared<Store>(bb, options.capacity_bytes / bb, options.shards);
+  return std::unique_ptr<CacheDevice>(new CacheDevice(
+      std::move(owned), inner, opts, std::move(store), nullptr));
+}
+
+Result<std::unique_ptr<CacheDevice>> CacheDevice::Create(
+    std::unique_ptr<BlockDevice> inner, const Options& options) {
+  BlockDevice* raw = inner.get();
+  return Make(std::move(inner), raw, options);
+}
+
+Result<std::unique_ptr<CacheDevice>> CacheDevice::Wrap(
+    BlockDevice* inner, const Options& options) {
+  return Make(nullptr, inner, options);
+}
+
+QueueResult CacheDevice::CreateQueue(const QueueOptions& options) {
+  E2_ASSIGN_OR_RETURN(auto inner, inner_->CreateQueue(options));
+  BlockDevice* raw = inner.get();
+  Options opts = options_;
+  opts.queue_capacity = std::max(1u, options.queue_capacity);
+  return std::unique_ptr<BlockDevice>(
+      new CacheDevice(std::move(inner), raw, opts, store_, this));
 }
 
 Status CacheDevice::SubmitRead(const IoRequest& req) {
-  return lane_->SubmitRead(req);
+  if (req.buf == nullptr || req.length == 0) {
+    return Status::InvalidArgument("null buffer or zero length");
+  }
+  if (!RangeInCapacity(req.offset, req.length, capacity_)) {
+    return Status::OutOfRange("read beyond device capacity");
+  }
+  // Enforce the inner device's alignment contract on the hit path too:
+  // a cached copy must not make a request succeed that the bare device
+  // would reject.
+  if (align_ > 1 && (req.offset % align_ != 0 || req.length % align_ != 0)) {
+    return Status::InvalidArgument(
+        "read not aligned to the device's io_alignment");
+  }
+  const uint32_t bb = store_->block_bytes();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (inbox_.size() + in_flight_ >= options_.queue_capacity) {
+    return Status::ResourceExhausted("cache queue full");
+  }
+  const uint64_t widened_off = req.offset / bb * bb;
+  const uint64_t widened_end = (req.offset + req.length + bb - 1) / bb * bb;
+  // Cacheable = small enough and the widened extent stays on-device
+  // (a clamped tail could break the inner alignment contract).
+  const bool cacheable = widened_end - widened_off <= max_cached_bytes_ &&
+                         widened_end <= capacity_;
+  if (cacheable && store_->ReadIfCached(req.offset, req.length, req.buf)) {
+    IoCompletion comp;
+    comp.user_data = req.user_data;
+    comp.code = StatusCode::kOk;
+    comp.latency_ns = 0;
+    inbox_.push_back(comp);
+    ++stats_.reads_submitted;
+    ++stats_.reads_completed;
+    stats_.bytes_read += req.length;
+    ++stats_.cache_hits;
+    stats_.read_latency.Add(0);
+    return Status::OK();
+  }
+  const size_t si = AcquireSlot();
+  Slot& slot = *slots_[si];
+  slot.orig = req;
+  slot.epoch = store_->write_epoch();
+  slot.bypass = !cacheable;
+  IoRequest inner;
+  inner.user_data = si;
+  if (cacheable) {
+    slot.widened_off = widened_off;
+    slot.widened_len = static_cast<uint32_t>(widened_end - widened_off);
+    if (slot.stage.size() < slot.widened_len) {
+      slot.stage.Reset(slot.widened_len, std::max(bb, kSectorBytes));
+    }
+    inner.offset = widened_off;
+    inner.length = slot.widened_len;
+    inner.buf = slot.stage.data();
+  } else {
+    inner.offset = req.offset;
+    inner.length = req.length;
+    inner.buf = req.buf;
+  }
+  const Status submitted = inner_->SubmitRead(inner);
+  if (!submitted.ok()) {
+    free_slots_.push_back(si);
+    return submitted;  // e.g. ResourceExhausted: caller polls and retries
+  }
+  ++in_flight_;
+  ++stats_.reads_submitted;
+  ++stats_.cache_misses;
+  return Status::OK();
 }
 
 size_t CacheDevice::PollCompletions(IoCompletion* out, size_t max) {
-  return lane_->Poll(out, max);
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t n = 0;
+  while (n < max && !inbox_.empty()) {
+    out[n++] = inbox_.front();
+    inbox_.pop_front();
+  }
+  if (n >= max || in_flight_ == 0) return n;
+  IoCompletion raw[kPollBatch];
+  const size_t got =
+      inner_->PollCompletions(raw, std::min(max - n, kPollBatch));
+  for (size_t i = 0; i < got; ++i) {
+    const size_t si = static_cast<size_t>(raw[i].user_data);
+    Slot& slot = *slots_[si];
+    IoCompletion comp = raw[i];
+    comp.user_data = slot.orig.user_data;
+    if (comp.code == StatusCode::kOk && !slot.bypass) {
+      std::memcpy(slot.orig.buf,
+                  slot.stage.data() + (slot.orig.offset - slot.widened_off),
+                  slot.orig.length);
+      store_->InsertBlocks(slot.widened_off, slot.widened_len,
+                           slot.stage.data(), slot.epoch);
+    }
+    ++stats_.reads_completed;
+    stats_.bytes_read += slot.orig.length;
+    stats_.read_latency.Add(comp.latency_ns);
+    free_slots_.push_back(si);
+    --in_flight_;
+    out[n++] = comp;
+  }
+  return n;
+}
+
+size_t CacheDevice::AcquireSlot() {
+  if (!free_slots_.empty()) {
+    const size_t si = free_slots_.back();
+    free_slots_.pop_back();
+    return si;
+  }
+  slots_.push_back(std::make_unique<Slot>());
+  return slots_.size() - 1;
 }
 
 Status CacheDevice::Write(uint64_t offset, const void* data, uint32_t length) {
   E2_RETURN_NOT_OK(inner_->Write(offset, data, length));
   store_->ApplyWrite(offset, static_cast<const uint8_t*>(data), length);
-  lane_->AddWriteBytes(length);
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.bytes_written += length;
   return Status::OK();
-}
-
-uint32_t CacheDevice::outstanding() const {
-  return lane_->outstanding() + queue_registry_.SumOutstanding();
 }
 
 std::string CacheDevice::name() const {
@@ -468,42 +363,47 @@ uint32_t CacheDevice::cache_block_bytes() const {
   return store_->block_bytes();
 }
 
+DeviceStats CacheDevice::OwnCounters() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
+}
+
+uint32_t CacheDevice::OwnOutstanding() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<uint32_t>(inbox_.size() + in_flight_);
+}
+
+void CacheDevice::ResetOwnCounters() {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_ = DeviceStats{};
+}
+
+uint32_t CacheDevice::outstanding() const {
+  return OwnOutstanding() + queues_.Outstanding();
+}
+
 DeviceStats CacheDevice::stats() const {
-  DeviceStats out = lane_->stats();
-  queue_registry_.MergeStats(&out);
-  out.cache_evictions += store_->evictions();
-  out.bytes_cached += store_->bytes_cached();
-  // The lane counts cache-level reads (hits never reach the device); the
-  // inner device's busy time is still the real hardware occupancy.
+  DeviceStats out = OwnCounters();
+  queues_.AddTo(&out);
+  if (parent_ == nullptr) {
+    // The store's gauges, counted once: by the device that owns it.
+    out.cache_evictions += store_->evictions();
+    out.bytes_cached += store_->bytes_cached();
+  }
+  // Cache-level reads above (hits never reach the device); the inner
+  // device's busy time is still the real hardware occupancy.
   out.busy_ns += inner_->stats().busy_ns;
   return out;
 }
 
 void CacheDevice::ResetStats() {
-  lane_->ResetStats();
-  queue_registry_.ResetAll();
-  store_->ResetEvictions();
-  inner_->ResetStats();
-}
-
-uint32_t CacheDevice::max_queues() const {
-  MultiQueueDevice* mq =
-      const_cast<CacheDevice*>(this)->inner_->multi_queue();
-  return mq != nullptr ? mq->max_queues() : 0;
-}
-
-Result<std::unique_ptr<BlockDevice>> CacheDevice::CreateQueue(
-    const QueueOptions& options) {
-  MultiQueueDevice* mq = inner_->multi_queue();
-  if (mq == nullptr) {
-    return Status::FailedPrecondition(
-        "inner device has no native queues; use AcquireQueues (router)");
+  ResetOwnCounters();
+  queues_.ResetAll();
+  // A queue's reset stays queue-local; the device's is one full reset.
+  if (parent_ == nullptr) {
+    store_->ResetEvictions();
+    inner_->ResetStats();
   }
-  E2_ASSIGN_OR_RETURN(auto endpoint, mq->CreateQueue(options));
-  const uint32_t id = static_cast<uint32_t>(queue_registry_.size());
-  return std::unique_ptr<BlockDevice>(
-      std::make_unique<Queue>(this, std::move(endpoint), id,
-                              std::max(1u, options.queue_capacity)));
 }
 
 }  // namespace e2lshos::storage

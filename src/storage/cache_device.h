@@ -17,34 +17,36 @@
 //     any resident blocks are patched in place (no allocate-on-write, so
 //     index construction does not flood the cache). A global write epoch
 //     invalidates in-flight fills that raced the write.
-//   * Native MultiQueueDevice support: when the inner device offers
-//     queues, each cache queue owns one inner queue plus a private
-//     miss-tracking lane, preserving the zero-shared-lock property of
-//     per-shard serving (hits contend only on cache-shard locks, which
-//     are keyed by block address, not by queue).
+//   * Queues: CreateQueue wraps one inner queue in a new CacheDevice
+//     over the same store, with its own miss tracking, preserving the
+//     zero-shared-lock property of per-shard serving (hits contend only
+//     on cache-shard locks, which are keyed by block address, not by
+//     queue).
 //
 // Transparency contract: with the cache in place, every read returns
 // bit-identical data and the same status codes as without it (alignment
 // violations are rejected up front exactly as the inner device would).
 // hits/misses/evictions/bytes_cached surface through DeviceStats.
 //
-// Stats semantics (the PR 6 aggregation rules): the parent's stats()
-// covers its own lane, all live queues, and the store's eviction/
-// residency gauges; per-queue ResetStats is queue-local, while
-// ResetStats on the parent resets its lane, every live queue, the
-// eviction counter, and the inner device — one full reset, never a
-// double-count. Cache *contents* survive ResetStats.
+// Stats semantics: the device's stats() covers its own reads, every
+// queue it created (live or destroyed), and the store's eviction/
+// residency gauges; a queue's stats() covers its own reads only. A
+// queue's ResetStats is queue-local, while the device's resets its own
+// reads, every queue, the eviction counter, and the inner device — one
+// full reset, never a double-count. Cache *contents* survive ResetStats.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
+#include "util/aligned_buffer.h"
 
 namespace e2lshos::storage {
 
-class CacheDevice : public BlockDevice, public MultiQueueDevice {
+class CacheDevice : public BlockDevice {
  public:
   struct Options {
     /// DRAM budget; rounded down to whole cache blocks. Must hold at
@@ -80,14 +82,9 @@ class CacheDevice : public BlockDevice, public MultiQueueDevice {
   DeviceStats stats() const override;
   void ResetStats() override;
 
-  /// Native queues iff the inner device has them; each cache queue pairs
-  /// a private lane with one inner queue.
-  MultiQueueDevice* multi_queue() override {
-    return inner_->multi_queue() != nullptr ? this : nullptr;
-  }
-  uint32_t max_queues() const override;
-  Result<std::unique_ptr<BlockDevice>> CreateQueue(
-      const QueueOptions& options) override;
+  /// A CacheDevice over one inner queue and the same block store, with
+  /// its own miss tracking and completion inbox.
+  QueueResult CreateQueue(const QueueOptions& options) override;
 
   /// The wrapped device (borrowed; owned by this object when Create()d).
   BlockDevice* inner() { return inner_; }
@@ -96,19 +93,50 @@ class CacheDevice : public BlockDevice, public MultiQueueDevice {
 
  private:
   class Store;  // sharded-CLOCK block store (cache_device.cc)
-  class Lane;   // hit/miss submit-poll path over one inner endpoint
-  class Queue;  // Lane + one native inner queue
+
+  /// One miss in flight on the inner endpoint.
+  struct Slot {
+    util::AlignedBuffer stage;
+    IoRequest orig;
+    uint64_t widened_off = 0;
+    uint32_t widened_len = 0;
+    uint64_t epoch = 0;
+    bool bypass = false;
+  };
+
+  friend class QueueRegistry<CacheDevice>;
 
   CacheDevice(std::unique_ptr<BlockDevice> owned, BlockDevice* inner,
-              const Options& options);
+              const Options& options, std::shared_ptr<Store> store,
+              CacheDevice* parent);
+  static Result<std::unique_ptr<CacheDevice>> Make(
+      std::unique_ptr<BlockDevice> owned, BlockDevice* inner,
+      const Options& options);
+
+  size_t AcquireSlot();
+
+  /// This endpoint's cache-level reads (hits never reach the device).
+  DeviceStats OwnCounters() const;
+  uint32_t OwnOutstanding() const;
+  void ResetOwnCounters();
 
   std::unique_ptr<BlockDevice> owned_;  ///< Null when Wrap()ed.
   BlockDevice* inner_;
-  Options options_;
-  std::unique_ptr<Store> store_;
-  std::unique_ptr<Lane> lane_;  ///< Device-level path over inner_.
-  /// Live native queues; parent stats()/outstanding() fold them in.
-  QueueRegistry queue_registry_;
+  const Options options_;
+  /// Shared by the device and every queue it created.
+  std::shared_ptr<Store> store_;
+  CacheDevice* parent_;  ///< The device that created this queue, or null.
+  const uint64_t capacity_;
+  const uint32_t align_;
+  const uint64_t max_cached_bytes_;
+
+  mutable std::mutex mu_;
+  std::deque<IoCompletion> inbox_;  ///< Hit completions awaiting Poll.
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<size_t> free_slots_;
+  uint32_t in_flight_ = 0;  ///< Miss reads outstanding on inner_.
+  DeviceStats stats_;
+  QueueRegistry<CacheDevice> queues_;
 };
 
 }  // namespace e2lshos::storage

@@ -338,7 +338,6 @@ std::string DeviceUri::ToString() const {
   if (sqpoll) add("sqpoll=1");
   if (!iface.empty()) add("iface=" + iface);
   if (queue_capacity != 0) add("queue=" + std::to_string(queue_capacity));
-  if (queues != kQueuesAuto) add("queues=" + std::to_string(queues));
   if (fixed_buffers) add("fixed=1");
   if (capacity != 0) add("capacity=" + std::to_string(capacity));
   if (cache_bytes != 0) add("cache=" + std::to_string(cache_bytes));
@@ -456,13 +455,6 @@ Result<DeviceUri> ParseDeviceUri(const std::string& uri) {
         return Status::InvalidArgument("queue must be 1..1048576");
       }
       out.queue_capacity = static_cast<uint32_t>(queue);
-    } else if (key == "queues") {
-      E2_ASSIGN_OR_RETURN(const uint64_t queues, ParseUriU64(key, value));
-      if (queues > 255) {
-        return Status::InvalidArgument(
-            "queues must be 0 (router) .. 255 (native cap)");
-      }
-      out.queues = static_cast<uint32_t>(queues);
     } else if (key == "fixed" && is_uring) {
       E2_ASSIGN_OR_RETURN(out.fixed_buffers, ParseUriBool(key, value));
     } else if (key == "capacity") {
@@ -478,7 +470,7 @@ Result<DeviceUri> ParseDeviceUri(const std::string& uri) {
           "device URI key '" + key + "' is unknown or does not apply to " +
           std::string(out.scheme_name()) +
           ": (known: direct [file,uring], threads [file], sqpoll [uring], "
-          "fixed [uring], iface [sim], queue, queues, capacity, cache, "
+          "fixed [uring], iface [sim], queue, capacity, cache, "
           "fault, retry)");
     }
   }

@@ -11,26 +11,28 @@
 // from a known-good image.
 //
 // Injection model:
-//   * submit / completion failures and stalls are drawn from a per-lane
-//     RNG — transient, non-deterministic per request, exactly what a
-//     retry policy is meant to absorb.
+//   * submit / completion failures and stalls are drawn from a
+//     per-endpoint RNG — transient, non-deterministic per request,
+//     exactly what a retry policy is meant to absorb.
 //   * corruption is a pure function of (seed, request offset): the same
-//     offset is corrupt on every read, on every lane, in every shard.
+//     offset is corrupt on every read, on every queue, in every shard.
 //     This makes checksum accounting reproducible — a sharded engine and
 //     a single engine over the same seed report identical corrupt_blocks
 //     — and models bit-rot (bad media) rather than a transport glitch.
 //   * a stalled completion is harvested from the inner device but held
-//     in the lane until its due time, then delivered with the stall
-//     added to its latency.
+//     until its due time, then delivered with the stall added to its
+//     latency.
 //
-// Concurrency: all fault bookkeeping lives in per-lane state (the
-// device-level path is one lane; every native queue gets its own), each
-// behind its own mutex. Pending injections are keyed by user_data and
-// erased under the lane lock *before* the completion is handed to the
-// caller, and corrupt-path scrambling happens at harvest inside that
-// same critical section — after the inner device has published the
-// completion (so its writes into the buffer happen-before the scramble)
-// and before the caller can observe the completion and reuse the buffer.
+// Concurrency: one FaultyDevice drives one inner endpoint, and all its
+// fault bookkeeping sits behind its own mutex. CreateQueue wraps an
+// inner queue in a new FaultyDevice with its own state and RNG stream,
+// so queues share nothing but the options. Pending injections are keyed
+// by user_data and erased under the lock *before* the completion is
+// handed to the caller, and corrupt-path scrambling happens at harvest
+// inside that same critical section — after the inner device has
+// published the completion (so its writes into the buffer happen-before
+// the scramble) and before the caller can observe the completion and
+// reuse the buffer.
 // Entries carry an insertion ticket so the submit-failure rollback can
 // never erase a newer entry for a recycled user_data.
 #pragma once
@@ -38,14 +40,15 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
+#include "util/rng.h"
 
 namespace e2lshos::storage {
 
-class FaultyDevice : public BlockDevice, public MultiQueueDevice {
+class FaultyDevice : public BlockDevice {
  public:
   struct Options {
     double submit_fail_rate = 0.0;      ///< SubmitRead returns IoError.
@@ -69,7 +72,9 @@ class FaultyDevice : public BlockDevice, public MultiQueueDevice {
 
   Status SubmitRead(const IoRequest& req) override;
   size_t PollCompletions(IoCompletion* out, size_t max) override;
-  Status Write(uint64_t offset, const void* data, uint32_t length) override;
+  Status Write(uint64_t offset, const void* data, uint32_t length) override {
+    return inner_->Write(offset, data, length);
+  }
   uint64_t capacity() const override { return inner_->capacity(); }
   uint32_t io_alignment() const override { return inner_->io_alignment(); }
   uint32_t outstanding() const override;
@@ -81,21 +86,15 @@ class FaultyDevice : public BlockDevice, public MultiQueueDevice {
     return inner_->RegisterBuffers(regions);
   }
 
-  /// Native queues iff the inner device has them; each faulty queue
-  /// pairs a private injection lane with one inner queue.
-  MultiQueueDevice* multi_queue() override {
-    return inner_->multi_queue() != nullptr ? this : nullptr;
-  }
-  uint32_t max_queues() const override;
-  Result<std::unique_ptr<BlockDevice>> CreateQueue(
-      const QueueOptions& options) override;
+  /// A FaultyDevice over one inner queue, with its own injection state
+  /// and RNG stream.
+  QueueResult CreateQueue(const QueueOptions& options) override;
 
   /// The wrapped device (borrowed; owned by this object when Create()d).
   BlockDevice* inner() { return inner_; }
 
-  /// Injection counters, aggregated across the device lane and every
-  /// queue lane (including queues already destroyed). Monotonic until
-  /// ResetStats.
+  /// Injection counters of this endpoint and every queue it created
+  /// (including queues already destroyed). Monotonic until ResetStats.
   uint64_t injected_submit_failures() const;
   uint64_t injected_completion_failures() const;
   uint64_t injected_corruptions() const;
@@ -106,32 +105,65 @@ class FaultyDevice : public BlockDevice, public MultiQueueDevice {
   static bool WouldCorrupt(uint64_t seed, uint64_t offset, double rate);
 
  private:
-  class Lane;   // per-endpoint injection state (faulty_device.cc)
-  class Queue;  // Lane + one native inner queue
-  friend class Queue;
-
-  FaultyDevice(std::unique_ptr<BlockDevice> owned, BlockDevice* inner,
-               const Options& options);
-
   struct Counters {
     uint64_t submit_failures = 0;
     uint64_t completion_failures = 0;
     uint64_t corruptions = 0;
     uint64_t stalls = 0;
+
+    void Merge(const Counters& o) {
+      submit_failures += o.submit_failures;
+      completion_failures += o.completion_failures;
+      corruptions += o.corruptions;
+      stalls += o.stalls;
+    }
   };
 
-  void RetireQueue(Queue* queue);
-  /// Device lane + live queue lanes + retired queue lanes.
+  /// A completion-side injection recorded at submit.
+  struct Pending {
+    enum Kind : uint8_t { kFail, kCorrupt, kStall } kind = kFail;
+    uint64_t ticket = 0;
+    void* buf = nullptr;
+    uint32_t length = 0;
+    uint64_t offset = 0;
+    uint64_t due_ns = 0;
+  };
+
+  /// A stalled completion, harvested but not yet delivered.
+  struct Held {
+    IoCompletion completion;
+    uint64_t due_ns = 0;
+    uint64_t harvested_ns = 0;
+  };
+
+  friend class QueueRegistry<FaultyDevice, Counters>;
+
+  FaultyDevice(std::unique_ptr<BlockDevice> owned, BlockDevice* inner,
+               const Options& options, FaultyDevice* parent);
+
+  /// Draw the injection decision for `req`. Returns the injected submit
+  /// failure, or OK with `*ticket` != 0 when a pending completion-side
+  /// injection was recorded (to roll back if the inner submit fails).
+  Status BeforeSubmit(const IoRequest& req, uint64_t* ticket);
+  void Scramble(const Pending& p) const;
+
+  Counters OwnCounters() const;
+  /// Stalled completions held back: outstanding from the caller's view.
+  uint32_t OwnOutstanding() const;
+  void ResetOwnCounters();
   Counters TotalCounters() const;
 
   std::unique_ptr<BlockDevice> owned_;  ///< Null when borrowing.
   BlockDevice* inner_;
-  Options options_;
-  std::unique_ptr<Lane> lane_;  ///< Device-level path over inner_.
-  mutable std::mutex queues_mu_;
-  std::vector<Queue*> queues_;  ///< Live native queues.
-  Counters retired_;            ///< Folded in when a queue dies.
-  uint64_t queue_seq_ = 0;      ///< Seeds each queue lane differently.
+  const Options options_;
+  FaultyDevice* parent_;  ///< The device that created this queue, or null.
+  mutable std::mutex mu_;
+  util::Rng rng_;
+  uint64_t ticket_seq_ = 0;
+  std::unordered_map<uint64_t, Pending> pending_;
+  std::vector<Held> held_;
+  Counters counters_;
+  QueueRegistry<FaultyDevice, Counters> queues_;
 };
 
 }  // namespace e2lshos::storage

@@ -4,29 +4,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <deque>
 
 #include "storage/io_align.h"
 #include "util/clock.h"
+#include "util/thread_pool.h"
 
 namespace e2lshos::storage {
-
-FileDevice::FileDevice(std::string path, int fd, const Options& options)
-    : path_(std::move(path)),
-      fd_(fd),
-      capacity_(options.capacity),
-      queue_capacity_(options.queue_capacity),
-      direct_io_(options.direct_io),
-      pool_(std::make_unique<util::ThreadPool>(options.io_threads)) {
-  if (direct_io_) align_ = EffectiveDioAlignment(ProbeDioAlignment(fd_));
-}
-
-FileDevice::~FileDevice() {
-  // Drain in-flight reads before closing the fd.
-  pool_->Shutdown();
-  if (fd_ >= 0) ::close(fd_);
-}
 
 Result<std::unique_ptr<FileDevice>> FileDevice::Create(const std::string& path,
                                                        const Options& options) {
@@ -108,28 +95,30 @@ static StatusCode PreadFully(int fd, const IoRequest& r) {
   return StatusCode::kOk;
 }
 
-/// \brief One native queue: its own pread-thread slice, inflight cap,
+/// \brief One queue: its own pread-thread slice, inflight cap,
 /// completion deque, and counters, over the parent's shared fd.
 class FileDevice::Queue : public BlockDevice {
  public:
-  Queue(FileDevice* parent, uint32_t id, const QueueOptions& options)
+  Queue(FileDevice* parent, const QueueOptions& options)
       : parent_(parent),
-        id_(id),
         queue_capacity_(std::max(1u, options.queue_capacity)),
         pool_(std::make_unique<util::ThreadPool>(
             std::max(1u, options.io_threads))) {
-    parent_->queue_registry_.Add(this);
+    id_ = parent_->queues_.Attach(this);
   }
 
   ~Queue() override {
-    // Drain this queue's in-flight reads before the completion deque and
-    // the parent registry entry go away.
+    // Drain this queue's in-flight reads before the completion deque
+    // goes away and the counters retire into the parent.
     pool_->Shutdown();
-    parent_->queue_registry_.Remove(this);
+    parent_->queues_.Retire(this);
   }
 
   Status SubmitRead(const IoRequest& req) override {
     E2_RETURN_NOT_OK(parent_->ValidateRead(req));
+    // Reserve the queue slot atomically: a load-then-add would let
+    // concurrent submitters on the device-level path overshoot the
+    // queue capacity.
     if (inflight_.fetch_add(1, std::memory_order_relaxed) >= queue_capacity_) {
       inflight_.fetch_sub(1, std::memory_order_relaxed);
       return Status::ResourceExhausted("queue full");
@@ -170,25 +159,29 @@ class FileDevice::Queue : public BlockDevice {
   }
   uint64_t capacity() const override { return parent_->capacity(); }
   uint32_t io_alignment() const override { return parent_->io_alignment(); }
-  uint32_t outstanding() const override {
-    return inflight_.load(std::memory_order_relaxed);
-  }
+  uint32_t outstanding() const override { return OwnOutstanding(); }
   std::string name() const override {
     return parent_->name() + " nq" + std::to_string(id_);
   }
-  DeviceStats stats() const override {
+  DeviceStats stats() const override { return OwnCounters(); }
+  void ResetStats() override { ResetOwnCounters(); }
+
+  DeviceStats OwnCounters() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
   }
-  void ResetStats() override {
+  uint32_t OwnOutstanding() const {
+    return inflight_.load(std::memory_order_relaxed);
+  }
+  void ResetOwnCounters() {
     std::lock_guard<std::mutex> lock(mu_);
     stats_ = DeviceStats{};
   }
 
  private:
   FileDevice* parent_;
-  uint32_t id_;
   uint32_t queue_capacity_;
+  uint64_t id_ = 0;
   std::unique_ptr<util::ThreadPool> pool_;
   std::atomic<uint32_t> inflight_{0};
   mutable std::mutex mu_;
@@ -196,53 +189,34 @@ class FileDevice::Queue : public BlockDevice {
   DeviceStats stats_;
 };
 
-Result<std::unique_ptr<BlockDevice>> FileDevice::CreateQueue(
-    const QueueOptions& options) {
-  const uint32_t id = static_cast<uint32_t>(queue_registry_.size());
-  return std::unique_ptr<BlockDevice>(
-      std::make_unique<Queue>(this, id, options));
+FileDevice::FileDevice(std::string path, int fd, const Options& options)
+    : path_(std::move(path)),
+      fd_(fd),
+      capacity_(options.capacity),
+      direct_io_(options.direct_io) {
+  if (direct_io_) align_ = EffectiveDioAlignment(ProbeDioAlignment(fd_));
+  QueueOptions queue;
+  queue.queue_capacity = options.queue_capacity;
+  queue.io_threads = options.io_threads;
+  default_queue_ = std::make_unique<Queue>(this, queue);
+}
+
+FileDevice::~FileDevice() {
+  // Drain in-flight reads before closing the fd.
+  default_queue_.reset();
+  if (fd_ >= 0) ::close(fd_);
+}
+
+QueueResult FileDevice::CreateQueue(const QueueOptions& options) {
+  return std::unique_ptr<BlockDevice>(std::make_unique<Queue>(this, options));
 }
 
 Status FileDevice::SubmitRead(const IoRequest& req) {
-  E2_RETURN_NOT_OK(ValidateRead(req));
-  // Reserve the queue slot atomically: a load-then-add would let
-  // concurrent submitters (engine shards sharing one file) overshoot the
-  // queue capacity.
-  if (inflight_.fetch_add(1, std::memory_order_relaxed) >= queue_capacity_) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    return Status::ResourceExhausted("device queue full");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.reads_submitted;
-  }
-  const uint64_t submit_ns = util::NowNs();
-  const IoRequest r = req;
-  pool_->Submit([this, r, submit_ns] {
-    IoCompletion comp;
-    comp.user_data = r.user_data;
-    comp.code = PreadFully(fd_, r);
-    comp.latency_ns = util::NowNs() - submit_ns;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      completed_.push_back(comp);
-      ++stats_.reads_completed;
-      stats_.bytes_read += r.length;
-      stats_.read_latency.Add(comp.latency_ns);
-    }
-  });
-  return Status::OK();
+  return default_queue_->SubmitRead(req);
 }
 
 size_t FileDevice::PollCompletions(IoCompletion* out, size_t max) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  while (n < max && !completed_.empty()) {
-    out[n++] = completed_.front();
-    completed_.pop_front();
-  }
-  inflight_.fetch_sub(static_cast<uint32_t>(n), std::memory_order_relaxed);
-  return n;
+  return default_queue_->PollCompletions(out, max);
 }
 
 Status FileDevice::Write(uint64_t offset, const void* data, uint32_t length) {
@@ -272,13 +246,15 @@ Status FileDevice::Write(uint64_t offset, const void* data, uint32_t length) {
   return Status::OK();
 }
 
+uint32_t FileDevice::outstanding() const { return queues_.Outstanding(); }
+
 DeviceStats FileDevice::stats() const {
   DeviceStats out;
   {
     std::lock_guard<std::mutex> lock(mu_);
     out = stats_;
   }
-  queue_registry_.MergeStats(&out);
+  queues_.AddTo(&out);
   return out;
 }
 
@@ -287,7 +263,7 @@ void FileDevice::ResetStats() {
     std::lock_guard<std::mutex> lock(mu_);
     stats_ = DeviceStats{};
   }
-  queue_registry_.ResetAll();
+  queues_.ResetAll();
 }
 
 }  // namespace e2lshos::storage

@@ -4,19 +4,14 @@
 // against an actual SSD without SPDK: it issues genuine preads.
 #pragma once
 
-#include <atomic>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
-#include "util/thread_pool.h"
-
 namespace e2lshos::storage {
 
-class FileDevice : public BlockDevice, public MultiQueueDevice {
+class FileDevice : public BlockDevice {
  public:
   struct Options {
     uint64_t capacity = 0;     ///< File is sized to this on creation.
@@ -37,6 +32,8 @@ class FileDevice : public BlockDevice, public MultiQueueDevice {
 
   ~FileDevice() override;
 
+  /// The device-level path: a default queue with `io_threads` pread
+  /// workers, safe to drive from several threads at once.
   Status SubmitRead(const IoRequest& req) override;
   size_t PollCompletions(IoCompletion* out, size_t max) override;
   Status Write(uint64_t offset, const void* data, uint32_t length) override;
@@ -44,22 +41,16 @@ class FileDevice : public BlockDevice, public MultiQueueDevice {
   /// Direct mode reports the device-advertised alignment probed at open
   /// (statx STATX_DIOALIGN / BLKSSZGET), so 4Kn drives are honored.
   uint32_t io_alignment() const override { return direct_io_ ? align_ : 1; }
-  uint32_t outstanding() const override {
-    return inflight_.load(std::memory_order_relaxed) +
-           queue_registry_.SumOutstanding();
-  }
+  uint32_t outstanding() const override;
   std::string name() const override { return "file:" + path_; }
   DeviceStats stats() const override;
   void ResetStats() override;
 
-  /// Native queues: each gets a private pread-thread slice and a private
+  /// Each queue gets a private pread-thread slice and a private
   /// completion ring over the shared fd (pread carries its own offset,
   /// so fd sharing is race-free). One queue's submit/poll never touches
   /// another queue's pool, lock, or completions.
-  MultiQueueDevice* multi_queue() override { return this; }
-  uint32_t max_queues() const override { return 255; }
-  Result<std::unique_ptr<BlockDevice>> CreateQueue(
-      const QueueOptions& options) override;
+  QueueResult CreateQueue(const QueueOptions& options) override;
 
  private:
   class Queue;  // defined in file_device.cc
@@ -72,15 +63,12 @@ class FileDevice : public BlockDevice, public MultiQueueDevice {
   std::string path_;
   int fd_;
   uint64_t capacity_;
-  uint32_t queue_capacity_;
   bool direct_io_;
   uint32_t align_ = kSectorBytes;
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::atomic<uint32_t> inflight_{0};
   mutable std::mutex mu_;
-  std::deque<IoCompletion> completed_;
-  DeviceStats stats_;
-  QueueRegistry queue_registry_;
+  DeviceStats stats_;  ///< Writes only: reads count on their queue.
+  QueueRegistry<Queue> queues_;
+  std::unique_ptr<Queue> default_queue_;  ///< Declared last: retires first.
 };
 
 }  // namespace e2lshos::storage

@@ -44,19 +44,8 @@ size_t ChargedDevice::PollCompletions(IoCompletion* out, size_t max) {
   return n;
 }
 
-uint32_t ChargedDevice::max_queues() const {
-  MultiQueueDevice* mq = inner_->multi_queue();
-  return mq != nullptr ? mq->max_queues() : 0;
-}
-
-Result<std::unique_ptr<BlockDevice>> ChargedDevice::CreateQueue(
-    const QueueOptions& options) {
-  MultiQueueDevice* mq = inner_->multi_queue();
-  if (mq == nullptr) {
-    return Status::FailedPrecondition(
-        "inner device " + inner_->name() + " has no native queues");
-  }
-  E2_ASSIGN_OR_RETURN(auto queue, mq->CreateQueue(options));
+QueueResult ChargedDevice::CreateQueue(const QueueOptions& options) {
+  E2_ASSIGN_OR_RETURN(auto queue, inner_->CreateQueue(options));
   return std::unique_ptr<BlockDevice>(
       std::make_unique<ChargedDevice>(std::move(queue), spec_));
 }

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
 
 namespace e2lshos::storage {
 
@@ -49,7 +48,7 @@ std::vector<std::pair<InterfaceKind, std::string>> AllInterfaceKinds();
 /// Does not own the underlying device by default (the same physical
 /// device can back multiple logical views); pass owned=true to take
 /// ownership.
-class ChargedDevice : public BlockDevice, public MultiQueueDevice {
+class ChargedDevice : public BlockDevice {
  public:
   ChargedDevice(BlockDevice* inner, InterfaceSpec spec)
       : inner_(inner), spec_(std::move(spec)) {}
@@ -78,15 +77,9 @@ class ChargedDevice : public BlockDevice, public MultiQueueDevice {
     return inner_->RegisterBuffers(regions);
   }
 
-  /// Native queues pass through: each inner queue is wrapped in an owning
-  /// ChargedDevice with the same spec, so the per-core CPU charge is
-  /// identical on the native and routed paths.
-  MultiQueueDevice* multi_queue() override {
-    return inner_->multi_queue() != nullptr ? this : nullptr;
-  }
-  uint32_t max_queues() const override;
-  Result<std::unique_ptr<BlockDevice>> CreateQueue(
-      const QueueOptions& options) override;
+  /// Each inner queue is wrapped in an owning ChargedDevice with the
+  /// same spec, so every queue pays the same per-core CPU charge.
+  QueueResult CreateQueue(const QueueOptions& options) override;
 
   const InterfaceSpec& spec() const { return spec_; }
   BlockDevice* inner() { return inner_; }

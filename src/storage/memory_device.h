@@ -5,23 +5,24 @@
 // an idealized storage with in-memory speed.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <mutex>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
 #include "storage/sparse_backing.h"
 
 namespace e2lshos::storage {
 
-class MemoryDevice : public BlockDevice, public MultiQueueDevice {
+class MemoryDevice : public BlockDevice {
  public:
   /// Create a device of `capacity` bytes. `queue_capacity` bounds the
-  /// number of unharvested completions.
+  /// number of unharvested completions on the device-level path.
   static Result<std::unique_ptr<MemoryDevice>> Create(uint64_t capacity,
                                                       uint32_t queue_capacity = 4096);
+  ~MemoryDevice() override;
 
+  /// The device-level path: a default queue, safe to drive from several
+  /// threads at once.
   Status SubmitRead(const IoRequest& req) override;
   size_t PollCompletions(IoCompletion* out, size_t max) override;
   Status Write(uint64_t offset, const void* data, uint32_t length) override;
@@ -31,26 +32,20 @@ class MemoryDevice : public BlockDevice, public MultiQueueDevice {
   DeviceStats stats() const override;
   void ResetStats() override;
 
-  /// Native queues: each gets a private completion inbox over the shared
-  /// backing, so per-queue submit/poll touches no device-wide lock.
-  MultiQueueDevice* multi_queue() override { return this; }
-  uint32_t max_queues() const override { return 255; }
-  Result<std::unique_ptr<BlockDevice>> CreateQueue(
-      const QueueOptions& options) override;
+  /// Each queue gets a private completion inbox over the shared backing,
+  /// so per-queue submit/poll touches no device-wide lock.
+  QueueResult CreateQueue(const QueueOptions& options) override;
 
  private:
   class Queue;  // defined in memory_device.cc
 
-  explicit MemoryDevice(uint32_t queue_capacity) : queue_capacity_(queue_capacity) {}
+  explicit MemoryDevice(uint32_t queue_capacity);
 
   SparseBacking backing_;
-  uint32_t queue_capacity_;
-  mutable std::mutex mu_;
-  std::deque<IoCompletion> completed_;
-  DeviceStats stats_;
-  /// Live native queues; device-level stats()/outstanding() fold their
-  /// traffic in so the device remains the cross-queue aggregate.
-  QueueRegistry queue_registry_;
+  mutable std::mutex mu_;  ///< Serializes writes; guards stats_.
+  DeviceStats stats_;      ///< Writes only: reads count on their queue.
+  QueueRegistry<Queue> queues_;
+  std::unique_ptr<Queue> default_queue_;  ///< Declared last: retires first.
 };
 
 }  // namespace e2lshos::storage

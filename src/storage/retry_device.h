@@ -12,7 +12,7 @@
 // The layer is asynchronous and poll-driven, so engine threads never
 // block in a backoff sleep:
 //   * a transient *submit* error is absorbed — SubmitRead returns OK and
-//     the request parks in the lane's deferred list with a due time;
+//     the request parks in a deferred list with a due time;
 //   * a transient *completion* error removes the completion from the
 //     harvest and parks the request the same way;
 //   * every PollCompletions first resubmits the deferred requests whose
@@ -25,22 +25,23 @@
 //
 // First-class URI layer: `retry=N[,backoff:USEC][,deadline:USEC]` on any
 // scheme, stacked outside `fault=` (see storage/device_registry.h).
-// Native queues mirror the inner device's; each retry queue drives one
-// inner queue through a private lane, preserving zero-shared-lock
-// serving.
+// One RetryDevice drives one inner endpoint; CreateQueue wraps an inner
+// queue in a new RetryDevice with its own state and jitter stream,
+// preserving zero-shared-lock serving.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
+#include "util/rng.h"
 
 namespace e2lshos::storage {
 
-class RetryDevice : public BlockDevice, public MultiQueueDevice {
+class RetryDevice : public BlockDevice {
  public:
   struct Options {
     /// Total attempts per read, the first included. 1 = no retries.
@@ -66,7 +67,9 @@ class RetryDevice : public BlockDevice, public MultiQueueDevice {
 
   Status SubmitRead(const IoRequest& req) override;
   size_t PollCompletions(IoCompletion* out, size_t max) override;
-  Status Write(uint64_t offset, const void* data, uint32_t length) override;
+  Status Write(uint64_t offset, const void* data, uint32_t length) override {
+    return inner_->Write(offset, data, length);
+  }
   uint64_t capacity() const override { return inner_->capacity(); }
   uint32_t io_alignment() const override { return inner_->io_alignment(); }
   uint32_t outstanding() const override;
@@ -78,45 +81,74 @@ class RetryDevice : public BlockDevice, public MultiQueueDevice {
     return inner_->RegisterBuffers(regions);
   }
 
-  MultiQueueDevice* multi_queue() override {
-    return inner_->multi_queue() != nullptr ? this : nullptr;
-  }
-  uint32_t max_queues() const override;
-  Result<std::unique_ptr<BlockDevice>> CreateQueue(
-      const QueueOptions& options) override;
+  /// A RetryDevice over one inner queue, with its own retry state and
+  /// jitter stream.
+  QueueResult CreateQueue(const QueueOptions& options) override;
 
   /// The wrapped device (borrowed; owned by this object when Create()d).
   BlockDevice* inner() { return inner_; }
 
-  /// Aggregate retry counters (device lane + queue lanes, live and
-  /// retired). Also surfaced in DeviceStats.
-  uint64_t retries() const;
-  uint64_t retries_exhausted() const;
+  /// Retry counters of this endpoint and every queue it created (live
+  /// and destroyed). Also surfaced in DeviceStats.
+  uint64_t retries() const { return TotalCounters().retries; }
+  uint64_t retries_exhausted() const { return TotalCounters().exhausted; }
 
  private:
-  class Lane;   // per-endpoint retry state (retry_device.cc)
-  class Queue;  // Lane + one native inner queue
-  friend class Queue;
-
-  RetryDevice(std::unique_ptr<BlockDevice> owned, BlockDevice* inner,
-              const Options& options);
-
   struct Counters {
     uint64_t retries = 0;
     uint64_t exhausted = 0;
+
+    void Merge(const Counters& o) {
+      retries += o.retries;
+      exhausted += o.exhausted;
+    }
   };
 
-  void RetireQueue(Queue* queue);
+  /// A request this endpoint is responsible for until it completes.
+  struct Track {
+    IoRequest req;
+    uint32_t attempts = 0;  ///< Submits that reached (or tried) the device.
+    uint64_t first_ns = 0;
+    uint64_t ticket = 0;
+    StatusCode last_code = StatusCode::kIoError;
+  };
+
+  struct Deferred {
+    Track track;
+    uint64_t due_ns = 0;
+  };
+
+  friend class QueueRegistry<RetryDevice, Counters>;
+
+  RetryDevice(std::unique_ptr<BlockDevice> owned, BlockDevice* inner,
+              const Options& options, RetryDevice* parent);
+
+  /// Another attempt is allowed: attempts left, and a backoff'd resubmit
+  /// could still land inside the per-request deadline.
+  bool CanRetry(const Track& t, uint64_t now) const;
+  uint64_t BackoffNs(uint32_t attempts_done, bool jittered) const;
+  /// Park `t` for a backoff. mu_ held.
+  void DeferLocked(Track&& t, uint64_t now);
+  void ResubmitDue();
+
+  Counters OwnCounters() const;
+  /// Requests parked for a backoff or failed awaiting delivery.
+  uint32_t OwnOutstanding() const;
+  void ResetOwnCounters();
   Counters TotalCounters() const;
 
   std::unique_ptr<BlockDevice> owned_;  ///< Null when borrowing.
   BlockDevice* inner_;
-  Options options_;
-  std::unique_ptr<Lane> lane_;  ///< Device-level path over inner_.
-  mutable std::mutex queues_mu_;
-  std::vector<Queue*> queues_;
-  Counters retired_;
-  uint64_t queue_seq_ = 0;
+  const Options options_;
+  RetryDevice* parent_;  ///< The device that created this queue, or null.
+  mutable std::mutex mu_;
+  mutable util::Rng rng_;
+  uint64_t ticket_seq_ = 0;
+  std::unordered_map<uint64_t, Track> tracked_;
+  std::vector<Deferred> deferred_;
+  std::vector<IoCompletion> ready_;
+  Counters counters_;
+  QueueRegistry<RetryDevice, Counters> queues_;
 };
 
 }  // namespace e2lshos::storage

@@ -2,22 +2,23 @@
 
 #include <algorithm>
 #include <cstring>
+#include <queue>
 
 #include "util/clock.h"
 
 namespace e2lshos::storage {
 
-/// \brief One native queue over the simulator: a private pending heap
-/// gated on the same wall clock, dispatching to the shared flash units.
-/// Submit takes the device lock once (unit allocation — the modeled
-/// hardware contention point); everything else is queue-private.
+/// \brief One queue over the simulator: a private pending heap gated on
+/// the shared wall clock, dispatching to the shared flash units. Submit
+/// takes the device lock once (unit allocation — the modeled hardware
+/// contention point); everything else is queue-private.
 class SimulatedDevice::Queue : public BlockDevice {
  public:
-  Queue(SimulatedDevice* parent, uint32_t id, uint32_t queue_capacity)
-      : parent_(parent), id_(id), queue_capacity_(queue_capacity) {
-    parent_->queue_registry_.Add(this);
+  Queue(SimulatedDevice* parent, uint32_t queue_capacity)
+      : parent_(parent), queue_capacity_(std::max(1u, queue_capacity)) {
+    id_ = parent_->queues_.Attach(this);
   }
-  ~Queue() override { parent_->queue_registry_.Remove(this); }
+  ~Queue() override { parent_->queues_.Retire(this); }
 
   Status SubmitRead(const IoRequest& req) override {
     if (req.buf == nullptr || req.length == 0) {
@@ -49,6 +50,7 @@ class SimulatedDevice::Queue : public BlockDevice {
     size_t n = 0;
     while (n < max && !pending_.empty() && pending_.top().complete_at_ns <= now) {
       const Pending& p = pending_.top();
+      // Data transfer happens at completion time.
       std::memcpy(p.buf, parent_->backing_.data() + p.offset, p.length);
       out[n].user_data = p.user_data;
       out[n].code = StatusCode::kOk;
@@ -66,26 +68,40 @@ class SimulatedDevice::Queue : public BlockDevice {
     return parent_->Write(offset, data, length);
   }
   uint64_t capacity() const override { return parent_->capacity(); }
-  uint32_t outstanding() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<uint32_t>(pending_.size());
-  }
+  uint32_t outstanding() const override { return OwnOutstanding(); }
   std::string name() const override {
     return parent_->name() + " nq" + std::to_string(id_);
   }
-  DeviceStats stats() const override {
+  DeviceStats stats() const override { return OwnCounters(); }
+  void ResetStats() override { ResetOwnCounters(); }
+
+  DeviceStats OwnCounters() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
   }
-  void ResetStats() override {
+  uint32_t OwnOutstanding() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<uint32_t>(pending_.size());
+  }
+  void ResetOwnCounters() {
     std::lock_guard<std::mutex> lock(mu_);
     stats_ = DeviceStats{};
   }
 
  private:
+  struct Pending {
+    uint64_t complete_at_ns;
+    uint64_t submit_ns;
+    uint64_t user_data;
+    uint64_t offset;
+    uint32_t length;
+    void* buf;
+    bool operator>(const Pending& o) const { return complete_at_ns > o.complete_at_ns; }
+  };
+
   SimulatedDevice* parent_;
-  uint32_t id_;
   uint32_t queue_capacity_;
+  uint64_t id_ = 0;
   mutable std::mutex mu_;
   std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>> pending_;
   DeviceStats stats_;
@@ -103,17 +119,18 @@ uint64_t SimulatedDevice::ScheduleOnUnit(uint64_t now_ns) {
   return done;
 }
 
-Result<std::unique_ptr<BlockDevice>> SimulatedDevice::CreateQueue(
-    const QueueOptions& options) {
-  const uint32_t id = static_cast<uint32_t>(queue_registry_.size());
-  return std::unique_ptr<BlockDevice>(std::make_unique<Queue>(
-      this, id, std::max(1u, options.queue_capacity)));
+QueueResult SimulatedDevice::CreateQueue(const QueueOptions& options) {
+  return std::unique_ptr<BlockDevice>(
+      std::make_unique<Queue>(this, options.queue_capacity));
 }
 
 SimulatedDevice::SimulatedDevice(const DeviceModel& model) : model_(model) {
   unit_free_ns_.assign(model_.parallel_units, 0);
   stats_epoch_ns_ = util::NowNs();
+  default_queue_ = std::make_unique<Queue>(this, model_.queue_capacity);
 }
+
+SimulatedDevice::~SimulatedDevice() = default;
 
 Result<std::unique_ptr<SimulatedDevice>> SimulatedDevice::Create(
     const DeviceModel& model) {
@@ -126,55 +143,11 @@ Result<std::unique_ptr<SimulatedDevice>> SimulatedDevice::Create(
 }
 
 Status SimulatedDevice::SubmitRead(const IoRequest& req) {
-  if (req.buf == nullptr || req.length == 0) {
-    return Status::InvalidArgument("null buffer or zero length");
-  }
-  if (!RangeInCapacity(req.offset, req.length, backing_.capacity())) {
-    return Status::OutOfRange("read beyond device capacity");
-  }
-  const uint64_t now = util::NowNs();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.size() >= model_.queue_capacity) {
-    return Status::ResourceExhausted("device queue full");
-  }
-  // Dispatch to the earliest-free flash unit.
-  auto it = std::min_element(unit_free_ns_.begin(), unit_free_ns_.end());
-  const uint64_t start = std::max(now, *it);
-  const uint64_t done = start + model_.service_time_ns;
-  *it = done;
-
-  Pending p;
-  p.complete_at_ns = done;
-  p.submit_ns = now;
-  p.user_data = req.user_data;
-  p.offset = req.offset;
-  p.length = req.length;
-  p.buf = req.buf;
-  pending_.push(p);
-
-  ++stats_.reads_submitted;
-  stats_.busy_ns += model_.service_time_ns;
-  return Status::OK();
+  return default_queue_->SubmitRead(req);
 }
 
 size_t SimulatedDevice::PollCompletions(IoCompletion* out, size_t max) {
-  const uint64_t now = util::NowNs();
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  while (n < max && !pending_.empty() && pending_.top().complete_at_ns <= now) {
-    const Pending& p = pending_.top();
-    // Data transfer happens at completion time.
-    std::memcpy(p.buf, backing_.data() + p.offset, p.length);
-    out[n].user_data = p.user_data;
-    out[n].code = StatusCode::kOk;
-    out[n].latency_ns = p.complete_at_ns - p.submit_ns;
-    ++stats_.reads_completed;
-    stats_.bytes_read += p.length;
-    stats_.read_latency.Add(out[n].latency_ns);
-    pending_.pop();
-    ++n;
-  }
-  return n;
+  return default_queue_->PollCompletions(out, max);
 }
 
 Status SimulatedDevice::Write(uint64_t offset, const void* data, uint32_t length) {
@@ -187,14 +160,7 @@ Status SimulatedDevice::Write(uint64_t offset, const void* data, uint32_t length
   return Status::OK();
 }
 
-uint32_t SimulatedDevice::outstanding() const {
-  uint32_t own;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    own = static_cast<uint32_t>(pending_.size());
-  }
-  return own + queue_registry_.SumOutstanding();
-}
+uint32_t SimulatedDevice::outstanding() const { return queues_.Outstanding(); }
 
 DeviceStats SimulatedDevice::stats() const {
   DeviceStats out;
@@ -202,7 +168,7 @@ DeviceStats SimulatedDevice::stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     out = stats_;
   }
-  queue_registry_.MergeStats(&out);
+  queues_.AddTo(&out);
   return out;
 }
 
@@ -212,7 +178,7 @@ void SimulatedDevice::ResetStats() {
     stats_ = DeviceStats{};
     stats_epoch_ns_ = util::NowNs();
   }
-  queue_registry_.ResetAll();
+  queues_.ResetAll();
 }
 
 double SimulatedDevice::Utilization() const {

@@ -21,11 +21,9 @@
 
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
 #include "storage/sparse_backing.h"
 
 namespace e2lshos::storage {
@@ -45,10 +43,13 @@ struct DeviceModel {
   }
 };
 
-class SimulatedDevice : public BlockDevice, public MultiQueueDevice {
+class SimulatedDevice : public BlockDevice {
  public:
   static Result<std::unique_ptr<SimulatedDevice>> Create(const DeviceModel& model);
+  ~SimulatedDevice() override;
 
+  /// The device-level path: a default queue of the model's capacity,
+  /// safe to drive from several threads at once.
   Status SubmitRead(const IoRequest& req) override;
   size_t PollCompletions(IoCompletion* out, size_t max) override;
   Status Write(uint64_t offset, const void* data, uint32_t length) override;
@@ -64,15 +65,12 @@ class SimulatedDevice : public BlockDevice, public MultiQueueDevice {
   /// ResetStats (the "device usage" series of Fig. 15).
   double Utilization() const;
 
-  /// Native queues: each has a private pending heap + completion gating,
-  /// so per-queue submit/poll never takes another queue's lock. The
-  /// flash unit clocks stay shared (one brief device lock at dispatch):
-  /// that is the physical hardware every queue pair contends on in a
-  /// real NVMe drive too.
-  MultiQueueDevice* multi_queue() override { return this; }
-  uint32_t max_queues() const override { return 255; }
-  Result<std::unique_ptr<BlockDevice>> CreateQueue(
-      const QueueOptions& options) override;
+  /// Each queue has a private pending heap + completion gating, so
+  /// per-queue submit/poll never takes another queue's lock. The flash
+  /// unit clocks stay shared (one brief device lock at dispatch): that
+  /// is the physical hardware every queue pair contends on in a real
+  /// NVMe drive too.
+  QueueResult CreateQueue(const QueueOptions& options) override;
 
  private:
   class Queue;  // defined in simulated_device.cc
@@ -83,24 +81,15 @@ class SimulatedDevice : public BlockDevice, public MultiQueueDevice {
   /// simulated completion time. Takes the device lock briefly.
   uint64_t ScheduleOnUnit(uint64_t now_ns);
 
-  struct Pending {
-    uint64_t complete_at_ns;
-    uint64_t submit_ns;
-    uint64_t user_data;
-    uint64_t offset;
-    uint32_t length;
-    void* buf;
-    bool operator>(const Pending& o) const { return complete_at_ns > o.complete_at_ns; }
-  };
-
   DeviceModel model_;
   SparseBacking backing_;
   mutable std::mutex mu_;
   std::vector<uint64_t> unit_free_ns_;
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>> pending_;
+  /// Unit busy time and writes; reads count on their queue.
   DeviceStats stats_;
   uint64_t stats_epoch_ns_ = 0;
-  QueueRegistry queue_registry_;
+  QueueRegistry<Queue> queues_;
+  std::unique_ptr<Queue> default_queue_;  ///< Declared last: retires first.
 };
 
 }  // namespace e2lshos::storage

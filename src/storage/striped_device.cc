@@ -1,20 +1,9 @@
 #include "storage/striped_device.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace e2lshos::storage {
-
-StripedDevice::StripedDevice(std::vector<std::unique_ptr<BlockDevice>> children)
-    : children_(std::move(children)) {
-  uint64_t min_cap = children_[0]->capacity();
-  for (const auto& c : children_) min_cap = std::min(min_cap, c->capacity());
-  // Whole sectors only.
-  min_cap = min_cap / kSectorBytes * kSectorBytes;
-  capacity_ = min_cap * children_.size();
-  for (const auto& c : children_) {
-    io_alignment_ = std::max(io_alignment_, c->io_alignment());
-  }
-}
 
 Result<std::unique_ptr<StripedDevice>> StripedDevice::Create(
     std::vector<std::unique_ptr<BlockDevice>> children) {
@@ -50,29 +39,6 @@ Status StripedDevice::Translate(uint64_t offset, uint32_t length, size_t* child,
   return Status::OK();
 }
 
-Status StripedDevice::SubmitRead(const IoRequest& req) {
-  size_t child;
-  uint64_t child_offset;
-  E2_RETURN_NOT_OK(Translate(req.offset, req.length, &child, &child_offset));
-  IoRequest sub = req;
-  sub.offset = child_offset;
-  return children_[child]->SubmitRead(sub);
-}
-
-size_t StripedDevice::PollCompletions(IoCompletion* out, size_t max) {
-  // Round-robin across children for fairness; the cursor advance is a
-  // single atomic so concurrent pollers never race (each child device is
-  // itself thread-safe).
-  size_t total = 0;
-  const size_t n = children_.size();
-  const uint64_t start = poll_cursor_.fetch_add(1, std::memory_order_relaxed);
-  for (size_t i = 0; i < n && total < max; ++i) {
-    const size_t idx = static_cast<size_t>((start + i) % n);
-    total += children_[idx]->PollCompletions(out + total, max - total);
-  }
-  return total;
-}
-
 Status StripedDevice::Write(uint64_t offset, const void* data, uint32_t length) {
   // Writes may span sectors; split per sector.
   const uint8_t* p = static_cast<const uint8_t*>(data);
@@ -91,15 +57,19 @@ Status StripedDevice::Write(uint64_t offset, const void* data, uint32_t length) 
   return Status::OK();
 }
 
-/// \brief One native queue over the stripe set: a private native queue
-/// per child drive plus a private poll cursor. Submit translates through
-/// the parent's (immutable) stripe map and lands on this queue's slice of
-/// the target drive; no state is shared with sibling stripe queues.
+/// \brief One queue over the stripe set: one endpoint per child drive
+/// plus a poll cursor. Submit translates through the parent's
+/// (immutable) stripe map and lands on this queue's endpoint for the
+/// target drive; no state is shared with sibling stripe queues. A
+/// created queue owns one child queue per drive; the default queue
+/// borrows the children themselves.
 class StripedDevice::Queue : public BlockDevice {
  public:
-  Queue(StripedDevice* parent,
-        std::vector<std::unique_ptr<BlockDevice>> child_queues)
-      : parent_(parent), child_queues_(std::move(child_queues)) {}
+  Queue(StripedDevice* parent, std::vector<BlockDevice*> endpoints,
+        std::vector<std::unique_ptr<BlockDevice>> owned = {})
+      : parent_(parent),
+        endpoints_(std::move(endpoints)),
+        owned_(std::move(owned)) {}
 
   Status SubmitRead(const IoRequest& req) override {
     size_t child;
@@ -108,16 +78,19 @@ class StripedDevice::Queue : public BlockDevice {
         parent_->Translate(req.offset, req.length, &child, &child_offset));
     IoRequest sub = req;
     sub.offset = child_offset;
-    return child_queues_[child]->SubmitRead(sub);
+    return endpoints_[child]->SubmitRead(sub);
   }
 
   size_t PollCompletions(IoCompletion* out, size_t max) override {
+    // Round-robin across children for fairness; the cursor advance is a
+    // single atomic so concurrent pollers of the default queue never
+    // race (each child endpoint is itself thread-safe).
     size_t total = 0;
-    const size_t n = child_queues_.size();
-    const uint64_t start = poll_cursor_++;
+    const size_t n = endpoints_.size();
+    const uint64_t start = poll_cursor_.fetch_add(1, std::memory_order_relaxed);
     for (size_t i = 0; i < n && total < max; ++i) {
       const size_t idx = static_cast<size_t>((start + i) % n);
-      total += child_queues_[idx]->PollCompletions(out + total, max - total);
+      total += endpoints_[idx]->PollCompletions(out + total, max - total);
     }
     return total;
   }
@@ -129,95 +102,84 @@ class StripedDevice::Queue : public BlockDevice {
   uint32_t io_alignment() const override { return parent_->io_alignment(); }
   uint32_t outstanding() const override {
     uint32_t total = 0;
-    for (const auto& q : child_queues_) total += q->outstanding();
+    for (const BlockDevice* e : endpoints_) total += e->outstanding();
     return total;
   }
   std::string name() const override { return parent_->name() + " nq"; }
   DeviceStats stats() const override {
     DeviceStats merged;
-    for (const auto& q : child_queues_) MergeDeviceStats(&merged, q->stats());
+    for (const BlockDevice* e : endpoints_) merged.Merge(e->stats());
     return merged;
   }
   void ResetStats() override {
-    for (auto& q : child_queues_) q->ResetStats();
+    for (BlockDevice* e : endpoints_) e->ResetStats();
   }
   Status RegisterBuffers(
       const std::vector<std::pair<void*, size_t>>& regions) override {
     // Registration is per child ring; reads to any drive may target any
-    // region, so every child queue needs the full set. All-or-nothing.
-    for (auto& q : child_queues_) {
-      E2_RETURN_NOT_OK(q->RegisterBuffers(regions));
+    // region, so every child endpoint needs the full set. All-or-nothing.
+    for (BlockDevice* e : endpoints_) {
+      E2_RETURN_NOT_OK(e->RegisterBuffers(regions));
     }
     return Status::OK();
   }
 
  private:
   StripedDevice* parent_;
-  std::vector<std::unique_ptr<BlockDevice>> child_queues_;
-  /// Only this queue's owner polls, so a plain cursor suffices.
-  uint64_t poll_cursor_ = 0;
+  std::vector<BlockDevice*> endpoints_;
+  std::vector<std::unique_ptr<BlockDevice>> owned_;
+  std::atomic<uint64_t> poll_cursor_{0};
 };
 
-MultiQueueDevice* StripedDevice::multi_queue() {
-  for (auto& c : children_) {
-    if (c->multi_queue() == nullptr) return nullptr;
-  }
-  return this;
-}
-
-uint32_t StripedDevice::max_queues() const {
-  uint32_t m = 255;
+StripedDevice::StripedDevice(std::vector<std::unique_ptr<BlockDevice>> children)
+    : children_(std::move(children)) {
+  uint64_t min_cap = children_[0]->capacity();
+  for (const auto& c : children_) min_cap = std::min(min_cap, c->capacity());
+  // Whole sectors only.
+  min_cap = min_cap / kSectorBytes * kSectorBytes;
+  capacity_ = min_cap * children_.size();
   for (const auto& c : children_) {
-    MultiQueueDevice* mq = c->multi_queue();
-    if (mq == nullptr) return 0;
-    m = std::min(m, mq->max_queues());
+    io_alignment_ = std::max(io_alignment_, c->io_alignment());
   }
-  return m;
+  std::vector<BlockDevice*> endpoints;
+  for (const auto& c : children_) endpoints.push_back(c.get());
+  default_queue_ = std::make_unique<Queue>(this, std::move(endpoints));
 }
 
-Result<std::unique_ptr<BlockDevice>> StripedDevice::CreateQueue(
-    const QueueOptions& options) {
+StripedDevice::~StripedDevice() = default;
+
+QueueResult StripedDevice::CreateQueue(const QueueOptions& options) {
   std::vector<std::unique_ptr<BlockDevice>> child_queues;
-  child_queues.reserve(children_.size());
+  std::vector<BlockDevice*> endpoints;
   for (auto& c : children_) {
-    MultiQueueDevice* mq = c->multi_queue();
-    if (mq == nullptr) {
-      return Status::FailedPrecondition(
-          "child device " + c->name() + " has no native queues");
-    }
-    E2_ASSIGN_OR_RETURN(auto q, mq->CreateQueue(options));
+    E2_ASSIGN_OR_RETURN(auto q, c->CreateQueue(options));
+    endpoints.push_back(q.get());
     child_queues.push_back(std::move(q));
   }
-  return std::unique_ptr<BlockDevice>(
-      std::make_unique<Queue>(this, std::move(child_queues)));
+  return std::unique_ptr<BlockDevice>(std::make_unique<Queue>(
+      this, std::move(endpoints), std::move(child_queues)));
 }
 
+Status StripedDevice::SubmitRead(const IoRequest& req) {
+  return default_queue_->SubmitRead(req);
+}
+
+size_t StripedDevice::PollCompletions(IoCompletion* out, size_t max) {
+  return default_queue_->PollCompletions(out, max);
+}
+
+// The default queue's endpoints are the children themselves, so its
+// totals are the device's.
 uint32_t StripedDevice::outstanding() const {
-  uint32_t total = 0;
-  for (const auto& c : children_) total += c->outstanding();
-  return total;
+  return default_queue_->outstanding();
 }
 
 std::string StripedDevice::name() const {
   return children_[0]->name() + " x " + std::to_string(children_.size());
 }
 
-DeviceStats StripedDevice::stats() const {
-  DeviceStats merged;
-  for (const auto& c : children_) {
-    const DeviceStats s = c->stats();
-    merged.reads_submitted += s.reads_submitted;
-    merged.reads_completed += s.reads_completed;
-    merged.bytes_read += s.bytes_read;
-    merged.bytes_written += s.bytes_written;
-    merged.busy_ns += s.busy_ns;
-    merged.read_latency.Merge(s.read_latency);
-  }
-  return merged;
-}
+DeviceStats StripedDevice::stats() const { return default_queue_->stats(); }
 
-void StripedDevice::ResetStats() {
-  for (auto& c : children_) c->ResetStats();
-}
+void StripedDevice::ResetStats() { default_queue_->ResetStats(); }
 
 }  // namespace e2lshos::storage

@@ -7,22 +7,23 @@
 // child device.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
 
 namespace e2lshos::storage {
 
-class StripedDevice : public BlockDevice, public MultiQueueDevice {
+class StripedDevice : public BlockDevice {
  public:
   /// Construct from >= 1 child devices. Capacity is
   /// min(child capacity) * children, striped at 512 B.
   static Result<std::unique_ptr<StripedDevice>> Create(
       std::vector<std::unique_ptr<BlockDevice>> children);
+  ~StripedDevice() override;
 
+  /// The device-level path: a default queue over the children's own
+  /// device-level paths, safe to drive from several threads at once.
   Status SubmitRead(const IoRequest& req) override;
   size_t PollCompletions(IoCompletion* out, size_t max) override;
   Status Write(uint64_t offset, const void* data, uint32_t length) override;
@@ -39,15 +40,11 @@ class StripedDevice : public BlockDevice, public MultiQueueDevice {
   size_t num_children() const { return children_.size(); }
   BlockDevice* child(size_t i) { return children_[i].get(); }
 
-  /// Native queues by composition: a stripe queue bundles one native
-  /// queue per child, so a shard submitting through it reaches every
-  /// drive's private ring without crossing another shard's queues.
-  /// Available only when EVERY child is multi-queue capable (all-native
-  /// or nothing — AcquireQueues falls back to the router otherwise).
-  MultiQueueDevice* multi_queue() override;
-  uint32_t max_queues() const override;
-  Result<std::unique_ptr<BlockDevice>> CreateQueue(
-      const QueueOptions& options) override;
+  /// Queues by composition: a stripe queue bundles one queue per child,
+  /// so a shard submitting through it reaches every drive's private
+  /// queue without crossing another shard's queues. Fails when any
+  /// child cannot create a queue.
+  QueueResult CreateQueue(const QueueOptions& options) override;
 
  private:
   class Queue;  // defined in striped_device.cc
@@ -62,9 +59,7 @@ class StripedDevice : public BlockDevice, public MultiQueueDevice {
   std::vector<std::unique_ptr<BlockDevice>> children_;
   uint64_t capacity_ = 0;
   uint32_t io_alignment_ = 1;
-  /// Concurrent pollers (e.g. a QueueRouter serving several engine
-  /// shards) each advance the round-robin start without locking.
-  std::atomic<uint64_t> poll_cursor_{0};
+  std::unique_ptr<Queue> default_queue_;
 };
 
 }  // namespace e2lshos::storage

@@ -119,9 +119,6 @@ UringDevice::UringDevice(std::string path, int fd, const Options& options)
 }
 
 UringDevice::~UringDevice() {
-  // Detach from the parent first so its stats()/outstanding() aggregation
-  // can no longer reach a half-destroyed queue.
-  if (parent_ != nullptr) parent_->queue_registry_.Remove(this);
   // The kernel writes completions into caller buffers: tearing the ring
   // down with reads in flight would let those writes land after the
   // buffers are freed. Block until everything completed.
@@ -136,6 +133,8 @@ UringDevice::~UringDevice() {
       }
     }
   }
+  // Fold the final counters into the parent before the ring goes away.
+  if (parent_ != nullptr) parent_->queue_registry_.Retire(this);
   ring_.reset();
   if (fd_ >= 0) ::close(fd_);
 }
@@ -662,8 +661,7 @@ Status UringDevice::WriteBatch(const WriteOp* ops, size_t count) {
   return write_error_;
 }
 
-Result<std::unique_ptr<BlockDevice>> UringDevice::CreateQueue(
-    const QueueOptions& options) {
+QueueResult UringDevice::CreateQueue(const QueueOptions& options) {
   if (ring_ == nullptr) {
     return Status::FailedPrecondition("device has no ring");
   }
@@ -682,12 +680,10 @@ Result<std::unique_ptr<BlockDevice>> UringDevice::CreateQueue(
   opt.direct_io = direct_io_;
   opt.sqpoll = sqpoll_requested_;
   opt.sqpoll_idle_ms = sqpoll_idle_ms_;
-  const uint32_t id = static_cast<uint32_t>(queue_registry_.size());
-  std::unique_ptr<UringDevice> queue(
-      new UringDevice(path_ + " nq" + std::to_string(id), qfd, opt));
+  std::unique_ptr<UringDevice> queue(new UringDevice(path_ + " nq", qfd, opt));
   E2_RETURN_NOT_OK(queue->InitRing(opt));  // failure: dtor closes qfd
   queue->parent_ = this;
-  queue_registry_.Add(queue.get());
+  queue_registry_.Attach(queue.get());
   return std::unique_ptr<BlockDevice>(std::move(queue));
 }
 
@@ -695,24 +691,6 @@ std::string UringDevice::name() const {
   std::string n = "uring:" + path_;
   if (sqpoll_active_) n += " (sqpoll)";
   return n;
-}
-
-DeviceStats UringDevice::stats() const {
-  DeviceStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-  }
-  queue_registry_.MergeStats(&out);
-  return out;
-}
-
-void UringDevice::ResetStats() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = DeviceStats{};
-  }
-  queue_registry_.ResetAll();
 }
 
 #else  // !E2LSHOS_HAVE_LIBURING
@@ -772,8 +750,7 @@ Status UringDevice::RegisterBuffers(
   return NotCompiledIn();
 }
 
-Result<std::unique_ptr<BlockDevice>> UringDevice::CreateQueue(
-    const QueueOptions&) {
+QueueResult UringDevice::CreateQueue(const QueueOptions&) {
   return NotCompiledIn();
 }
 
@@ -785,16 +762,27 @@ int UringDevice::FindFixedBuffer(const void*, uint32_t) const { return -1; }
 
 std::string UringDevice::name() const { return "uring:" + path_ + " (stub)"; }
 
-DeviceStats UringDevice::stats() const {
+#endif  // E2LSHOS_HAVE_LIBURING
+
+DeviceStats UringDevice::OwnCounters() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 
-void UringDevice::ResetStats() {
+void UringDevice::ResetOwnCounters() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_ = DeviceStats{};
 }
 
-#endif  // E2LSHOS_HAVE_LIBURING
+DeviceStats UringDevice::stats() const {
+  DeviceStats out = OwnCounters();
+  queue_registry_.AddTo(&out);
+  return out;
+}
+
+void UringDevice::ResetStats() {
+  ResetOwnCounters();
+  queue_registry_.ResetAll();
+}
 
 }  // namespace e2lshos::storage

@@ -38,11 +38,10 @@
 #include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
 
 namespace e2lshos::storage {
 
-class UringDevice : public BlockDevice, public MultiQueueDevice {
+class UringDevice : public BlockDevice {
  public:
   struct Options {
     uint64_t capacity = 0;       ///< File is sized to this on creation.
@@ -90,8 +89,7 @@ class UringDevice : public BlockDevice, public MultiQueueDevice {
   uint64_t capacity() const override { return capacity_; }
   uint32_t io_alignment() const override { return direct_io_ ? align_ : 1; }
   uint32_t outstanding() const override {
-    return inflight_.load(std::memory_order_relaxed) +
-           queue_registry_.SumOutstanding();
+    return OwnOutstanding() + queue_registry_.Outstanding();
   }
   std::string name() const override;
   DeviceStats stats() const override;
@@ -104,17 +102,12 @@ class UringDevice : public BlockDevice, public MultiQueueDevice {
   Status RegisterBuffers(
       const std::vector<std::pair<void*, size_t>>& regions) override;
 
-  /// Native queues: each is a full UringDevice with its OWN io_uring
-  /// ring (real hardware queue-pair semantics) over a dup of the shared
-  /// fd. A queue registers its own fd and its own fixed buffers, so the
-  /// per-shard submit/poll path shares no lock, no ring, and no kernel
-  /// object with other queues. Inherits direct_io/sqpoll from the parent.
-  MultiQueueDevice* multi_queue() override {
-    return ring_ != nullptr ? this : nullptr;
-  }
-  uint32_t max_queues() const override { return ring_ != nullptr ? 255 : 0; }
-  Result<std::unique_ptr<BlockDevice>> CreateQueue(
-      const QueueOptions& options) override;
+  /// Each queue is a full UringDevice with its OWN io_uring ring (real
+  /// hardware queue-pair semantics) over a dup of the shared fd. A queue
+  /// registers its own fd and its own fixed buffers, so the per-shard
+  /// submit/poll path shares no lock, no ring, and no kernel object with
+  /// other queues. Inherits direct_io/sqpoll from the parent.
+  QueueResult CreateQueue(const QueueOptions& options) override;
 
   /// True when the ring runs with a kernel SQPOLL thread (the sqpoll
   /// option may be refused by the kernel and silently downgraded).
@@ -148,7 +141,16 @@ class UringDevice : public BlockDevice, public MultiQueueDevice {
     int index = -1;
   };
 
+  friend class QueueRegistry<UringDevice>;
+
   UringDevice(std::string path, int fd, const Options& options);
+
+  /// This ring's own counters and depth, for the parent's registry.
+  DeviceStats OwnCounters() const;
+  uint32_t OwnOutstanding() const {
+    return inflight_.load(std::memory_order_relaxed);
+  }
+  void ResetOwnCounters();
 
   Status InitRing(const Options& options);
   /// Write one SQE for slot `slot_idx`'s remaining extent. mu_ held.
@@ -171,13 +173,13 @@ class UringDevice : public BlockDevice, public MultiQueueDevice {
   bool sqpoll_active_ = false;
   bool fixed_file_ = false;
   /// The caller's sqpoll request (vs. sqpoll_active_, what the kernel
-  /// granted); native queues inherit the request and re-negotiate.
+  /// granted); queues inherit the request and re-negotiate.
   bool sqpoll_requested_ = false;
   uint32_t sqpoll_idle_ms_ = 20;
-  /// Set on queue devices: the device that created them (for registry
-  /// removal at destruction).
+  /// Set on queue devices: the device that created them (retired from
+  /// its registry at destruction).
   UringDevice* parent_ = nullptr;
-  QueueRegistry queue_registry_;
+  QueueRegistry<UringDevice> queue_registry_;
 
   std::unique_ptr<Ring> ring_;
   std::atomic<uint32_t> inflight_{0};

@@ -45,9 +45,7 @@ TEST(DeviceUri, ParsesEverySchemeAndRoundTrips) {
       "file:/tmp/img.bin?direct=1&threads=8",
       "file:relative/path?queue=64",
       "uring:/tmp/img.bin?direct=1&sqpoll=1",
-      "mem:?queues=4",
-      "sim:cssd*4?queues=0",
-      "uring:/tmp/img.bin?queues=8&fixed=1",
+      "uring:/tmp/img.bin?fixed=1",
   };
   for (const char* uri : uris) {
     auto parsed = ParseDeviceUri(uri);
@@ -81,17 +79,11 @@ TEST(DeviceUri, ParsedFieldsMatch) {
   EXPECT_EQ(uring->scheme, DeviceUri::Scheme::kUring);
   EXPECT_TRUE(uring->sqpoll);
   EXPECT_FALSE(uring->direct_io);
-  // Native-queue knobs: default is auto (not serialized), 0 forces the
-  // router, N caps native; fixed=1 is uring-only.
-  EXPECT_EQ(uring->queues, DeviceUri::kQueuesAuto);
+  // fixed=1 is uring-only.
   EXPECT_FALSE(uring->fixed_buffers);
-  auto queued = ParseDeviceUri("uring:/a/b?queues=8&fixed=1");
-  ASSERT_TRUE(queued.ok());
-  EXPECT_EQ(queued->queues, 8u);
-  EXPECT_TRUE(queued->fixed_buffers);
-  auto routed = ParseDeviceUri("mem:?queues=0");
-  ASSERT_TRUE(routed.ok());
-  EXPECT_EQ(routed->queues, 0u);
+  auto fixed = ParseDeviceUri("uring:/a/b?fixed=1");
+  ASSERT_TRUE(fixed.ok());
+  EXPECT_TRUE(fixed->fixed_buffers);
 }
 
 TEST(DeviceUri, RejectsMalformedUris) {
@@ -120,8 +112,7 @@ TEST(DeviceUri, RejectsMalformedUris) {
       "file:/p?direct",            // key without value
       "mem:?capacity=",            // empty value
       "file:/p?fixed=1",           // fixed is uring-only
-      "mem:?queues=256",           // above the 255 native-queue cap
-      "mem:?queues=-1",            // negative
+      "mem:?queues=4",             // every device makes queues: no knob
   };
   for (const char* uri : bad) {
     auto parsed = ParseDeviceUri(uri);
@@ -339,6 +330,35 @@ TEST(ApiIndex, SingleQuerySearchMatchesBatch) {
   }
 }
 
+TEST(ApiIndex, ReshapingTheEngineKeepsDeviceCounters) {
+  // Configure drops the 2-shard engine and its queues; the reads they
+  // served must stay counted by the device.
+  auto t = MakeData(1500);
+  IndexSpec spec;
+  spec.lsh = t.cfg;
+  spec.device_uri = "sim:cssd?cache=1m";
+  spec.device_capacity = 64ULL << 20;
+  auto idx = Index::Build(spec, t.gen.base);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  (*idx)->device()->ResetStats();
+  SearchSpec two;
+  two.shards = 2;
+  ASSERT_TRUE((*idx)->Configure(two).ok());
+  ASSERT_TRUE((*idx)->SearchBatch(t.gen.queries, 5).ok());
+  ASSERT_TRUE((*idx)->SearchBatch(t.gen.queries, 5).ok());  // warm: hits
+  const storage::DeviceStats served = (*idx)->device_stats();
+  EXPECT_GT(served.reads_completed, 0u);
+  EXPECT_GT(served.cache_hits, 0u);
+
+  SearchSpec four;
+  four.shards = 4;
+  ASSERT_TRUE((*idx)->Configure(four).ok());
+  const storage::DeviceStats reshaped = (*idx)->device_stats();
+  EXPECT_EQ(reshaped.reads_completed, served.reads_completed);
+  EXPECT_EQ(reshaped.cache_hits, served.cache_hits);
+  EXPECT_EQ(reshaped.cache_misses, served.cache_misses);
+}
+
 TEST(ApiIndex, CandidateCapFactorRetunesWithoutRebuild) {
   auto t = MakeData(1500);
   IndexSpec spec;
@@ -375,7 +395,7 @@ TEST(ApiIndex, ServeDeliversEveryQueryAndGuardsTheEngine) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   // The engine is single-owner while serving — and so is the device:
-  // Save's image dump would steal the shard routers' completions.
+  // Save's image dump polls the device-level path a 1-shard server uses.
   EXPECT_EQ((*idx)->SearchBatch(t.gen.queries, 5).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ((*idx)->Serve(serve).status().code(),

@@ -3,8 +3,8 @@
 //   * Counter unit tests: hit/miss/eviction/bytes_cached accounting,
 //     write-through coherence, oversized-read bypass, and the alignment/
 //     range contract mirroring the inner device.
-//   * ResetStats propagation (the PR's audit): parent reset is one full
-//     reset — its lane, every live queue, the eviction counter, and the
+//   * ResetStats propagation: parent reset is one full reset — its own
+//     reads, every live queue, the eviction counter, and the
 //     inner device, exactly once, even when the inner device is a
 //     StripedDevice fanning out to shared children; per-queue reset
 //     stays queue-local; cache *contents* survive every reset.
@@ -12,7 +12,7 @@
 //     the bare device — cold cache, warm cache, and a cache under heavy
 //     eviction pressure — across mem:/sim:cssd*4/file:/uring: backends
 //     at 1 and 4 shards.
-//   * Concurrency hammer: one thread per native cache queue plus a
+//   * Concurrency hammer: one thread per cache queue plus a
 //     writer exercising the write-epoch path (run under TSan in CI).
 #include <atomic>
 #include <cmath>
@@ -30,7 +30,6 @@
 #include "storage/cache_device.h"
 #include "storage/file_device.h"
 #include "storage/memory_device.h"
-#include "storage/multi_queue.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "storage/uring_device.h"
@@ -212,7 +211,6 @@ TEST(CacheResetStats, ParentResetIsOneFullReset) {
   copt.capacity_bytes = 8 * kSectorBytes;
   auto cache = CacheDevice::Wrap(mem->get(), copt);
   ASSERT_TRUE(cache.ok());
-  ASSERT_NE((*cache)->multi_queue(), nullptr);
   auto q0 = (*cache)->CreateQueue({});
   auto q1 = (*cache)->CreateQueue({});
   ASSERT_TRUE(q0.ok());
@@ -229,7 +227,7 @@ TEST(CacheResetStats, ParentResetIsOneFullReset) {
   EXPECT_EQ(st.cache_hits, 1u);
   EXPECT_EQ(st.reads_completed, 4u);
 
-  // One parent reset: lane, both live queues, the inner device — all
+  // One parent reset: own reads, both live queues, the inner device — all
   // zeroed together; the cache *contents* survive (bytes_cached gauge).
   (*cache)->ResetStats();
   st = (*cache)->stats();
@@ -268,7 +266,7 @@ TEST(CacheResetStats, QueueResetStaysQueueLocal) {
 
   (*q0)->ResetStats();
   EXPECT_EQ((*q0)->stats().reads_completed, 0u);
-  // The parent lane's own traffic is untouched; only the queue's
+  // The parent's own traffic is untouched; only the queue's
   // contribution left the aggregate.
   DeviceStats st = (*cache)->stats();
   EXPECT_EQ(st.cache_misses, 1u);
@@ -411,8 +409,7 @@ void RunCacheParity(BlockDevice* dev, const ParityFixture& fx,
     ASSERT_TRUE(warm.ok()) << what;
     ExpectBatchesIdentical(*bare, *warm, tag + " warm");
 
-    // Sampled while the warm engine's queues are live: per-queue lane
-    // stats leave the parent aggregate when their queue is destroyed.
+    // Per-queue counters fold into the parent, live or destroyed.
     EXPECT_GT((*cache)->stats().cache_hits, 0u) << tag;
   }
 }
@@ -501,7 +498,7 @@ TEST(CacheParity, EvictionPressureKeepsAnswersIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency hammer: one thread per native cache queue re-reading a
+// Concurrency hammer: one thread per cache queue re-reading a
 // small sector set (heavy hit traffic on the shared store) while a
 // writer rewrites the same bytes through the write-through path (epoch
 // bumps + resident patches). TSan verifies the locking story.
@@ -522,8 +519,12 @@ TEST(CacheHammer, QueuesAndWriterUnderTsan) {
 
   constexpr uint32_t kQueues = 4;
   constexpr int kReadsPerQueue = 500;
-  QueueSet qs = AcquireQueues(cache->get(), kQueues);
-  ASSERT_TRUE(qs.native);
+  std::vector<std::unique_ptr<BlockDevice>> queues;
+  for (uint32_t t = 0; t < kQueues; ++t) {
+    auto q = (*cache)->CreateQueue({});
+    ASSERT_TRUE(q.ok());
+    queues.push_back(std::move(q).value());
+  }
 
   std::atomic<int> failures{0};
   std::atomic<bool> stop{false};
@@ -547,7 +548,7 @@ TEST(CacheHammer, QueuesAndWriterUnderTsan) {
   threads.reserve(kQueues);
   for (uint32_t t = 0; t < kQueues; ++t) {
     threads.emplace_back([&, t] {
-      BlockDevice* q = qs.queues[t].get();
+      BlockDevice* q = queues[t].get();
       util::AlignedBuffer buf(kSectorBytes, kSectorBytes);
       IoCompletion comp;
       for (int r = 0; r < kReadsPerQueue; ++r) {

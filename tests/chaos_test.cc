@@ -259,7 +259,7 @@ TEST(ChaosSoak, FaultsDisconnectsAndDrain) {
   const std::string sock = SockPath("soak");
   net::DaemonOptions opts;
   opts.unix_path = sock;
-  opts.serve.search.shards = 4;  // native per-shard queues over the stack
+  opts.serve.search.shards = 4;  // per-shard queues over the stack
   opts.serve.max_wait_us = 50;
   opts.serve.queue_capacity = 128;
   opts.recv_timeout_ms = 5000;

@@ -13,7 +13,6 @@
 
 #include "storage/file_device.h"
 #include "storage/memory_device.h"
-#include "storage/queue_router.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "storage/uring_device.h"
@@ -210,57 +209,6 @@ TEST(DeviceConcurrency, StripedDeviceConcurrentPollers) {
   auto striped = StripedDevice::Create(std::move(children));
   ASSERT_TRUE(striped.ok());
   HammerSharedDevice(striped->get());
-}
-
-TEST(DeviceConcurrency, QueueRouterIsolationUnderConcurrency) {
-  // Each thread drives its own routed queue over one shared simulated
-  // device; a queue must receive exactly its own completions even while
-  // all queues submit and poll concurrently.
-  DeviceModel model{"router-ssd", 8, 500, 4096, 1 << 20};
-  auto dev = SimulatedDevice::Create(model);
-  ASSERT_TRUE(dev.ok());
-  WritePattern(dev->get());
-
-  QueueRouter router(dev->get());
-  std::vector<std::unique_ptr<BlockDevice>> queues;
-  for (uint32_t t = 0; t < kThreads; ++t) queues.push_back(router.CreateQueue());
-
-  std::atomic<uint32_t> foreign{0};
-  auto worker = [&](uint32_t tid) {
-    BlockDevice* queue = queues[tid].get();
-    std::vector<util::AlignedBuffer> bufs(kReadsPerThread);
-    for (auto& b : bufs) b.Reset(kSectorBytes);
-    uint32_t got = 0;
-    IoCompletion comps[32];
-    for (uint32_t r = 0; r < kReadsPerThread; ++r) {
-      IoRequest req;
-      req.offset = (static_cast<uint64_t>(r) % kReadSectors) * kSectorBytes;
-      req.length = kSectorBytes;
-      req.buf = bufs[r].data();
-      req.user_data = tid * 1000 + r;
-      for (;;) {
-        const Status st = queue->SubmitRead(req);
-        if (st.ok()) break;
-        ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
-        std::this_thread::yield();
-      }
-    }
-    while (got < kReadsPerThread) {
-      const size_t n = queue->PollCompletions(comps, 32);
-      for (size_t i = 0; i < n; ++i) {
-        if (comps[i].user_data / 1000 != tid) foreign.fetch_add(1);
-      }
-      got += static_cast<uint32_t>(n);
-      if (n == 0) std::this_thread::yield();
-    }
-    EXPECT_EQ(got, kReadsPerThread);
-  };
-
-  std::vector<std::thread> threads;
-  for (uint32_t t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(foreign.load(), 0u);
-  EXPECT_EQ(dev->get()->outstanding(), 0u);
 }
 
 }  // namespace

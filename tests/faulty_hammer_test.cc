@@ -1,9 +1,9 @@
-// TSan hammer for FaultyDevice's corrupt path (and the injection lanes
+// TSan hammer for FaultyDevice's corrupt path (and the injection state
 // generally): the scramble must happen entirely before a completion is
 // harvested by the caller — the device must NEVER touch a buffer after
 // handing its completion back, because engines immediately reuse or
-// free harvested buffers. Each worker thread drives its own native
-// queue (plus one thread on the device-level lane), and overwrites
+// free harvested buffers. Each worker thread drives its own queue (plus
+// one thread on the device-level path), and overwrites
 // every harvested buffer the instant it sees the completion. Run under
 // TSan (the `concurrency` CTest label), any late scramble is a reported
 // race; natively, the assertions still pin completion accounting.
@@ -25,7 +25,7 @@ namespace {
 constexpr uint64_t kCapacity = 16ULL << 20;
 constexpr uint32_t kReadBytes = 512;
 
-/// Drive one endpoint (a native queue or the device itself): submit up
+/// Drive one endpoint (a queue or the device itself): submit up
 /// to `depth` reads at deterministic offsets, and the moment a
 /// completion is harvested, scribble over its buffer — the exact
 /// pattern that races with a scramble-after-publish bug.
@@ -67,7 +67,7 @@ void Hammer(BlockDevice* dev, uint64_t rounds, uint32_t depth,
 }
 
 TEST(FaultyHammer, ScrambleNeverTouchesHarvestedBuffers) {
-  // mem: has native queues; every fault class is armed at once.
+  // Every fault class is armed at once.
   auto inner = MemoryDevice::Create(kCapacity);
   ASSERT_TRUE(inner.ok());
   std::vector<uint8_t> image(1 << 20, 0xAB);
@@ -90,7 +90,6 @@ TEST(FaultyHammer, ScrambleNeverTouchesHarvestedBuffers) {
   std::atomic<uint64_t> completed{0};
   std::vector<std::thread> threads;
   std::vector<std::unique_ptr<BlockDevice>> queues;
-  ASSERT_NE(faulty.multi_queue(), nullptr);
   for (uint32_t t = 0; t < kThreads; ++t) {
     auto q = faulty.CreateQueue({});
     ASSERT_TRUE(q.ok());
@@ -100,7 +99,7 @@ TEST(FaultyHammer, ScrambleNeverTouchesHarvestedBuffers) {
     threads.emplace_back(Hammer, queues[t].get(), kRounds, 32, 1000 + t,
                          &completed);
   }
-  // One more thread on the device-level lane, concurrently.
+  // One more thread on the device-level path, concurrently.
   threads.emplace_back(Hammer, static_cast<BlockDevice*>(&faulty), kRounds,
                        32, 999, &completed);
   for (auto& th : threads) th.join();
@@ -116,7 +115,7 @@ TEST(FaultyHammer, ScrambleNeverTouchesHarvestedBuffers) {
 
 TEST(FaultyHammer, UriStackSurvivesConcurrentQueues) {
   // Same hammer through the full URI stack (fault inside retry): retry
-  // lanes must also never touch harvested buffers, and exhausted
+  // queues must also never touch harvested buffers, and exhausted
   // retries must still complete every request exactly once.
   auto dev = OpenDeviceUri(
       "mem:?capacity=16777216&fault=submit:0.05,complete:0.1,corrupt:0.2,"
@@ -127,9 +126,8 @@ TEST(FaultyHammer, UriStackSurvivesConcurrentQueues) {
   constexpr uint64_t kRounds = 2000;
   std::atomic<uint64_t> completed{0};
   std::vector<std::unique_ptr<BlockDevice>> queues;
-  ASSERT_NE((*dev)->multi_queue(), nullptr);
   for (uint32_t t = 0; t < kThreads; ++t) {
-    auto q = (*dev)->multi_queue()->CreateQueue({});
+    auto q = (*dev)->CreateQueue({});
     ASSERT_TRUE(q.ok());
     queues.push_back(std::move(q.value()));
   }

@@ -19,7 +19,7 @@
 //    intact.
 //  * Staging I/O: an Insert reads only table entries and blocks that
 //    existed before it, each page once, in bursts deeper than one on
-//    the updater's own queue; over a device without native queues,
+//    the updater's own queue; over a device that cannot create one,
 //    inserts refuse and change nothing.
 #include <gtest/gtest.h>
 
@@ -36,7 +36,6 @@
 #include "core/live_updater.h"
 #include "data/generators.h"
 #include "storage/memory_device.h"
-#include "storage/queue_router.h"
 #include "storage/uring_device.h"
 
 namespace e2lshos {
@@ -230,11 +229,10 @@ TEST(LiveUpdate, SaveFlushesOverlayWithBitIdenticalResults) {
 // Staging I/O: bursts on the updater's own queue
 // ---------------------------------------------------------------------------
 
-/// Native-queue wrapper over a MemoryDevice that logs, per queue, every
+/// Queue-making wrapper over a MemoryDevice that logs, per queue, every
 /// read's offset and the peak number of reads in flight, plus the end of
 /// the highest byte ever written through the device itself.
-class RecordingDevice : public storage::BlockDevice,
-                        public storage::MultiQueueDevice {
+class RecordingDevice : public storage::BlockDevice {
  public:
   struct QueueLog {
     std::vector<uint64_t> offsets;
@@ -261,9 +259,7 @@ class RecordingDevice : public storage::BlockDevice,
   storage::DeviceStats stats() const override { return inner_->stats(); }
   void ResetStats() override { inner_->ResetStats(); }
 
-  storage::MultiQueueDevice* multi_queue() override { return this; }
-  uint32_t max_queues() const override { return inner_->max_queues(); }
-  Result<std::unique_ptr<storage::BlockDevice>> CreateQueue(
+  storage::QueueResult CreateQueue(
       const storage::QueueOptions& options) override {
     E2_ASSIGN_OR_RETURN(auto queue, inner_->CreateQueue(options));
     logs_.push_back(std::make_unique<QueueLog>());
@@ -358,25 +354,49 @@ TEST(LiveUpdate, InsertReadsOnlyOldPagesOnceEachInDeepBursts) {
   EXPECT_GT(log.peak_in_flight, 1u);
 }
 
+/// Pass-through over a device that keeps BlockDevice's default
+/// CreateQueue (Unimplemented).
+class NoQueueDevice : public storage::BlockDevice {
+ public:
+  explicit NoQueueDevice(storage::BlockDevice* inner) : inner_(inner) {}
+  Status SubmitRead(const storage::IoRequest& req) override {
+    return inner_->SubmitRead(req);
+  }
+  size_t PollCompletions(storage::IoCompletion* out, size_t max) override {
+    return inner_->PollCompletions(out, max);
+  }
+  Status Write(uint64_t offset, const void* data, uint32_t length) override {
+    return inner_->Write(offset, data, length);
+  }
+  uint64_t capacity() const override { return inner_->capacity(); }
+  uint32_t outstanding() const override { return inner_->outstanding(); }
+  std::string name() const override { return "no-queue"; }
+  storage::DeviceStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+ private:
+  storage::BlockDevice* inner_;
+};
+
 TEST(LiveUpdate, InsertWithoutNativeQueuesFailsAndChangesNothing) {
   auto t = MakeData();
   auto mem = storage::MemoryDevice::Create(256ULL << 20);
   ASSERT_TRUE(mem.ok());
   auto index = BuildCore(t, mem->get());
   ASSERT_TRUE(index.ok()) << index.status().ToString();
-  // A QueueRouter view has no native queues: a staging burst on it would
-  // swallow every other routed queue's completions, so inserts refuse.
-  storage::QueueRouter router(mem->get());
-  auto routed = router.CreateQueue();
-  auto view = (*index)->WithDevice(routed.get());
+  // A device that cannot create a queue: a staging burst on the shared
+  // device-level path would swallow the serving threads' completions,
+  // so inserts refuse with the device's status.
+  NoQueueDevice no_queues(mem->get());
+  auto view = (*index)->WithDevice(&no_queues);
   core::LiveUpdater live(view.get());
   const uint64_t n0 = live.n();
   const auto extras = MakeExtraRows(2);
 
   EXPECT_EQ(live.Insert(extras.Row(0)).status().code(),
-            StatusCode::kFailedPrecondition);
+            StatusCode::kUnimplemented);
   EXPECT_EQ(live.InsertBatch(extras.Row(0), 2).status().code(),
-            StatusCode::kFailedPrecondition);
+            StatusCode::kUnimplemented);
   EXPECT_EQ(live.n(), n0);
   EXPECT_EQ(live.epoch_seq(), 0u);
   EXPECT_EQ(live.counters().inserts, 0u);

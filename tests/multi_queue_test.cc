@@ -1,17 +1,17 @@
 // Multi-queue device architecture tests (paper Sec. 6.5: one NVMe queue
 // pair per serving thread).
 //
-//   * AcquireQueues policy: native when the device offers it, QueueRouter
-//     shim otherwise; forced-router and native-cap overrides; the set is
-//     all-native or all-routed, never mixed.
 //   * Per-queue isolation and device-level stats aggregation across
-//     native queues.
-//   * Parity: sharded query results over native queues are bit-identical
-//     to the QueueRouter path across mem:/sim:cssd*4/file:/uring:
-//     backends at 1 and 4 shards.
-//   * Concurrency hammer: one thread per native queue, each
-//     submit-and-polling its own queue (the zero-shared-lock hot path;
-//     run under TSan in CI).
+//     queues, including queues already destroyed (their counters fold
+//     into the device), on every backend and layer.
+//   * A device that cannot create queues fails multi-shard serving with
+//     its own status; one shard still serves on the direct path.
+//   * Parity: sharded query results over per-shard queues are
+//     bit-identical to the 1-shard direct engine across
+//     mem:/sim:cssd*4/file:/uring: backends at 1 and 4 shards.
+//   * Concurrency hammer: one thread per queue, each submit-and-polling
+//     its own queue (the zero-shared-lock hot path; run under TSan in
+//     CI).
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -23,13 +23,15 @@
 #include <gtest/gtest.h>
 
 #include "core/builder.h"
+#include "core/query_stream.h"
 #include "core/sharded_engine.h"
+#include "core/streaming_server.h"
 #include "data/generators.h"
 #include "storage/cache_device.h"
+#include "storage/device_registry.h"
 #include "storage/file_device.h"
 #include "storage/interface_model.h"
 #include "storage/memory_device.h"
-#include "storage/multi_queue.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "storage/uring_device.h"
@@ -41,77 +43,7 @@ namespace {
 constexpr uint64_t kCapacity = 1 << 20;
 
 // ---------------------------------------------------------------------------
-// AcquireQueues policy.
-// ---------------------------------------------------------------------------
-
-TEST(AcquireQueues, NativeWhenSupported) {
-  auto dev = MemoryDevice::Create(kCapacity);
-  ASSERT_TRUE(dev.ok());
-  QueueSet qs = AcquireQueues(dev->get(), 4);
-  EXPECT_TRUE(qs.native);
-  EXPECT_STREQ(qs.mode(), "native");
-  EXPECT_EQ(qs.queues.size(), 4u);
-  EXPECT_EQ(qs.router, nullptr);
-}
-
-TEST(AcquireQueues, ForcedRouter) {
-  auto dev = MemoryDevice::Create(kCapacity);
-  ASSERT_TRUE(dev.ok());
-  AcquireOptions opts;
-  opts.force_router = true;
-  QueueSet qs = AcquireQueues(dev->get(), 4, opts);
-  EXPECT_FALSE(qs.native);
-  EXPECT_STREQ(qs.mode(), "router");
-  EXPECT_EQ(qs.queues.size(), 4u);
-  EXPECT_NE(qs.router, nullptr);
-}
-
-TEST(AcquireQueues, NativeCapFallsBackToRouterEntirely) {
-  auto dev = MemoryDevice::Create(kCapacity);
-  ASSERT_TRUE(dev.ok());
-  AcquireOptions opts;
-  opts.max_native = 2;
-  QueueSet over = AcquireQueues(dev->get(), 4, opts);
-  // 4 > cap of 2: ALL queues go through the router, never a mix.
-  EXPECT_FALSE(over.native);
-  EXPECT_EQ(over.queues.size(), 4u);
-  EXPECT_NE(over.router, nullptr);
-  QueueSet within = AcquireQueues(dev->get(), 2, opts);
-  EXPECT_TRUE(within.native);
-}
-
-TEST(AcquireQueues, RouterFallbackOnNonMultiQueueDevice) {
-  // A FaultyDevice-style wrapper is not multi-queue; emulate with a
-  // ChargedDevice over a device hidden behind a plain BlockDevice that
-  // reports no native queues: the QueueRouter path must kick in. The
-  // simplest non-multi-queue device in the tree is a RoutedQueue itself.
-  auto dev = MemoryDevice::Create(kCapacity);
-  ASSERT_TRUE(dev.ok());
-  QueueRouter router(dev->get());
-  auto routed = router.CreateQueue();
-  QueueSet qs = AcquireQueues(routed.get(), 2);
-  EXPECT_FALSE(qs.native);
-  EXPECT_EQ(qs.queues.size(), 2u);
-}
-
-TEST(AcquireQueues, ChargedDevicePassesNativeQueuesThrough) {
-  auto dev = MemoryDevice::Create(kCapacity);
-  ASSERT_TRUE(dev.ok());
-  ChargedDevice charged(dev->get(), GetInterfaceSpec(InterfaceKind::kXlfdd));
-  ASSERT_NE(charged.multi_queue(), nullptr);
-  QueueSet qs = AcquireQueues(&charged, 2);
-  EXPECT_TRUE(qs.native);
-  // The wrapped queue keeps charging the interface cost per submission.
-  util::AlignedBuffer buf(512);
-  ASSERT_TRUE(dev->get()->Write(0, buf.data(), 512).ok());
-  ASSERT_TRUE(qs.queues[0]->SubmitRead({0, 512, buf.data(), 7}).ok());
-  IoCompletion comp;
-  ASSERT_EQ(qs.queues[0]->PollCompletions(&comp, 1), 1u);
-  EXPECT_EQ(comp.user_data, 7u);
-}
-
-// ---------------------------------------------------------------------------
-// Native queue isolation + aggregation.
+// Queue isolation + aggregation.
 // ---------------------------------------------------------------------------
 
 TEST(NativeQueues, CompletionsStayOnSubmittingQueue) {
@@ -120,10 +52,8 @@ TEST(NativeQueues, CompletionsStayOnSubmittingQueue) {
   std::vector<uint8_t> data(1024, 0xAB);
   ASSERT_TRUE(dev->get()->Write(0, data.data(), data.size()).ok());
 
-  MultiQueueDevice* mq = dev->get()->multi_queue();
-  ASSERT_NE(mq, nullptr);
-  auto q0 = mq->CreateQueue({});
-  auto q1 = mq->CreateQueue({});
+  auto q0 = dev->get()->CreateQueue({});
+  auto q1 = dev->get()->CreateQueue({});
   ASSERT_TRUE(q0.ok());
   ASSERT_TRUE(q1.ok());
 
@@ -147,9 +77,8 @@ TEST(NativeQueues, DeviceStatsAggregateQueueTraffic) {
   std::vector<uint8_t> data(512, 1);
   ASSERT_TRUE(dev->get()->Write(0, data.data(), data.size()).ok());
 
-  MultiQueueDevice* mq = dev->get()->multi_queue();
-  auto q0 = mq->CreateQueue({});
-  auto q1 = mq->CreateQueue({});
+  auto q0 = dev->get()->CreateQueue({});
+  auto q1 = dev->get()->CreateQueue({});
   util::AlignedBuffer buf(512);
   IoCompletion comp;
   for (int i = 0; i < 3; ++i) {
@@ -179,7 +108,6 @@ TEST(NativeQueues, StripedDeviceComposesChildQueues) {
   }
   auto striped = StripedDevice::Create(std::move(children));
   ASSERT_TRUE(striped.ok());
-  ASSERT_NE((*striped)->multi_queue(), nullptr);
 
   std::vector<uint8_t> sector(kSectorBytes);
   for (uint64_t s = 0; s < 8; ++s) {
@@ -188,7 +116,7 @@ TEST(NativeQueues, StripedDeviceComposesChildQueues) {
         (*striped)->Write(s * kSectorBytes, sector.data(), sector.size()).ok());
   }
 
-  auto queue = (*striped)->multi_queue()->CreateQueue({});
+  auto queue = (*striped)->CreateQueue({});
   ASSERT_TRUE(queue.ok());
   // Reads across all stripes flow through the one queue and land with
   // the right bytes (the queue translates through the same stripe map).
@@ -207,10 +135,10 @@ TEST(NativeQueues, StripedDeviceComposesChildQueues) {
 }
 
 TEST(NativeQueues, CacheParentResetDoesNotDesyncLiveQueues) {
-  // Regression: CacheDevice's parent stats() folds live queues through
-  // the same QueueRegistry as every multi-queue device, and its new
-  // hit/miss counters ride that aggregation. A parent ResetStats must be
-  // one full reset — lane, live queues, inner (striped) device — with no
+  // Regression: CacheDevice's parent stats() folds its queues through
+  // the same QueueRegistry as every device, and its hit/miss counters
+  // ride that aggregation. A parent ResetStats must be one full reset —
+  // its own reads, live queues, inner (striped) device — with no
   // double-reset of shared children and exact re-aggregation afterwards.
   std::vector<std::unique_ptr<BlockDevice>> children;
   for (int i = 0; i < 2; ++i) {
@@ -265,11 +193,108 @@ TEST(NativeQueues, CacheParentResetDoesNotDesyncLiveQueues) {
   EXPECT_EQ((*cache)->inner()->stats().reads_completed, 1u);
 }
 
+TEST(NativeQueues, ChargedDeviceWrapsInnerQueues) {
+  auto dev = MemoryDevice::Create(kCapacity);
+  ASSERT_TRUE(dev.ok());
+  ChargedDevice charged(dev->get(), GetInterfaceSpec(InterfaceKind::kXlfdd));
+  auto queue = charged.CreateQueue({});
+  ASSERT_TRUE(queue.ok());
+  // The wrapped queue keeps charging the interface cost per submission.
+  util::AlignedBuffer buf(512);
+  ASSERT_TRUE(dev->get()->Write(0, buf.data(), 512).ok());
+  ASSERT_TRUE((*queue)->SubmitRead({0, 512, buf.data(), 7}).ok());
+  IoCompletion comp;
+  ASSERT_EQ((*queue)->PollCompletions(&comp, 1), 1u);
+  EXPECT_EQ(comp.user_data, 7u);
+  EXPECT_EQ(static_cast<ChargedDevice*>(queue->get())->io_cpu_ns(),
+            GetInterfaceSpec(InterfaceKind::kXlfdd).submit_overhead_ns);
+}
+
 // ---------------------------------------------------------------------------
-// Parity: native queues vs. the QueueRouter shim, through the sharded
-// engine, across every backend. s_factor is high enough that the
-// candidate cap never binds, so results are deterministic and must be
-// bit-identical regardless of queue plumbing.
+// A destroyed queue's counters stay counted by the device that made it,
+// for every backend and layer, until the device's ResetStats.
+// ---------------------------------------------------------------------------
+
+class QueueRetire : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(QueueRetire, DeviceKeepsCountingAfterTheQueueDies) {
+  std::string uri = GetParam();
+  const std::string path = ::testing::TempDir() + "/e2_mq_retire.bin";
+  if (uri == "uring:" && !UringDevice::Available()) {
+    GTEST_SKIP() << "io_uring unavailable on this host";
+  }
+  if (uri == "file:" || uri == "uring:") uri += path;
+  DeviceUriOpenOptions open;
+  open.create = true;
+  open.capacity = kCapacity;
+  auto dev = OpenDeviceUri(uri, open);
+  ASSERT_TRUE(dev.ok()) << uri << ": " << dev.status().ToString();
+
+  constexpr int kReads = 16;
+  util::AlignedBuffer buf(kReads * kSectorBytes, kSectorBytes);
+  std::vector<IoRequest> reqs;
+  for (int i = 0; i < kReads; ++i) {
+    reqs.push_back({static_cast<uint64_t>(i) * kSectorBytes, kSectorBytes,
+                    buf.data() + i * kSectorBytes, 0});
+  }
+  DeviceStats live;
+  {
+    auto queue = (*dev)->CreateQueue({});
+    ASSERT_TRUE(queue.ok()) << queue.status().ToString();
+    // Twice, so a cache serves the second pass. Injected faults may fail
+    // a burst; its reads still complete.
+    (void)(*queue)->ReadSync(reqs.data(), reqs.size());
+    (void)(*queue)->ReadSync(reqs.data(), reqs.size());
+    live = (*dev)->stats();
+  }
+  const DeviceStats retired = (*dev)->stats();
+  EXPECT_GE(live.reads_completed, static_cast<uint64_t>(kReads)) << uri;
+  EXPECT_EQ(retired.reads_submitted, live.reads_submitted) << uri;
+  EXPECT_EQ(retired.reads_completed, live.reads_completed) << uri;
+  EXPECT_EQ(retired.bytes_read, live.bytes_read) << uri;
+  EXPECT_EQ(retired.read_latency.count(), live.read_latency.count()) << uri;
+  EXPECT_EQ(retired.cache_hits, live.cache_hits) << uri;
+  EXPECT_EQ(retired.cache_misses, live.cache_misses) << uri;
+  EXPECT_EQ(retired.faults_injected, live.faults_injected) << uri;
+  EXPECT_EQ(retired.retries, live.retries) << uri;
+  EXPECT_EQ(retired.retries_exhausted, live.retries_exhausted) << uri;
+  // The layer under test really counted something of its own.
+  if (uri.find("cache=") != std::string::npos) {
+    EXPECT_GT(live.cache_hits, 0u);
+    EXPECT_GT(live.cache_misses, 0u);
+  }
+  if (uri.find("fault=") != std::string::npos) {
+    EXPECT_GT(live.faults_injected, 0u);
+  }
+  if (uri.find("retry=") != std::string::npos) {
+    EXPECT_GT(live.retries, 0u);
+  }
+
+  (*dev)->ResetStats();
+  const DeviceStats reset = (*dev)->stats();
+  EXPECT_EQ(reset.reads_submitted, 0u) << uri;
+  EXPECT_EQ(reset.reads_completed, 0u) << uri;
+  EXPECT_EQ(reset.bytes_read, 0u) << uri;
+  EXPECT_EQ(reset.read_latency.count(), 0u) << uri;
+  EXPECT_EQ(reset.cache_hits, 0u) << uri;
+  EXPECT_EQ(reset.cache_misses, 0u) << uri;
+  EXPECT_EQ(reset.faults_injected, 0u) << uri;
+  EXPECT_EQ(reset.retries, 0u) << uri;
+  dev->reset();
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryBackendAndLayer, QueueRetire,
+    ::testing::Values("mem:", "sim:cssd", "file:", "uring:", "mem:?cache=1m",
+                      "mem:?fault=complete:0.3,corrupt:0.2,seed:5",
+                      "mem:?fault=complete:0.3,seed:5&retry=4,backoff:1"));
+
+// ---------------------------------------------------------------------------
+// Multi-queue vs. single-queue parity through the sharded engine, across
+// every backend. s_factor is high enough that the candidate cap never
+// binds, so results are deterministic and must be bit-identical
+// regardless of queue plumbing.
 // ---------------------------------------------------------------------------
 
 struct ParityFixture {
@@ -311,39 +336,38 @@ void ExpectBatchesIdentical(const core::BatchResult& a,
   }
 }
 
-void RunParity(BlockDevice* dev, const ParityFixture& fx, const char* what,
-               bool expect_native) {
+void RunParity(BlockDevice* dev, const ParityFixture& fx, const char* what) {
   auto idx = core::IndexBuilder::Build(fx.gen.base, fx.params, dev);
   ASSERT_TRUE(idx.ok()) << what << ": " << idx.status().message();
 
+  // The single-queue reference: one engine straight on the device.
+  core::ShardOptions direct_opts;
+  direct_opts.total_contexts = 8;
+  direct_opts.total_inflight_ios = 64;
+  core::ShardedQueryEngine direct_engine(idx->get(), &fx.gen.base,
+                                         direct_opts);
+  EXPECT_EQ(direct_engine.shard_device(0), dev) << what;
+  auto direct = direct_engine.SearchBatch(fx.gen.queries, 5);
+  ASSERT_TRUE(direct.ok()) << what;
+
   for (uint32_t shards : {1u, 4u}) {
-    core::ShardOptions native_opts;
-    native_opts.num_shards = shards;
-    native_opts.total_contexts = 8 * shards;
-    native_opts.total_inflight_ios = 64 * shards;
+    core::ShardOptions opts;
+    opts.num_shards = shards;
+    opts.total_contexts = 8 * shards;
+    opts.total_inflight_ios = 64 * shards;
     // Force the queue layer even at 1 shard (the degenerate direct path
     // would bypass it and prove nothing).
-    native_opts.wrap_shard_device =
+    opts.wrap_shard_device =
         [](std::unique_ptr<storage::BlockDevice> q) { return q; };
+    core::ShardedQueryEngine engine(idx->get(), &fx.gen.base, opts);
+    ASSERT_TRUE(engine.status().ok())
+        << what << ": " << engine.status().ToString();
+    ASSERT_EQ(engine.num_shards(), shards) << what;
+    EXPECT_NE(engine.shard_device(0), dev) << what;
+    auto queued = engine.SearchBatch(fx.gen.queries, 5);
+    ASSERT_TRUE(queued.ok()) << what;
 
-    core::ShardOptions router_opts = native_opts;
-    router_opts.queue_mode = core::QueueMode::kRouter;
-
-    core::ShardedQueryEngine native_engine(idx->get(), &fx.gen.base,
-                                           native_opts);
-    EXPECT_EQ(native_engine.native_queues(), expect_native)
-        << what << " shards=" << shards;
-    auto native = native_engine.SearchBatch(fx.gen.queries, 5);
-    ASSERT_TRUE(native.ok()) << what;
-
-    core::ShardedQueryEngine router_engine(idx->get(), &fx.gen.base,
-                                           router_opts);
-    EXPECT_FALSE(router_engine.native_queues());
-    EXPECT_STREQ(router_engine.queue_mode(), "router");
-    auto router = router_engine.SearchBatch(fx.gen.queries, 5);
-    ASSERT_TRUE(router.ok()) << what;
-
-    ExpectBatchesIdentical(*native, *router,
+    ExpectBatchesIdentical(*queued, *direct,
                            (std::string(what) + " shards=" +
                             std::to_string(shards))
                                .c_str());
@@ -354,7 +378,7 @@ TEST(MultiQueueParity, MemoryDevice) {
   ParityFixture fx = MakeParityFixture();
   auto dev = MemoryDevice::Create(256 << 20);
   ASSERT_TRUE(dev.ok());
-  RunParity(dev->get(), fx, "mem:", /*expect_native=*/true);
+  RunParity(dev->get(), fx, "mem:");
 }
 
 TEST(MultiQueueParity, StripedSimulatedCssd) {
@@ -370,7 +394,7 @@ TEST(MultiQueueParity, StripedSimulatedCssd) {
   }
   auto striped = StripedDevice::Create(std::move(children));
   ASSERT_TRUE(striped.ok());
-  RunParity(striped->get(), fx, "sim:cssd*4", /*expect_native=*/true);
+  RunParity(striped->get(), fx, "sim:cssd*4");
 }
 
 TEST(MultiQueueParity, FileDevice) {
@@ -380,7 +404,7 @@ TEST(MultiQueueParity, FileDevice) {
   opt.capacity = 256 << 20;
   auto dev = FileDevice::Create(path, opt);
   ASSERT_TRUE(dev.ok());
-  RunParity(dev->get(), fx, "file:", /*expect_native=*/true);
+  RunParity(dev->get(), fx, "file:");
   dev->reset();
   std::remove(path.c_str());
 }
@@ -395,15 +419,104 @@ TEST(MultiQueueParity, UringDevice) {
   opt.capacity = 256 << 20;
   auto dev = UringDevice::Create(path, opt);
   ASSERT_TRUE(dev.ok());
-  RunParity(dev->get(), fx, "uring:", /*expect_native=*/true);
+  RunParity(dev->get(), fx, "uring:");
   dev->reset();
   std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency hammer: N threads, each owning one native queue, submitting
-// and polling with zero cross-thread coordination — the multi-queue hot
-// path the tentpole promises is lock-free across shards. TSan verifies.
+// A device that cannot create queues: multi-shard serving fails with the
+// device's status instead of falling back; one shard still serves on the
+// direct path.
+// ---------------------------------------------------------------------------
+
+/// Pass-through over a MemoryDevice that keeps BlockDevice's default
+/// CreateQueue (Unimplemented).
+class NoQueueDevice : public BlockDevice {
+ public:
+  explicit NoQueueDevice(BlockDevice* inner) : inner_(inner) {}
+  Status SubmitRead(const IoRequest& req) override {
+    return inner_->SubmitRead(req);
+  }
+  size_t PollCompletions(IoCompletion* out, size_t max) override {
+    return inner_->PollCompletions(out, max);
+  }
+  Status Write(uint64_t offset, const void* data, uint32_t length) override {
+    return inner_->Write(offset, data, length);
+  }
+  uint64_t capacity() const override { return inner_->capacity(); }
+  uint32_t outstanding() const override { return inner_->outstanding(); }
+  std::string name() const override { return "no-queue"; }
+  DeviceStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+ private:
+  BlockDevice* inner_;
+};
+
+TEST(QueueCreationFailure, MultiShardServingReturnsTheDeviceStatus) {
+  ParityFixture fx = MakeParityFixture();
+  auto mem = MemoryDevice::Create(256 << 20);
+  ASSERT_TRUE(mem.ok());
+  NoQueueDevice dev(mem->get());
+  ASSERT_EQ(dev.CreateQueue({}).status().code(), StatusCode::kUnimplemented);
+  auto idx = core::IndexBuilder::Build(fx.gen.base, fx.params, &dev);
+  ASSERT_TRUE(idx.ok());
+
+  core::ShardOptions opts;
+  opts.num_shards = 2;
+  core::ShardedQueryEngine engine(idx->get(), &fx.gen.base, opts);
+  EXPECT_EQ(engine.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(engine.num_shards(), 0u);
+  EXPECT_EQ(engine.SearchBatch(fx.gen.queries, 5).status().code(),
+            StatusCode::kUnimplemented);
+
+  core::ServerOptions so;
+  so.k = 5;
+  core::StreamingServer server(&engine, so);
+  core::SubmissionQueue stream(fx.gen.queries.dim(), 16);
+  EXPECT_EQ(server.Start(&stream).code(), StatusCode::kUnimplemented);
+  EXPECT_FALSE(server.running());
+
+  // A wrapped single shard needs a queue too.
+  core::ShardOptions wrapped;
+  wrapped.wrap_shard_device =
+      [](std::unique_ptr<storage::BlockDevice> q) { return q; };
+  core::ShardedQueryEngine wrapped_engine(idx->get(), &fx.gen.base, wrapped);
+  EXPECT_EQ(wrapped_engine.SearchBatch(fx.gen.queries, 5).status().code(),
+            StatusCode::kUnimplemented);
+}
+
+TEST(QueueCreationFailure, OneShardServesOnTheDirectPath) {
+  ParityFixture fx = MakeParityFixture();
+  auto mem = MemoryDevice::Create(256 << 20);
+  ASSERT_TRUE(mem.ok());
+  NoQueueDevice dev(mem->get());
+  auto idx = core::IndexBuilder::Build(fx.gen.base, fx.params, &dev);
+  ASSERT_TRUE(idx.ok());
+
+  core::ShardedQueryEngine engine(idx->get(), &fx.gen.base, {});
+  ASSERT_TRUE(engine.status().ok());
+  EXPECT_EQ(engine.shard_device(0), &dev);
+  auto batch = engine.SearchBatch(fx.gen.queries, 5);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->results.size(), fx.gen.queries.n());
+
+  core::ServerOptions so;
+  so.k = 5;
+  core::StreamingServer server(&engine, so);
+  core::SubmissionQueue stream(fx.gen.queries.dim(), 16);
+  ASSERT_TRUE(server.Start(&stream).ok());
+  ASSERT_TRUE(stream.Submit(fx.gen.queries.Row(0), 5).ok());
+  stream.Close();
+  server.Wait();
+  EXPECT_EQ(server.stats().completed, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrency hammer: N threads, each owning one queue, submitting and
+// polling with zero cross-thread coordination — the multi-queue hot path
+// is lock-free across shards. TSan verifies.
 // ---------------------------------------------------------------------------
 
 void HammerDevice(BlockDevice* dev, uint32_t num_queues, int reads_per_queue) {
@@ -415,15 +528,19 @@ void HammerDevice(BlockDevice* dev, uint32_t num_queues, int reads_per_queue) {
     ASSERT_TRUE(dev->Write(s * kSectorBytes, sector.data(), sector.size()).ok());
   }
 
-  QueueSet qs = AcquireQueues(dev, num_queues);
-  ASSERT_TRUE(qs.native);
+  std::vector<std::unique_ptr<BlockDevice>> queues;
+  for (uint32_t t = 0; t < num_queues; ++t) {
+    auto q = dev->CreateQueue({});
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    queues.push_back(std::move(q).value());
+  }
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(num_queues);
   for (uint32_t t = 0; t < num_queues; ++t) {
     threads.emplace_back([&, t] {
-      BlockDevice* q = qs.queues[t].get();
+      BlockDevice* q = queues[t].get();
       util::AlignedBuffer buf(kSectorBytes, kSectorBytes);
       IoCompletion comp;
       for (int r = 0; r < reads_per_queue; ++r) {

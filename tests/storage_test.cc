@@ -10,7 +10,6 @@
 #include "storage/file_device.h"
 #include "storage/interface_model.h"
 #include "storage/memory_device.h"
-#include "storage/multi_queue.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "util/aligned_buffer.h"
@@ -159,7 +158,7 @@ TEST(SimulatedDevice, QueueCapacityEnforced) {
   EXPECT_EQ((*dev)->SubmitRead(req).code(), StatusCode::kResourceExhausted);
 }
 
-// A burst of 64 reads through ReadSync on a native sim:cssd queue that
+// A burst of 64 reads through ReadSync on a sim:cssd queue that
 // holds only 4: the call has to harvest and resubmit until all land.
 // Requests run in reverse offset order with one shared user_data, so
 // only the burst's own tagging can match completions to buffers.
@@ -181,7 +180,7 @@ SyncBurst MakeSyncBurst(const std::string& uri) {
   b.device = std::move(*dev);
   QueueOptions qopt;
   qopt.queue_capacity = 4;
-  auto queue = b.device->multi_queue()->CreateQueue(qopt);
+  auto queue = b.device->CreateQueue(qopt);
   EXPECT_TRUE(queue.ok()) << queue.status().ToString();
   if (!queue.ok()) return b;
   b.queue = std::move(*queue);

@@ -435,6 +435,37 @@ TEST(SubmissionQueue, BackpressureAndClose) {
   EXPECT_EQ(queue.TryPull(&q), StreamPull::kClosed);
 }
 
+TEST(StreamingServer, ShedQueriesAreDeliveredWhileTheStreamIsIdle) {
+  // Fewer stale queries than a batch, then silence: their rejections must
+  // not wait for more traffic (or for the stream to close).
+  Fixture* f = GetFixture();
+  ShardOptions sopts;
+  sopts.num_shards = 2;
+  ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
+  SubmissionQueue queue(f->gen.base.dim(), 16);
+  ASSERT_TRUE(queue.Submit(f->gen.queries.Row(0)).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  Collector collector;
+  ServerOptions opts;
+  opts.k = 5;
+  opts.max_batch_size = 4;
+  opts.deadline_us = 10000;  // 10 ms, long since blown
+  opts.on_result = collector.Callback();
+  StreamingServer server(&engine, opts);
+  ASSERT_TRUE(server.Start(&queue).ok());
+  const uint64_t give_up = util::NowNs() + 10ULL * 1000 * 1000 * 1000;
+  while (server.stats().rejected < 1 && util::NowNs() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.stats().rejected, 1u);
+  queue.Close();
+  server.Wait();
+  std::lock_guard<std::mutex> lock(collector.mu);
+  ASSERT_EQ(collector.deliveries[0], 1);
+  EXPECT_EQ(collector.results[0].status.code(), StatusCode::kResourceExhausted);
+}
+
 TEST(StreamingServer, DeadlineShedsStaleQueriesAndCountsRejected) {
   Fixture* f = GetFixture();
   const uint32_t k = 5;

@@ -825,14 +825,13 @@ int main(int argc, char** argv) {
         "device URIs: mem: | sim:cssd|essd|xlfdd|hdd[*N][?iface=...] |\n"
         "  file:PATH[?direct=1&threads=N] | uring:PATH[?direct=1&sqpoll=1"
         "&fixed=1]\n"
-        "  (+ ?capacity=SIZE, ?queue=N, ?queues=N, ?cache=SIZE,\n"
+        "  (+ ?capacity=SIZE, ?queue=N, ?cache=SIZE,\n"
         "   ?fault=submit:P,complete:P,corrupt:P,stall:USEC[,seed:N],\n"
         "   ?retry=N[,backoff:USEC][,deadline:USEC] on any scheme;\n"
-        "   queues=N caps native per-shard device queues, 0 forces the\n"
-        "   router shim, fixed=1 [uring] registers engine arenas for\n"
-        "   READ_FIXED, cache=SIZE adds a DRAM read cache, fault= injects\n"
-        "   storage faults, retry= retries transient failures; build needs\n"
-        "   a buffered device — serve the same image with direct=1)\n",
+        "   fixed=1 [uring] registers engine arenas for READ_FIXED,\n"
+        "   cache=SIZE adds a DRAM read cache, fault= injects storage\n"
+        "   faults, retry= retries transient failures; build needs a\n"
+        "   buffered device — serve the same image with direct=1)\n",
         argv[0]);
     return 1;
   }
