@@ -1,10 +1,11 @@
 // Ablation (DESIGN.md): the table-index width u vs fingerprint width
-// (32 - u) trade-off of Sec. 5.2. Smaller u shrinks the on-storage hash
-// tables and densifies bucket chains, but merges more distinct compound
-// values per slot; the fingerprints must then reject the extra entries.
-// We sweep u and report table size, chain occupancy, fingerprint
-// rejections, I/Os, query time, and accuracy — all on the same dataset
-// and hash family.
+// (32 - u) trade-off of Sec. 5.2. Smaller u shrinks the DRAM index (the
+// non-empty-slot bitmap and its rank directory, which locate every chain
+// head in format v4) and densifies bucket chains, but merges more
+// distinct compound values per slot; the fingerprints must then reject
+// the extra entries. We sweep u and report DRAM index size, chain
+// occupancy, fingerprint rejections, I/Os, query time, and accuracy —
+// all on the same dataset and hash family.
 #include "common.h"
 
 using namespace e2lshos;
@@ -20,8 +21,8 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Ablation: table bits u vs fingerprint (n=" + std::to_string(w->n()) +
           ", " + name + ")",
-      {"u", "tables", "buckets", "fp rejects/query", "I/Os/query", "query us",
-       "ratio"});
+      {"u", "DRAM index", "buckets", "fp rejects/query", "I/Os/query",
+       "query us", "ratio"});
 
   for (uint32_t u = 10; u <= 18; u += 2) {
     auto dev = storage::MemoryDevice::Create(8ULL << 30);
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
     for (const auto& s : batch->stats) rejects += s.fp_rejects;
     const auto sizes = (*idx)->sizes();
     bench::PrintRow(
-        {std::to_string(u), bench::FmtBytes(sizes.table_bytes),
+        {std::to_string(u), bench::FmtBytes(sizes.dram_index_bytes),
          bench::FmtBytes(sizes.bucket_bytes),
          bench::Fmt(static_cast<double>(rejects) / w->gen.queries.n(), 1),
          bench::Fmt(batch->MeanIos(), 1),
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nExpected shape: accuracy is u-invariant (fingerprints restore "
       "32-bit\nprecision); small u inflates rejects and per-bucket scan "
-      "cost, large u\ninflates table bytes. The paper picks u slightly "
-      "below log2(n).\n");
+      "cost, large u\ninflates the DRAM bitmap and rank directory (2^u bits "
+      "per table). The\npaper picks u slightly below log2(n).\n");
   return 0;
 }

@@ -52,8 +52,9 @@ int main(int argc, char** argv) {
                    bench::Fmt(kTbwBytes / std::max(1.0, per_insert), 0)});
   std::printf(
       "\nExpected shape (paper Sec. 7): \"the impact of object insertion "
-      "and deletion\nis small\" — single inserts cost ~L*r blocks; full "
-      "rebuilds are the expensive\noperation to do sparingly. Deletions "
-      "are DRAM tombstones: zero storage writes.\n");
+      "and deletion\nis small\" — single inserts cost ~L*r blocks, plus "
+      "one for each full head that\nmoves off its rank address (format "
+      "v4); full rebuilds are the expensive operation\nto do sparingly. "
+      "Deletions are DRAM tombstones: zero storage writes.\n");
   return 0;
 }

@@ -1,7 +1,10 @@
 // Reproduces Table 4: per-dataset E2LSH hash/radius statistics and the
 // average number of I/Os per query N_IO,inf (block size unlimited):
 // L compound hashes, total radii r, average searched radii r-bar, and
-// 2 I/Os per non-empty probed bucket.
+// 2 I/Os per non-empty probed bucket. This is the paper's I/O model (a
+// hash-table read, then the bucket); the engine's format v4 computes
+// chain heads in DRAM and issues 1 I/O per probed bucket plus overflow
+// blocks (README, "Deviations from the paper").
 #include "common.h"
 
 using namespace e2lshos;

@@ -1,7 +1,9 @@
 // Reproduces Table 6: index size and runtime memory usage of E2LSHoS vs
 // SRS. E2LSHoS places the large index on storage and keeps only the
-// table addresses / bitmap (+ hash functions) in DRAM, so its runtime
-// memory usage — database + small index remainder — is comparable to SRS.
+// non-empty-slot bitmap with its rank directory, one head address per
+// hash table (+ hash functions) in DRAM — where the paper keeps the hash
+// table addresses — so its runtime memory usage, database + small index
+// remainder, is comparable to SRS.
 #include "common.h"
 
 using namespace e2lshos;

@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
       "  index   : %8.1f TB on storage (paper: 6.1 TB)\n",
       os_1b / 1e6, srs_1b / 1e6, srs_1b / os_1b, idx_1b / 1e12);
   std::printf(
-      "\nDRAM stays at the database size plus megabytes of table "
-      "addresses — the\nindex size limit of in-memory E2LSH no longer "
-      "applies.\n");
+      "\nDRAM stays at the database size plus megabytes of bitmap and "
+      "head addresses —\nthe index size limit of in-memory E2LSH no "
+      "longer applies.\n");
   return 0;
 }

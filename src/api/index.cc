@@ -98,9 +98,10 @@ Result<std::unique_ptr<Index>> Index::Build(const IndexSpec& spec,
                       storage::ParseDeviceUri(spec.device_uri));
   if (uri.direct_io) {
     return Status::InvalidArgument(
-        "building needs a buffered device: the index builder issues 8-byte "
-        "table writes that O_DIRECT rejects. Build without direct=1, then "
-        "Open() the image with a direct=1 URI to serve.");
+        "building needs a buffered device: the index builder writes "
+        "512-byte blocks, smaller than a 4Kn drive's direct-I/O unit. Build "
+        "without direct=1, then Open() the image with a direct=1 URI to "
+        "serve.");
   }
 
   lsh::E2lshConfig cfg = spec.lsh;

@@ -163,7 +163,8 @@ class Index {
   /// Reopen an index persisted with Save(): metadata from `path`, image
   /// from the URI's backing file (file:/uring:) or the `<path>.image`
   /// sidecar (mem:/sim:). `dataset` must be the base set the index was
-  /// built over (shape-checked; ownership taken).
+  /// built over (shape-checked; ownership taken). Metadata saved before
+  /// on-storage format v4 is refused with FailedPrecondition: rebuild.
   static Result<std::unique_ptr<Index>> Open(const std::string& path,
                                              const OpenSpec& spec,
                                              data::Dataset dataset);

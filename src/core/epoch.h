@@ -7,9 +7,9 @@
 // (core::QueryEngine) acquire the current snapshot once per micro-batch
 // (SearchBatch) and consult only it for the duration of the batch:
 //
-//   * `overlay` redirects a bucket's chain head away from the on-device
-//     hash-table entry (which is never rewritten while serving, keeping
-//     the DRAM table-sector CRCs valid);
+//   * `overlay` redirects a bucket's chain head away from the head the
+//     StorageIndex computes (its rank address or born-live entry; saved
+//     head blocks are only rewritten at a quiesced LiveUpdater::Flush);
 //   * `tombstones` and `n` replace the StorageIndex's own copies, which
 //     stay frozen at their built/loaded values until a quiesced
 //     LiveUpdater::Flush;
@@ -54,7 +54,7 @@ struct EpochState {
   std::shared_ptr<const std::unordered_set<uint32_t>> tombstones;
   /// StorageIndex::BucketKey -> current chain-head block address, for
   /// every bucket whose chain changed since the index was built/loaded.
-  /// Values are never 0. A hit here replaces the table-entry read.
+  /// Values are never 0. A hit here replaces StorageIndex::ChainHead.
   std::shared_ptr<const std::unordered_map<uint64_t, uint64_t>> overlay;
 
   bool IsDeleted(uint32_t id) const {

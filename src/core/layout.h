@@ -1,12 +1,27 @@
-// On-storage index layout of E2LSHoS (paper Sec. 5.1-5.2, Fig. 9).
+// On-storage index layout of E2LSHoS (paper Sec. 5.1-5.2, Fig. 9),
+// format v4.
 //
 // The device address space holds, in order:
 //
-//   [ hash tables ][ bucket blocks ... ]
+//   [ reserved ][ pair 0: heads | overflow ][ pair 1: heads | overflow ] ...
 //
-// * Hash tables: for each (radius r, compound hash l) there is a table of
-//   2^u slots, each an 8-byte storage address of the first bucket block
-//   (0 = empty). u is chosen slightly below log2(n).
+// * Address 0 means "empty / end of chain" everywhere (a block's `next`,
+//   live-update overlay values), so the first block_bytes stay zero and
+//   the bucket region starts at bucket_base = block_bytes.
+//
+// * Each (radius r, compound hash l) pair owns a table of 2^u slots; u
+//   is chosen slightly below log2(n). In build order, a pair's region
+//   holds one chain-head block per non-empty slot, in slot order, then
+//   the pair's overflow blocks. A head's address is computed in DRAM
+//   from the non-empty-slot bitmap (StorageIndex::ChainHead):
+//
+//     head(r, l, slot) = pair_base[r][l] + rank(slot) * block_bytes
+//
+//   where rank(slot) counts the pair's non-empty slots below `slot`. The
+//   paper stores an 8-byte head address per slot in an on-storage hash
+//   table and reads it before the bucket (two dependent I/Os per probed
+//   bucket); here a probed bucket costs one read plus its overflow
+//   blocks.
 //
 // * Bucket blocks: 512-byte blocks (the minimum NVMe read unit) forming a
 //   linked list per bucket:
@@ -15,24 +30,25 @@
 //     | header (16 B)               | object infos (5 B each, <=99)|
 //     |  next-block address (8 B)   |  [ id | fingerprint ]        |
 //     |  object count       (2 B)   |                              |
-//     |  padding            (6 B)   |                              |
+//     |  CRC32C             (4 B)   |                              |
+//     |  reserved           (2 B)   |                              |
 //     +-----------------------------+------------------------------+
 //
 //   The object id addresses the in-DRAM coordinates; the fingerprint is
 //   the upper v-u bits of the 32-bit compound hash value, checked when
 //   the block is read to reject table-index collisions.
 //
-// Integrity (format v3): header bytes [10,14) hold a CRC32C of the whole
-// block computed with that field as zero; bytes [14,16) stay reserved.
-// v2 images carry zeros there (EncodeTo's padding), so they load and
-// serve unchanged — verification only runs when the index metadata says
-// checksums were written. The table region has no spare bytes (slots are
-// bare 8-byte addresses), so its CRCs are kept per 512-byte sector in
-// DRAM and persisted with the metadata (storage_index.h).
+// Integrity: header bytes [10,14) hold a CRC32C of the whole block
+// computed with that field as zero; bytes [14,16) stay reserved. The
+// DRAM metadata that addresses every head (bitmap, pair bases, the map
+// of buckets born after the build) carries its own CRC32C in the meta
+// file (persistence.cc).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "lsh/fingerprint.h"
 #include "util/crc32c.h"
@@ -70,7 +86,7 @@ struct BlockHeader {
   }
 };
 
-/// Byte offset of the per-block CRC32C inside the header (format v3).
+/// Byte offset of the per-block CRC32C inside the header.
 inline constexpr uint32_t kBlockCrcOffset = 10;
 
 /// CRC32C of a bucket block with the CRC field treated as zero, so the
@@ -92,8 +108,8 @@ inline void StampBlockCrc(uint8_t* block, uint32_t block_bytes) {
 }
 
 /// True when the stored stamp matches the block's contents. Only
-/// meaningful on images written with checksums (the caller gates on the
-/// index metadata; a v2 image stores zeros here).
+/// meaningful on images built with checksums (the caller gates on the
+/// index metadata; a checksum-less build stores zeros here).
 inline bool VerifyBlockCrc(const uint8_t* block, uint32_t block_bytes) {
   uint32_t stored = 0;
   std::memcpy(&stored, block + kBlockCrcOffset, 4);
@@ -148,6 +164,47 @@ struct ObjectInfoCodec {
   }
 };
 
+/// \brief Which slots of every (radius, l) table were non-empty at build
+/// time: one bit per slot in StorageIndex::BucketKey order, plus a rank
+/// directory (one u32 per 512 bits) that locates each built bucket's
+/// head block (IndexLayout::HeadAddr). Immutable: setting a bit would
+/// shift the address of every later head of its pair.
+class SlotBitmap {
+ public:
+  SlotBitmap() = default;
+  explicit SlotBitmap(std::vector<uint64_t> words) : words_(std::move(words)) {
+    rank_dir_.assign((words_.size() + 7) / 8, 0);
+    uint32_t rank = 0;
+    for (size_t w = 0; w < words_.size(); ++w) {
+      if (w % 8 == 0) rank_dir_[w / 8] = rank;
+      rank += static_cast<uint32_t>(__builtin_popcountll(words_[w]));
+    }
+  }
+
+  bool Test(uint64_t bit) const { return (words_[bit >> 6] >> (bit & 63)) & 1; }
+
+  /// Set bits below `bit`, modulo 2^32: a directory entry, then at most
+  /// seven whole words and one masked word.
+  uint32_t Rank(uint64_t bit) const {
+    const uint64_t word = bit >> 6;
+    uint32_t rank = rank_dir_[word >> 3];
+    for (uint64_t w = word & ~uint64_t{7}; w < word; ++w) {
+      rank += static_cast<uint32_t>(__builtin_popcountll(words_[w]));
+    }
+    const uint64_t below = (uint64_t{1} << (bit & 63)) - 1;
+    return rank + static_cast<uint32_t>(__builtin_popcountll(words_[word] & below));
+  }
+
+  const std::vector<uint64_t>& words() const { return words_; }
+  uint64_t MemoryBytes() const {
+    return words_.size() * sizeof(uint64_t) + rank_dir_.size() * sizeof(uint32_t);
+  }
+
+ private:
+  std::vector<uint64_t> words_;
+  std::vector<uint32_t> rank_dir_;
+};
+
 /// \brief Address arithmetic for the whole index.
 struct IndexLayout {
   uint32_t num_radii = 0;
@@ -155,19 +212,23 @@ struct IndexLayout {
   lsh::FingerprintScheme fp;
   uint32_t id_bits = 0;  ///< Fixed at build time; bounds insertable ids.
   uint32_t block_bytes = kDefaultBlockBytes;
-  uint64_t table_base = 0;    ///< Byte offset of the first table.
-  uint64_t bucket_base = 0;   ///< Byte offset of the bucket block region.
+  /// Byte offset of the bucket block region: one reserved block, so no
+  /// block ever sits at address 0.
+  uint64_t bucket_base = 0;
 
   uint64_t slots_per_table() const { return fp.table_slots(); }
-  uint64_t table_bytes_per_pair() const { return slots_per_table() * 8; }
-  uint64_t total_table_bytes() const {
-    return static_cast<uint64_t>(num_radii) * L * table_bytes_per_pair();
-  }
+  uint32_t num_pairs() const { return num_radii * L; }
 
-  /// Byte address of the table entry for (radius, l, slot).
-  uint64_t TableEntryAddr(uint32_t radius_idx, uint32_t l, uint32_t slot) const {
-    const uint64_t pair = static_cast<uint64_t>(radius_idx) * L + l;
-    return table_base + pair * table_bytes_per_pair() + static_cast<uint64_t>(slot) * 8;
+  /// Byte address of the head block of the built bucket with bitmap bit
+  /// `key` (which must be set): its pair's first head block plus the
+  /// bucket's rank among the pair's non-empty slots. Ranks are kept
+  /// modulo 2^32 and a pair has at most 2^32 slots, so the in-pair
+  /// difference is exact.
+  uint64_t HeadAddr(const SlotBitmap& bitmap, uint64_t pair_base,
+                    uint64_t key) const {
+    const uint64_t pair_start = key >> fp.u << fp.u;
+    const uint32_t rank = bitmap.Rank(key) - bitmap.Rank(pair_start);
+    return pair_base + static_cast<uint64_t>(rank) * block_bytes;
   }
 
   /// Byte address of bucket block number `idx` (0-based).

@@ -166,8 +166,8 @@ LiveUpdater::LiveUpdater(StorageIndex* index) : index_(index) {
     queue_status_ = queue.status();
   }
   // Round the private boundary up so no staging RMW window covers a
-  // byte of the built image (tables included: for block 0 the window
-  // can reach below bucket_base).
+  // byte of the built image (for block 0 the window can reach below
+  // bucket_base).
   const uint64_t built_end = layout.BlockAddr(next_block_);
   while (layout.BlockAddr(next_block_) / page_bytes_ * page_bytes_ < built_end) {
     ++next_block_;
@@ -282,17 +282,17 @@ Status LiveUpdater::StageInsertLocked(const float* row, uint32_t* id_out) {
   };
 
   // Hash every (radius, l) pair once. A bucket's head comes from the
-  // overlay when a published insert redirected it, from its table entry
-  // when the built bucket is non-empty, and is 0 (empty) otherwise.
+  // overlay when a published insert redirected it, else from the index
+  // (its rank address, its born-live entry, or 0 when empty); one burst
+  // then stages every head block.
   struct Pair {
     uint64_t key = 0;
-    uint64_t table_addr = 0;
     uint64_t head = 0;
     uint32_t fp = 0;
-    bool from_table = false;
+    bool at_home = false;  ///< head is the bucket's rank address.
   };
   std::vector<Pair> pairs;
-  pairs.reserve(static_cast<size_t>(layout.num_radii) * layout.L);
+  pairs.reserve(static_cast<size_t>(layout.num_pairs()));
   std::vector<StagedIo::Extent> extents;
   extents.reserve(pairs.capacity());
   for (uint32_t r = 0; r < layout.num_radii; ++r) {
@@ -302,24 +302,12 @@ Status LiveUpdater::StageInsertLocked(const float* row, uint32_t* id_out) {
       Pair p;
       p.key = index_->BucketKey(r, l, slot);
       p.fp = layout.fp.Fingerprint(h);
-      if (auto oit = overlay_.find(p.key); oit != overlay_.end()) {
-        p.head = oit->second;
-      } else if (index_->SlotNonEmpty(r, l, slot)) {
-        p.table_addr = layout.TableEntryAddr(r, l, slot);
-        p.from_table = true;
-        extents.push_back({p.table_addr, sizeof(p.head)});
-      }
+      const auto oit = overlay_.find(p.key);
+      p.head = oit != overlay_.end() ? oit->second : index_->ChainHead(r, l, slot);
+      p.at_home = oit == overlay_.end() && index_->SlotNonEmpty(r, l, slot);
+      if (p.head != 0) extents.push_back({p.head, block_bytes});
       pairs.push_back(p);
     }
-  }
-  // First burst: every table entry; second burst: every head block.
-  E2_RETURN_NOT_OK(io.Stage(extents.data(), extents.size()));
-  extents.clear();
-  for (Pair& p : pairs) {
-    if (p.from_table) {
-      E2_RETURN_NOT_OK(io.Read(p.table_addr, &p.head, sizeof(p.head)));
-    }
-    if (p.head != 0) extents.push_back({p.head, block_bytes});
   }
   E2_RETURN_NOT_OK(io.Stage(extents.data(), extents.size()));
 
@@ -356,10 +344,18 @@ Status LiveUpdater::StageInsertLocked(const float* row, uint32_t* id_out) {
       }
     }
     if (!placed) {
-      // Empty bucket or full head: prepend a fresh private block.
+      // Empty bucket or full head: prepend a fresh private block. A full
+      // head at its bucket's rank address is first copied to a fresh
+      // block too, so no chain ever links to a rank address and Flush
+      // may overwrite one.
+      uint64_t next = head;
+      if (p.at_home) {
+        E2_ASSIGN_OR_RETURN(next, alloc_block());
+        E2_RETURN_NOT_OK(io.Write(next, block.data(), block_bytes));
+      }
       E2_ASSIGN_OR_RETURN(const uint64_t new_addr, alloc_block());
       BlockHeader hdr;
-      hdr.next = head;
+      hdr.next = next;
       hdr.count = 1;
       hdr.EncodeTo(block.data());
       codec_.Write(block.data() + kBlockHeaderBytes, id, fp);
@@ -453,46 +449,41 @@ Status LiveUpdater::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
   const IndexLayout& layout = index_->layout_;
   if (!overlay_.empty()) {
+    // A built bucket's overlay head is copied to its rank address
+    // ("home"). No chain links to a home (StageInsertLocked copies a full
+    // head away before prepending to it), so overwriting one loses
+    // nothing, and a flush that fails partway leaves the overlay's chains
+    // whole for a retry. A bucket born live keeps its head where it is,
+    // recorded in the born-live map.
     // Overlay entries exist only after an insert, which needs read_queue_.
     StagedIo io(read_queue_.get(), index_->device_, page_bytes_);
+    const uint32_t block_bytes = layout.block_bytes;
     const uint64_t slots = layout.slots_per_table();
-    std::vector<StagedIo::Extent> extents;  // one table entry per overlay key
-    extents.reserve(overlay_.size());
-    for (const auto& [key, addr] : overlay_) {
+    std::vector<StagedIo::Extent> extents;  // head, home, head, home, ...
+    std::vector<BornLiveHead> born;
+    for (const auto& [key, head] : overlay_) {
       const uint64_t pair = key / slots;
       const uint32_t slot = static_cast<uint32_t>(key % slots);
       const uint32_t r = static_cast<uint32_t>(pair / layout.L);
       const uint32_t l = static_cast<uint32_t>(pair % layout.L);
-      extents.push_back({layout.TableEntryAddr(r, l, slot), sizeof(addr)});
-    }
-    // One burst stages every table page an entry lands in.
-    E2_RETURN_NOT_OK(io.Stage(extents.data(), extents.size()));
-    std::unordered_set<uint64_t> dirty_sectors;
-    const StagedIo::Extent* entry = extents.data();
-    for (const auto& [key, addr] : overlay_) {
-      const uint64_t table_addr = (entry++)->offset;
-      E2_RETURN_NOT_OK(io.Write(table_addr, &addr, sizeof(addr)));
-      index_->bitmap_[key >> 6] |= 1ULL << (key & 63);
-      if (index_->checksums_enabled_) {
-        dirty_sectors.insert(index_->TableSectorIndex(table_addr));
+      if (!index_->SlotNonEmpty(r, l, slot)) {
+        born.push_back({key, head});
+        continue;
       }
+      extents.push_back({head, block_bytes});
+      extents.push_back({index_->ChainHead(r, l, slot), block_bytes});
+    }
+    // One burst stages every overlay head and every home (an RMW window
+    // can be larger than the block written there).
+    E2_RETURN_NOT_OK(io.Stage(extents.data(), extents.size()));
+    std::vector<uint8_t> block(block_bytes);
+    for (size_t i = 0; i < extents.size(); i += 2) {
+      E2_RETURN_NOT_OK(io.Read(extents[i].offset, block.data(), block_bytes));
+      E2_RETURN_NOT_OK(io.Write(extents[i + 1].offset, block.data(), block_bytes));
     }
     E2_ASSIGN_OR_RETURN(const uint64_t flushed, io.Flush());
     counters_.staged_bytes += flushed;
-    // Recompute the dirty table-sector CRCs from the device bytes (the
-    // flush above made them current), re-read in one burst.
-    extents.clear();
-    for (const uint64_t sec : dirty_sectors) {
-      extents.push_back({layout.table_base + sec * storage::kSectorBytes,
-                         index_->TableSectorValidBytes(sec)});
-    }
-    E2_RETURN_NOT_OK(io.Stage(extents.data(), extents.size()));
-    for (const StagedIo::Extent& e : extents) {
-      uint8_t sector[storage::kSectorBytes];
-      E2_RETURN_NOT_OK(io.Read(e.offset, sector, e.length));
-      const uint64_t sec = index_->TableSectorIndex(e.offset);
-      index_->table_crcs_[sec] = index_->ComputeTableSectorCrc(sec, sector);
-    }
+    if (!born.empty()) index_->UpdateBornLive(std::move(born));
     overlay_.clear();
     overlay_dirty_ = true;
   }
@@ -500,7 +491,9 @@ Status LiveUpdater::Flush() {
   index_->next_block_idx_ = next_block_;
   index_->tombstones_ = tombstones_;
   index_->sizes_.bucket_bytes += staged_blocks_ * layout.block_bytes;
-  index_->sizes_.storage_bytes += staged_blocks_ * layout.block_bytes;
+  // Publishing rounds the cursor up to whole RMW windows, so the blocks
+  // are not dense: the image ends at the cursor, not at the block count.
+  index_->sizes_.storage_bytes = layout.BlockAddr(next_block_);
   index_->sizes_.total_entries += staged_entries_;
   index_->sizes_.nonempty_slots += staged_new_slots_;
   staged_blocks_ = 0;

@@ -10,7 +10,7 @@
 // The staging discipline, writer side:
 //
 //   * The StorageIndex itself is frozen. n, tombstones, the non-empty
-//     bitmap, the table-sector CRCs, and the on-device hash tables keep
+//     bitmap, the born-live map and every saved chain-head block keep
 //     their built/loaded values while serving — with one shard the query
 //     engine reads the primary StorageIndex directly, so any in-place
 //     field mutation would race. All live state (effective n, the
@@ -23,24 +23,27 @@
 //     appending to one either copies it to a fresh private block (the
 //     old block leaks until a rebuild; inserts are expected to be rare
 //     relative to reads) or, when full, prepends a fresh block whose
-//     `next` points at it. At each publish the private allocation
-//     boundary is rounded up to the device's read-modify-write window
-//     so no staged write can ever touch a published byte — readers can
-//     observe torn data only through a window overlap, and there is
-//     none.
+//     `next` points at it — or at a fresh copy of it when the full head
+//     sits at its bucket's rank address, so no chain ever links to a
+//     rank address and Flush() may overwrite one. At each publish the
+//     private allocation boundary is rounded up to the device's
+//     read-modify-write window so no staged write can ever touch a
+//     published byte — readers can observe torn data only through a
+//     window overlap, and there is none.
 //
-//   * Hash-table entries are NOT written while live: redirected chain
-//     heads travel in the epoch's overlay map instead, so concurrent
-//     table-sector reads keep verifying against the unchanged CRCs. The
-//     entries (plus bitmap bits, sizes, tombstones, n) are synced into
-//     the StorageIndex and the device by Flush(), which requires
-//     quiescence (no queries in flight) — Index::Save provides it.
+//   * Redirected chain heads travel in the epoch's overlay map. Flush(),
+//     which requires quiescence (no queries in flight) — Index::Save
+//     provides it — folds them back: a built bucket's overlay head is
+//     copied to its rank address, and a bucket born live is recorded in
+//     the index's born-live map. Sizes, tombstones and n are synced at
+//     the same time.
 //
 //   * Staging reads run at device queue depth: a row hashes its radii x L
-//     pairs once, reads every table entry it needs in one burst on the
-//     updater's private queue, then every head block in a second burst,
-//     and writes the blocks it allocates without reading them. Flush()
-//     folds the overlay in bursts the same way.
+//     pairs once, finds every head in DRAM (overlay, rank address or
+//     born-live map), reads every head block in one burst on the
+//     updater's private queue, and writes the blocks it allocates
+//     without reading them. Flush() stages its reads in a burst the same
+//     way.
 //
 // Thread safety: any number of mutator threads may call
 // Insert/Remove/Restore concurrently (an internal mutex serializes
@@ -109,11 +112,12 @@ class LiveUpdater {
   Status Restore(uint32_t id);
   Status RestoreBatch(const uint32_t* ids, uint32_t count);
 
-  /// Sync all staged state into the StorageIndex and the device: write
-  /// the redirected table entries (refreshing table-sector CRCs), set
-  /// bitmap bits, install tombstones/n/sizes/next-block, then publish an
-  /// epoch with an empty overlay. Requires quiescence: no query may be
-  /// in flight. After Flush, SaveIndexMeta persists the mutated index.
+  /// Sync all staged state into the StorageIndex and the device: copy
+  /// every redirected head of a built bucket to its rank address, record
+  /// the heads of buckets born live, install tombstones/n/sizes/next-
+  /// block, then publish an epoch with an empty overlay. Requires
+  /// quiescence: no query may be in flight. After Flush, SaveIndexMeta
+  /// persists the mutated index.
   Status Flush();
 
   Counters counters() const;

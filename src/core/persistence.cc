@@ -5,59 +5,87 @@
 #include <cstring>
 #include <vector>
 
+#include "util/crc32c.h"
+
 namespace e2lshos::core {
 
 namespace {
 
-// v3 adds the checksum flag + per-sector table CRCs after the tombstone
-// list; v2 files (no checksums) still load — see LoadIndexMeta.
+// v4 addresses every chain head through the bitmap (layout.h); the file
+// ends with a CRC32C of everything before it. v2/v3 files describe an
+// image with an on-storage hash table and are refused by name.
+constexpr char kMagic[8] = {'E', '2', 'O', 'S', 'I', 'D', 'X', '4'};
 constexpr char kMagicV2[8] = {'E', '2', 'O', 'S', 'I', 'D', 'X', '2'};
 constexpr char kMagicV3[8] = {'E', '2', 'O', 'S', 'I', 'D', 'X', '3'};
 
-// Minimal buffered binary writer/reader with error capture.
+// The meta body is assembled in memory, checksummed, and written once.
 class Writer {
  public:
-  explicit Writer(std::FILE* f) : f_(f) {}
   template <typename T>
   void Pod(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (ok_ && std::fwrite(&v, sizeof(T), 1, f_) != 1) ok_ = false;
+    Bytes(&v, sizeof(T));
   }
   void Bytes(const void* p, size_t len) {
-    if (ok_ && len > 0 && std::fwrite(p, 1, len, f_) != len) ok_ = false;
+    const auto* b = static_cast<const uint8_t*>(p);
+    buf_.insert(buf_.end(), b, b + len);
   }
-  bool ok() const { return ok_; }
+  const std::vector<uint8_t>& buf() const { return buf_; }
 
  private:
-  std::FILE* f_;
-  bool ok_ = true;
+  std::vector<uint8_t> buf_;
 };
 
 class Reader {
  public:
-  explicit Reader(std::FILE* f) : f_(f) {}
+  Reader(const uint8_t* data, size_t len) : data_(data), left_(len) {}
   template <typename T>
   void Pod(T* v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (ok_ && std::fread(v, sizeof(T), 1, f_) != 1) ok_ = false;
+    Bytes(v, sizeof(T));
   }
   void Bytes(void* p, size_t len) {
-    if (ok_ && len > 0 && std::fread(p, 1, len, f_) != len) ok_ = false;
+    if (!ok_ || len > left_) {
+      ok_ = false;
+      return;
+    }
+    if (len == 0) return;  // p may be an empty vector's null data()
+    std::memcpy(p, data_, len);
+    data_ += len;
+    left_ -= len;
   }
+  /// Elements of `elem_bytes` each that could still follow: bounds a
+  /// count read from the file before anything is allocated for it.
+  uint64_t Fits(size_t elem_bytes) const { return left_ / elem_bytes; }
   bool ok() const { return ok_; }
+  bool done() const { return ok_ && left_ == 0; }
 
  private:
-  std::FILE* f_;
+  const uint8_t* data_;
+  size_t left_;
   bool ok_ = true;
 };
+
+Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::NotFound("cannot open " + path);
+  std::vector<uint8_t> data;
+  uint8_t chunk[1 << 16];
+  size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    data.insert(data.end(), chunk, chunk + got);
+  }
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) return Status::IoError("read error on " + path);
+  return data;
+}
 
 }  // namespace
 
 Status SaveIndexMeta(const StorageIndex& index, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open " + path + " for write");
-  Writer w(f);
-  w.Bytes(kMagicV3, sizeof(kMagicV3));
+  Writer w;
+  w.Bytes(kMagic, sizeof(kMagic));
 
   w.Pod(index.n_);
   w.Pod(index.dim_);
@@ -68,7 +96,6 @@ Status SaveIndexMeta(const StorageIndex& index, const std::string& path) {
   w.Pod(layout.fp.u);
   w.Pod(layout.id_bits);
   w.Pod(layout.block_bytes);
-  w.Pod(layout.table_base);
   w.Pod(layout.bucket_base);
 
   const lsh::E2lshParams& p = index.params_;
@@ -89,9 +116,10 @@ Status SaveIndexMeta(const StorageIndex& index, const std::string& path) {
 
   w.Pod(index.sizes_);
 
-  const uint64_t bitmap_words = index.bitmap_.size();
+  const std::vector<uint64_t>& bitmap = index.bitmap_.words();
+  const uint64_t bitmap_words = bitmap.size();
   w.Pod(bitmap_words);
-  w.Bytes(index.bitmap_.data(), bitmap_words * sizeof(uint64_t));
+  w.Bytes(bitmap.data(), bitmap_words * sizeof(uint64_t));
 
   w.Pod(index.next_block_idx_);
   const uint64_t tombstones = index.tombstones_.size();
@@ -100,31 +128,51 @@ Status SaveIndexMeta(const StorageIndex& index, const std::string& path) {
 
   const uint8_t checksums = index.checksums_enabled_ ? 1 : 0;
   w.Pod(checksums);
-  const uint64_t table_crcs = index.table_crcs_.size();
-  w.Pod(table_crcs);
-  w.Bytes(index.table_crcs_.data(), table_crcs * sizeof(uint32_t));
+  w.Bytes(index.pair_base_.data(), index.pair_base_.size() * sizeof(uint64_t));
+  const std::vector<BornLiveHead>& born = index.born_live();
+  const uint64_t born_live = born.size();
+  w.Pod(born_live);
+  w.Bytes(born.data(), born_live * sizeof(BornLiveHead));
 
-  const bool ok = w.ok();
-  std::fclose(f);
-  if (!ok) return Status::IoError("short write to " + path);
+  const uint32_t crc = util::Crc32c(w.buf().data(), w.buf().size());
+  w.Pod(crc);
+
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return Status::IoError("cannot open " + path + " for write");
+  const bool ok =
+      std::fwrite(w.buf().data(), 1, w.buf().size(), f) == w.buf().size();
+  const bool closed = std::fclose(f) == 0;
+  if (!ok || !closed) return Status::IoError("short write to " + path);
   return Status::OK();
 }
 
 Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
                                                     storage::BlockDevice* device) {
   if (device == nullptr) return Status::InvalidArgument("null device");
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  Reader r(f);
+  E2_ASSIGN_OR_RETURN(const std::vector<uint8_t> file, ReadFile(path));
+  const auto corrupt = [&path](const std::string& what) {
+    return Status::InvalidArgument("corrupt " + what + " in " + path);
+  };
 
-  char magic[8];
-  r.Bytes(magic, sizeof(magic));
-  const bool v3 = r.ok() && std::memcmp(magic, kMagicV3, sizeof(kMagicV3)) == 0;
-  if (!r.ok() ||
-      (!v3 && std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0)) {
-    std::fclose(f);
+  if (file.size() >= sizeof(kMagic) &&
+      (std::memcmp(file.data(), kMagicV2, sizeof(kMagicV2)) == 0 ||
+       std::memcmp(file.data(), kMagicV3, sizeof(kMagicV3)) == 0)) {
+    return Status::FailedPrecondition(
+        path + " describes an index image that predates format v4 "
+        "(rank-addressed chain heads); rebuild it with Index::Build or "
+        "`e2lshos_cli build`");
+  }
+  if (file.size() < sizeof(kMagic) + sizeof(uint32_t) ||
+      std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument(path + " is not an E2LSHoS index meta file");
   }
+  const size_t body = file.size() - sizeof(uint32_t);
+  uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, file.data() + body, sizeof(stored_crc));
+  if (util::Crc32c(file.data(), body) != stored_crc) {
+    return Status::InvalidArgument("checksum mismatch in " + path);
+  }
+  Reader r(file.data() + sizeof(kMagic), body - sizeof(kMagic));
 
   auto index = std::make_unique<StorageIndex>();
   index->device_ = device;
@@ -137,8 +185,13 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
   r.Pod(&layout.fp.u);
   r.Pod(&layout.id_bits);
   r.Pod(&layout.block_bytes);
-  r.Pod(&layout.table_base);
   r.Pod(&layout.bucket_base);
+  if (!r.ok() || layout.num_radii == 0 || layout.L == 0 || layout.fp.u == 0 ||
+      layout.fp.u > lsh::kHashBits ||
+      layout.block_bytes < kBlockHeaderBytes + kObjectInfoBytes ||
+      layout.bucket_base != layout.block_bytes) {
+    return corrupt("layout");
+  }
 
   lsh::E2lshParams& p = index->params_;
   r.Pod(&p.c);
@@ -155,8 +208,7 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
   uint32_t num_radii = 0;
   r.Pod(&num_radii);
   if (!r.ok() || num_radii == 0 || num_radii > 64) {
-    std::fclose(f);
-    return Status::InvalidArgument("corrupt radius schedule in " + path);
+    return corrupt("radius schedule");
   }
   p.radii.resize(num_radii);
   r.Bytes(p.radii.data(), num_radii * sizeof(double));
@@ -165,22 +217,21 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
 
   uint64_t bitmap_words = 0;
   r.Pod(&bitmap_words);
-  const uint64_t expected_words =
-      (static_cast<uint64_t>(layout.num_radii) * layout.L *
-           layout.slots_per_table() + 63) / 64;
-  if (!r.ok() || bitmap_words != expected_words) {
-    std::fclose(f);
-    return Status::InvalidArgument("corrupt bitmap in " + path);
+  const uint64_t total_bits =
+      static_cast<uint64_t>(layout.num_pairs()) * layout.slots_per_table();
+  if (!r.ok() || bitmap_words != (total_bits + 63) / 64 ||
+      bitmap_words > r.Fits(sizeof(uint64_t))) {
+    return corrupt("bitmap");
   }
-  index->bitmap_.resize(bitmap_words);
-  r.Bytes(index->bitmap_.data(), bitmap_words * sizeof(uint64_t));
+  std::vector<uint64_t> bitmap(bitmap_words);
+  r.Bytes(bitmap.data(), bitmap_words * sizeof(uint64_t));
+  index->bitmap_ = SlotBitmap(std::move(bitmap));
 
   r.Pod(&index->next_block_idx_);
   uint64_t tombstones = 0;
   r.Pod(&tombstones);
-  if (!r.ok() || tombstones > index->n_ + (1ULL << 20)) {
-    std::fclose(f);
-    return Status::InvalidArgument("corrupt tombstone list in " + path);
+  if (!r.ok() || tombstones > r.Fits(sizeof(uint32_t))) {
+    return corrupt("tombstone list");
   }
   for (uint64_t i = 0; i < tombstones; ++i) {
     uint32_t id = 0;
@@ -188,38 +239,52 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
     index->tombstones_.insert(id);
   }
 
-  if (v3) {
-    uint8_t checksums = 0;
-    r.Pod(&checksums);
-    uint64_t table_crcs = 0;
-    r.Pod(&table_crcs);
-    const uint64_t expected_crcs =
-        checksums != 0
-            ? (layout.total_table_bytes() + storage::kSectorBytes - 1) /
-                  storage::kSectorBytes
-            : 0;
-    if (!r.ok() || checksums > 1 || table_crcs != expected_crcs) {
-      std::fclose(f);
-      return Status::InvalidArgument("corrupt table checksums in " + path);
-    }
-    index->checksums_enabled_ = checksums != 0;
-    index->table_crcs_.resize(table_crcs);
-    r.Bytes(index->table_crcs_.data(), table_crcs * sizeof(uint32_t));
+  uint8_t checksums = 0;
+  r.Pod(&checksums);
+  if (!r.ok() || checksums > 1) return corrupt("checksum flag");
+  index->checksums_enabled_ = checksums != 0;
+
+  // Every address must name a whole block inside the stored image.
+  const uint64_t image_end = index->sizes_.storage_bytes;
+  const auto block_in_image = [&layout, image_end](uint64_t addr) {
+    return addr >= layout.bucket_base &&
+           (addr - layout.bucket_base) % layout.block_bytes == 0 &&
+           storage::RangeInCapacity(addr, layout.block_bytes, image_end);
+  };
+  index->pair_base_.resize(layout.num_pairs());
+  r.Bytes(index->pair_base_.data(), layout.num_pairs() * sizeof(uint64_t));
+  if (!r.ok()) return corrupt("pair bases");
+  for (const uint64_t base : index->pair_base_) {
+    if (!block_in_image(base)) return corrupt("pair bases");
   }
-  // v2: checksums_enabled_ stays false — the image predates block CRCs
-  // and is served without verification.
 
-  const bool ok = r.ok();
-  std::fclose(f);
-  if (!ok) return Status::IoError("short read from " + path);
+  uint64_t born_live = 0;
+  r.Pod(&born_live);
+  if (!r.ok() || born_live > r.Fits(sizeof(BornLiveHead))) {
+    return corrupt("born-live map");
+  }
+  std::vector<BornLiveHead>& born = *index->born_live_;
+  born.resize(born_live);
+  r.Bytes(born.data(), born_live * sizeof(BornLiveHead));
+  if (!r.done()) return corrupt("born-live map");
+  for (uint64_t i = 0; i < born_live; ++i) {
+    const BornLiveHead& e = born[i];
+    // Sorted and unique; a clear bit (a built bucket has a rank address);
+    // a real block.
+    if ((i > 0 && e.key <= born[i - 1].key) ||
+        e.key >= total_bits || index->bitmap_.Test(e.key) || e.addr == 0 ||
+        !block_in_image(e.addr)) {
+      return corrupt("born-live map");
+    }
+  }
 
-  if (index->sizes_.storage_bytes > device->capacity()) {
+  if (image_end > device->capacity()) {
     return Status::OutOfRange("device smaller than the stored index image");
   }
   // No block-size-vs-alignment gate here: the query engine widens any
-  // read (table entry or bucket block) to the device's advertised
-  // alignment unit, so an index laid out at 128- or 512-byte blocks
-  // serves correctly from a direct device with a coarser granularity.
+  // bucket-block read to the device's advertised alignment unit, so an
+  // index laid out at 128- or 512-byte blocks serves correctly from a
+  // direct device with a coarser granularity.
 
   // The hash family is fully determined by (dim, params): regenerate it.
   index->family_ = lsh::HashFamily(index->dim_, p);

@@ -2,11 +2,14 @@
 // E2LSHoS index so that an index written to a durable device (e.g. a
 // FileDevice) can be reopened later without rebuilding.
 //
-// Only the small metadata is serialized: shape (n, dim), the E2LSH
-// parameters, the layout, and the non-empty-slot bitmap. The hash
-// functions are NOT stored — every hash function is derived
-// deterministically from params.seed, so loading regenerates an
-// identical family. The bucket data itself lives on the device.
+// Only the small metadata is serialized (format v4, magic E2OSIDX4):
+// shape (n, dim), the E2LSH parameters, the layout, the non-empty-slot
+// bitmap, the pair base addresses and the born-live head map, followed
+// by a CRC32C of the whole file — a flipped bitmap bit would silently
+// shift every later chain head of its pair. The hash functions and the
+// bitmap's rank directory are NOT stored: both are rebuilt at load. The
+// bucket data itself lives on the device. Files of earlier formats are
+// refused with FailedPrecondition: their images must be rebuilt.
 #pragma once
 
 #include <memory>
@@ -16,13 +19,15 @@
 
 namespace e2lshos::core {
 
-/// Serialize the index metadata to `path` (binary, versioned).
+/// Serialize the index metadata to `path` (binary, versioned,
+/// checksummed).
 Status SaveIndexMeta(const StorageIndex& index, const std::string& path);
 
 /// Recreate a StorageIndex from metadata at `path`, serving bucket data
 /// from `device` (which must hold the same byte image the index was
 /// built into). The referenced dataset must be supplied to the engine at
-/// query time exactly as at build time.
+/// query time exactly as at build time. A corrupt or checksum-mismatched
+/// file is InvalidArgument; a v2/v3 file is FailedPrecondition.
 Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
                                                     storage::BlockDevice* device);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <thread>
 
 #include "util/clock.h"
@@ -28,25 +27,20 @@ QueryEngine::QueryEngine(const StorageIndex* index, const data::Dataset* base,
       index_->n() / index_->layout().objects_per_block() + 2);
   slots_.resize(options_.max_inflight_ios);
   free_slots_.reserve(slots_.size());
-  // Table-entry reads are issued at the device's advertised granularity
-  // (io_alignment probes 4096 on a 4Kn drive in direct mode); buffers
-  // get the matching address alignment so direct submission never
-  // bounces.
-  table_read_bytes_ = std::max(storage::kSectorBytes,
-                               index_->device()->io_alignment());
+  // Reads are issued at the device's advertised granularity (io_alignment
+  // probes 4096 on a 4Kn drive in direct mode); buffers get the matching
+  // address alignment so direct submission never bounces.
+  io_unit_ = std::max(storage::kSectorBytes, index_->device()->io_alignment());
   // A block not aligned to the device unit is read as the widened span
   // containing it, which can start up to one unit before the block and
   // end up to one unit after: size every slot for the worst case.
-  const uint32_t block_span =
-      (index_->layout().block_bytes + 2 * table_read_bytes_ - 1) /
-      table_read_bytes_ * table_read_bytes_;
-  const uint32_t slot_bytes = std::max(block_span, table_read_bytes_);
+  const uint32_t slot_bytes =
+      (index_->layout().block_bytes + 2 * io_unit_ - 1) / io_unit_ * io_unit_;
   // One contiguous arena, sliced into per-slot buffers: slot_bytes is a
-  // multiple of table_read_bytes_, so every slice keeps the device
-  // alignment — and the whole thing registers with the device as a
-  // single fixed-buffer region.
-  arena_.Reset(static_cast<size_t>(slot_bytes) * slots_.size(),
-               table_read_bytes_);
+  // multiple of io_unit_, so every slice keeps the device alignment — and
+  // the whole thing registers with the device as a single fixed-buffer
+  // region.
+  arena_.Reset(static_cast<size_t>(slot_bytes) * slots_.size(), io_unit_);
   for (uint32_t i = 0; i < slots_.size(); ++i) {
     slots_[i].buf = arena_.data() + static_cast<size_t>(i) * slot_bytes;
     free_slots_.push_back(i);
@@ -92,30 +86,22 @@ void QueryEngine::BeginRadius(Context* ctx) {
   for (uint32_t l = 0; l < layout.L; ++l) {
     const uint32_t h = ctx->hashes[l];
     const uint32_t slot = layout.fp.TableIndex(h);
+    // A live mutation may have redirected this bucket's chain head since
+    // the last save; otherwise the head is computed in DRAM, and an
+    // empty bucket costs no I/O at all.
+    uint64_t head = 0;
     if (overlay != nullptr) {
-      // A live mutation redirected this bucket's chain head: go straight
-      // to the block, skipping the table read (the on-device entry is
-      // stale by design — tables are only rewritten at a quiesced
-      // Flush). Checked before the bitmap: a bucket born live has no
-      // bitmap bit yet.
       const auto it =
           overlay->find(index_->BucketKey(ctx->radius_idx, l, slot));
-      if (it != overlay->end()) {
-        ++ctx->stats.buckets_probed;
-        PendingIssue p;
-        p.addr = it->second;
-        p.expected_fp = layout.fp.Fingerprint(h);
-        p.is_table = false;
-        p.chain_budget = max_chain_blocks_;
-        ctx->to_issue.push_back(p);
-        continue;
-      }
+      if (it != overlay->end()) head = it->second;
     }
-    if (!index_->SlotNonEmpty(ctx->radius_idx, l, slot)) continue;
+    if (head == 0) head = index_->ChainHead(ctx->radius_idx, l, slot);
+    if (head == 0) continue;
+    ++ctx->stats.buckets_probed;
     PendingIssue p;
-    p.addr = layout.TableEntryAddr(ctx->radius_idx, l, slot);
+    p.addr = head;
     p.expected_fp = layout.fp.Fingerprint(h);
-    p.is_table = true;
+    p.chain_budget = max_chain_blocks_;
     ctx->to_issue.push_back(p);
   }
 }
@@ -128,36 +114,22 @@ bool QueryEngine::IssueFrom(Context* ctx) {
     const uint32_t slot_idx = free_slots_.back();
     IoSlot& slot = slots_[slot_idx];
 
+    // Bucket blocks are sized by the layout, not the device: on a device
+    // whose alignment exceeds the block size (4Kn direct mode over a
+    // 512-byte-block layout) widen the read to the aligned span
+    // containing the block.
     storage::IoRequest req;
     uint32_t buf_offset = 0;
-    if (p.is_table) {
-      // A table entry is 8 bytes, but direct-I/O devices reject extents
-      // smaller than their advertised alignment: read the whole aligned
-      // unit containing the entry and remember where it sits inside the
-      // buffer.
-      const uint64_t aligned =
-          p.addr & ~static_cast<uint64_t>(table_read_bytes_ - 1);
+    const uint32_t block_bytes = index_->layout().block_bytes;
+    if (p.addr % io_unit_ == 0 && block_bytes % io_unit_ == 0) {
+      req.offset = p.addr;
+      req.length = block_bytes;
+    } else {
+      const uint64_t aligned = p.addr & ~static_cast<uint64_t>(io_unit_ - 1);
       buf_offset = static_cast<uint32_t>(p.addr - aligned);
       req.offset = aligned;
-      req.length = table_read_bytes_;
-    } else {
-      // Bucket blocks are sized by the layout, not the device: on a
-      // device whose alignment exceeds the block size (4Kn direct mode
-      // over a 512-byte-block layout) widen the read to the aligned
-      // span containing the block, exactly like table entries.
-      const uint32_t block_bytes = index_->layout().block_bytes;
-      if (p.addr % table_read_bytes_ == 0 &&
-          block_bytes % table_read_bytes_ == 0) {
-        req.offset = p.addr;
-        req.length = block_bytes;
-      } else {
-        const uint64_t aligned =
-            p.addr & ~static_cast<uint64_t>(table_read_bytes_ - 1);
-        buf_offset = static_cast<uint32_t>(p.addr - aligned);
-        req.offset = aligned;
-        req.length = (buf_offset + block_bytes + table_read_bytes_ - 1) /
-                     table_read_bytes_ * table_read_bytes_;
-      }
+      req.length =
+          (buf_offset + block_bytes + io_unit_ - 1) / io_unit_ * io_unit_;
     }
     req.buf = slot.buf;
     req.user_data = slot_idx;
@@ -180,18 +152,12 @@ bool QueryEngine::IssueFrom(Context* ctx) {
     slot.in_use = true;
     slot.ctx = static_cast<uint32_t>(ctx - contexts_.data());
     slot.expected_fp = p.expected_fp;
-    slot.is_table = p.is_table;
     slot.chain_budget = p.chain_budget;
     slot.buf_offset = buf_offset;
-    slot.addr = p.addr;
     ++ctx->pending_ios;
     ++inflight_;
     ++ctx->stats.ios;
-    if (p.is_table) {
-      ++ctx->stats.table_reads;
-    } else {
-      ++ctx->stats.bucket_block_reads;
-    }
+    ++ctx->stats.bucket_block_reads;
     issued = true;
   }
   return issued;
@@ -268,7 +234,6 @@ void QueryEngine::ProcessBucketBlock(Context* ctx, const IoSlot& slot) {
     PendingIssue p;
     p.addr = hdr.next;
     p.expected_fp = slot.expected_fp;
-    p.is_table = false;
     p.chain_budget = slot.chain_budget - 1;
     ctx->to_issue.push_back(p);
   }
@@ -286,35 +251,7 @@ void QueryEngine::HandleCompletion(const storage::IoCompletion& comp,
   slot.in_use = false;
 
   if (comp.code == StatusCode::kOk && ctx->query_idx >= 0) {
-    if (slot.is_table) {
-      bool sector_ok = true;
-      if (index_->checksums_enabled()) {
-        // Verify the 512-byte table sector holding the entry against its
-        // DRAM-resident CRC before trusting the chain-head address.
-        const uint64_t sec = index_->TableSectorIndex(slot.addr);
-        const uint64_t sector_addr = index_->layout().table_base +
-                                     sec * storage::kSectorBytes;
-        const uint64_t read_base = slot.addr - slot.buf_offset;
-        sector_ok = sec < index_->table_crcs().size() &&
-                    index_->ComputeTableSectorCrc(
-                        sec, slot.buf + (sector_addr - read_base)) ==
-                        index_->table_crcs()[sec];
-        if (!sector_ok) ++ctx->stats.corrupt_blocks;
-      }
-      uint64_t addr = 0;
-      if (sector_ok) std::memcpy(&addr, slot.buf + slot.buf_offset, 8);
-      if (addr != 0 && !ctx->draining) {
-        ++ctx->stats.buckets_probed;
-        PendingIssue p;
-        p.addr = addr;
-        p.expected_fp = slot.expected_fp;
-        p.is_table = false;
-        p.chain_budget = max_chain_blocks_;
-        ctx->to_issue.push_back(p);
-      }
-    } else {
-      ProcessBucketBlock(ctx, slot);
-    }
+    ProcessBucketBlock(ctx, slot);
   } else if (comp.code != StatusCode::kOk && ctx->query_idx >= 0) {
     ++ctx->stats.io_errors;
   }

@@ -1,9 +1,11 @@
 // E2LSHoS query processing (paper Sec. 5.4, Fig. 10).
 //
 // For each search radius R and compound hash l:
-//   Step 1: hash the query, read the bucket address from the on-storage
-//           hash table (one I/O) — skipped entirely for empty buckets
-//           (DRAM bitmap).
+//   Step 1: hash the query and find the bucket's chain head in DRAM — the
+//           live-update overlay, else the rank address computed from the
+//           non-empty-slot bitmap (StorageIndex::ChainHead). Empty
+//           buckets stop here. The paper reads the head address from an
+//           on-storage hash table instead (one more dependent I/O).
 //   Step 2: read the bucket block at that address (one I/O per block,
 //           following the chain headers).
 //   Step 3: check fingerprints, compute distances to surviving
@@ -47,7 +49,9 @@ struct EngineOptions {
 /// \brief Per-query instrumentation (drives the Sec. 4 analysis benches).
 struct QueryStats {
   uint32_t radii_searched = 0;
-  uint64_t ios = 0;                ///< Table reads + bucket block reads.
+  uint64_t ios = 0;                ///< Bucket block reads.
+  /// Always 0: format v4 reads no hash-table entries. Kept until the
+  /// benchmark stops reporting it.
   uint64_t table_reads = 0;
   uint64_t bucket_block_reads = 0;
   uint64_t buckets_probed = 0;     ///< Non-empty buckets visited.
@@ -56,7 +60,7 @@ struct QueryStats {
   uint64_t dup_skips = 0;          ///< Candidates seen more than once.
   uint64_t tombstone_skips = 0;    ///< Removed objects filtered out.
   uint64_t io_errors = 0;          ///< Failed reads / invalid entries skipped.
-  uint64_t corrupt_blocks = 0;     ///< CRC-mismatched blocks/sectors dropped.
+  uint64_t corrupt_blocks = 0;     ///< CRC-mismatched blocks dropped.
   uint64_t dropped_candidates = 0; ///< Entries discarded with corrupt blocks.
   /// Probes were dropped (I/O errors or checksum failures): the result is
   /// best-effort over the candidates that survived, never an error.
@@ -111,7 +115,6 @@ class QueryEngine {
   struct PendingIssue {
     uint64_t addr = 0;
     uint32_t expected_fp = 0;
-    bool is_table = false;
     uint32_t chain_budget = 0;  ///< Remaining blocks this chain may span.
   };
 
@@ -137,15 +140,10 @@ class QueryEngine {
     uint8_t* buf = nullptr;
     uint32_t ctx = 0;
     uint32_t expected_fp = 0;
-    bool is_table = false;
     bool in_use = false;
     uint32_t chain_budget = 0;
-    /// Device byte address of the requested entry/block (pre-widening):
-    /// locates the covering table sector for checksum verification.
-    uint64_t addr = 0;
-    /// Offset of the wanted bytes inside `buf`: table-entry reads are
-    /// issued sector-aligned (8-byte extents are rejected by O_DIRECT
-    /// devices), so the entry may sit mid-sector.
+    /// Offset of the block inside `buf`: a read widened to the device's
+    /// alignment unit may start before the block.
     uint32_t buf_offset = 0;
   };
 
@@ -188,9 +186,9 @@ class QueryEngine {
   /// Object count the pinned epoch (or the index) vouches for.
   uint64_t effective_n_ = 0;
   uint32_t max_chain_blocks_ = 0;  ///< Chain-cycle guard (corruption).
-  /// Granularity of table-entry reads: the device-advertised direct-I/O
-  /// alignment (4096 on a 4Kn drive), never below one 512-byte sector.
-  uint32_t table_read_bytes_ = storage::kSectorBytes;
+  /// Read granularity: the device-advertised direct-I/O alignment (4096
+  /// on a 4Kn drive), never below one 512-byte sector.
+  uint32_t io_unit_ = storage::kSectorBytes;
 };
 
 }  // namespace e2lshos::core

@@ -11,11 +11,10 @@ namespace e2lshos::core {
 namespace {
 
 /// \brief Updater I/O through a device whose io_alignment() may exceed
-/// the extents the updater touches (8-byte table entries, block-sized
-/// bucket blocks): sub-unit extents are staged through the covering
-/// aligned window with a read-modify-write. Devices with alignment 1,
-/// and extents already on unit boundaries, take the direct path — the
-/// historical behavior, byte for byte.
+/// the block-sized extents the updater touches: sub-unit extents are
+/// staged through the covering aligned window with a read-modify-write.
+/// Devices with alignment 1, and extents already on unit boundaries,
+/// take the direct path — the historical behavior, byte for byte.
 class AlignedIo {
  public:
   explicit AlignedIo(storage::BlockDevice* device)
@@ -104,81 +103,69 @@ Status IndexUpdater::Insert(const data::Dataset& base, uint32_t id) {
   std::vector<uint8_t> block(layout.block_bytes);
   const float* row = base.Row(id);
 
+  auto alloc_block = [&]() -> Result<uint64_t> {
+    const uint64_t addr = layout.BlockAddr(index_->next_block_idx_);
+    if (!storage::RangeInCapacity(addr, layout.block_bytes, device->capacity())) {
+      return Status::OutOfRange("device full; cannot grow the index");
+    }
+    ++index_->next_block_idx_;
+    index_->sizes_.bucket_bytes += layout.block_bytes;
+    index_->sizes_.storage_bytes += layout.block_bytes;
+    return addr;
+  };
+  // Write `block` at `addr`, stamping its CRC first.
+  auto put_block = [&](uint64_t addr) -> Status {
+    if (index_->checksums_enabled_) StampBlockCrc(block.data(), layout.block_bytes);
+    E2_ASSIGN_OR_RETURN(const uint64_t written,
+                        io.Write(addr, block.data(), layout.block_bytes));
+    bytes_written_ += written;
+    return Status::OK();
+  };
+  // A one-entry block for `id` whose chain continues at `next`.
+  auto make_single = [&](uint32_t fp, uint64_t next) {
+    BlockHeader hdr;
+    hdr.next = next;
+    hdr.count = 1;
+    hdr.EncodeTo(block.data());
+    codec.Write(block.data() + kBlockHeaderBytes, id, fp);
+    std::memset(block.data() + kBlockHeaderBytes + kObjectInfoBytes, 0,
+                layout.block_bytes - kBlockHeaderBytes - kObjectInfoBytes);
+  };
+
   for (uint32_t r = 0; r < layout.num_radii; ++r) {
     for (uint32_t l = 0; l < layout.L; ++l) {
       const uint32_t h = index_->family_.Get(r, l).Hash32(row);
       const uint32_t slot = layout.fp.TableIndex(h);
       const uint32_t fp = layout.fp.Fingerprint(h);
-      const uint64_t table_addr = layout.TableEntryAddr(r, l, slot);
+      const uint64_t head = index_->ChainHead(r, l, slot);
 
-      uint64_t head = 0;
-      if (index_->SlotNonEmpty(r, l, slot)) {
-        E2_RETURN_NOT_OK(io.Read(table_addr, &head, 8));
-      }
-
-      bool appended_in_place = false;
-      if (head != 0) {
-        // Try to extend the head block in place.
+      if (head == 0) {
+        // A bucket born after the build: no rank address, so its head is
+        // recorded in the born-live map.
+        E2_ASSIGN_OR_RETURN(const uint64_t addr, alloc_block());
+        make_single(fp, 0);
+        E2_RETURN_NOT_OK(put_block(addr));
+        index_->UpdateBornLive({{index_->BucketKey(r, l, slot), addr}});
+        ++index_->sizes_.nonempty_slots;
+      } else {
         E2_RETURN_NOT_OK(io.Read(head, block.data(), layout.block_bytes));
         BlockHeader hdr = BlockHeader::DecodeFrom(block.data());
         if (hdr.count < per_block) {
+          // Extend the head block in place.
           codec.Write(block.data() + kBlockHeaderBytes +
                           static_cast<size_t>(hdr.count) * kObjectInfoBytes,
                       id, fp);
           ++hdr.count;
           hdr.EncodeTo(block.data());
-          if (index_->checksums_enabled_) {
-            StampBlockCrc(block.data(), layout.block_bytes);
-          }
-          E2_ASSIGN_OR_RETURN(
-              const uint64_t written,
-              io.Write(head, block.data(), layout.block_bytes));
-          bytes_written_ += written;
-          appended_in_place = true;
-        }
-      }
-
-      if (!appended_in_place) {
-        // Prepend a fresh head block pointing at the old head (0 if the
-        // bucket was empty).
-        const uint64_t new_block = index_->next_block_idx_++;
-        const uint64_t new_addr = layout.BlockAddr(new_block);
-        if (new_addr + layout.block_bytes > device->capacity()) {
-          return Status::OutOfRange("device full; cannot grow the index");
-        }
-        BlockHeader hdr;
-        hdr.next = head;
-        hdr.count = 1;
-        hdr.EncodeTo(block.data());
-        codec.Write(block.data() + kBlockHeaderBytes, id, fp);
-        std::memset(block.data() + kBlockHeaderBytes + kObjectInfoBytes, 0,
-                    layout.block_bytes - kBlockHeaderBytes - kObjectInfoBytes);
-        if (index_->checksums_enabled_) {
-          StampBlockCrc(block.data(), layout.block_bytes);
-        }
-        E2_ASSIGN_OR_RETURN(
-            const uint64_t block_written,
-            io.Write(new_addr, block.data(), layout.block_bytes));
-        E2_ASSIGN_OR_RETURN(const uint64_t entry_written,
-                            io.Write(table_addr, &new_addr, 8));
-        if (index_->checksums_enabled_) {
-          // The 8-byte entry changed its covering table sector: refresh
-          // that sector's DRAM-resident CRC from the device bytes.
-          const uint64_t sec = index_->TableSectorIndex(table_addr);
-          const uint64_t sec_addr =
-              layout.table_base + sec * storage::kSectorBytes;
-          uint8_t sector[storage::kSectorBytes];
-          const uint32_t valid = index_->TableSectorValidBytes(sec);
-          E2_RETURN_NOT_OK(io.Read(sec_addr, sector, valid));
-          index_->table_crcs_[sec] = index_->ComputeTableSectorCrc(sec, sector);
-        }
-        bytes_written_ += block_written + entry_written;
-        index_->sizes_.bucket_bytes += layout.block_bytes;
-        index_->sizes_.storage_bytes += layout.block_bytes;
-        if (head == 0) {
-          const uint64_t bit = index_->BitIndex(r, l, slot);
-          index_->bitmap_[bit >> 6] |= 1ULL << (bit & 63);
-          ++index_->sizes_.nonempty_slots;
+          E2_RETURN_NOT_OK(put_block(head));
+        } else {
+          // Full head: the chain must keep starting at `head`, so move the
+          // full block to a fresh one and write a one-entry head in front
+          // of it.
+          E2_ASSIGN_OR_RETURN(const uint64_t copy, alloc_block());
+          E2_RETURN_NOT_OK(put_block(copy));
+          make_single(fp, copy);
+          E2_RETURN_NOT_OK(put_block(head));
         }
       }
       ++index_->sizes_.total_entries;

@@ -2,14 +2,16 @@
 // object insertion and deletion on a live E2LSHoS index.
 //
 // * Insert: the new object is hashed under every (radius, l) compound
-//   hash and appended to the corresponding bucket chain — in place when
-//   the head block has room (one 512-B read-modify-write), else by
-//   prepending a fresh head block (one block write + one table-entry
-//   write). The paper notes "the impact of object insertion and deletion
-//   is small" on device endurance; bytes_written tracks it exactly.
-//   On a direct-I/O device every sub-alignment extent (the 8-byte table
-//   entries, blocks smaller than the alignment unit) is staged through
-//   an aligned read-modify-write window sized by io_alignment(), so the
+//   hash and added to the corresponding bucket chain — in place when the
+//   head block has room (one 512-B read-modify-write). A full head keeps
+//   its address, which readers compute from the bitmap (layout.h): it is
+//   moved to a fresh block, and a one-entry head pointing at the move is
+//   written in its place (two block writes). A bucket that was empty at
+//   build time gets a fresh block recorded in the born-live map. The
+//   paper notes "the impact of object insertion and deletion is small" on
+//   device endurance; bytes_written tracks it exactly. On a direct-I/O
+//   device a block smaller than the alignment unit is staged through an
+//   aligned read-modify-write window sized by io_alignment(), so the
 //   updater works unchanged against file:?direct=1 / uring:?direct=1;
 //   bytes_written then counts the whole windows actually written.
 //
@@ -31,8 +33,8 @@ namespace e2lshos::core {
 class IndexUpdater {
  public:
   /// The updater mutates `index` and writes through its device. Not
-  /// thread-safe, and it mutates blocks and tables a concurrent reader
-  /// would observe mid-write — it is an OFFLINE maintenance tool: run it
+  /// thread-safe, and it mutates blocks a concurrent reader would
+  /// observe mid-write — it is an OFFLINE maintenance tool: run it
   /// only while no queries are in flight. For mutations concurrent with
   /// serving, use core::LiveUpdater (epoch-published copy-on-write;
   /// the e2lshos::Index Insert/Remove/Restore entry points), which

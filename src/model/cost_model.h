@@ -15,6 +15,11 @@
 // For in-memory-speed targets, T_compute ~= 0.9 * T_E2LSH (the ~10%
 // memory-stall saving of the smaller E2LSHoS footprint, Sec. 4.5),
 // giving Eq. 16: 1/T_request >= 10 * N_IO / T_E2LSH.
+//
+// N_IO here is the paper's count: a hash-table read plus the bucket
+// blocks for every probed bucket. The engine's on-storage format v4
+// finds chain heads in DRAM and skips the table read (core/layout.h), so
+// its measured I/Os per query are about half these model values.
 #pragma once
 
 #include <cstdint>

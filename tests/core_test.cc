@@ -17,6 +17,7 @@
 #include "storage/interface_model.h"
 #include "storage/memory_device.h"
 #include "storage/striped_device.h"
+#include "util/rng.h"
 
 namespace e2lshos::core {
 namespace {
@@ -59,20 +60,51 @@ TEST(Layout, ObjectInfoRejectsOverflow) {
   EXPECT_FALSE(ObjectInfoCodec::Make(1ULL << 32, fp).ok());
 }
 
-TEST(Layout, TableAddressingIsDisjoint) {
-  IndexLayout layout;
-  layout.num_radii = 3;
-  layout.L = 4;
-  layout.fp = {10};
-  layout.table_base = 0;
-  layout.bucket_base = layout.total_table_bytes();
-  std::set<uint64_t> addrs;
-  for (uint32_t r = 0; r < 3; ++r) {
-    for (uint32_t l = 0; l < 4; ++l) {
-      for (uint32_t s : {0u, 1u, 1023u}) {
-        const uint64_t a = layout.TableEntryAddr(r, l, s);
-        EXPECT_TRUE(addrs.insert(a).second);
-        EXPECT_LT(a + 8, layout.bucket_base + 1);
+TEST(Layout, HeadAddressingIsDisjoint) {
+  // Every set bit of a (seeded random) bitmap maps to its own head block
+  // inside its pair's head region — including the slots at word and
+  // rank-directory boundaries and the last slot of each table.
+  util::Rng rng(2024);
+  for (const uint32_t u : {4u, 6u, 9u, 12u}) {
+    IndexLayout layout;
+    layout.num_radii = 3;
+    layout.L = 4;
+    layout.fp = {u};
+    layout.bucket_base = layout.block_bytes;
+    const uint64_t slots = layout.slots_per_table();
+    std::vector<uint64_t> words((layout.num_pairs() * slots + 63) / 64, 0);
+    std::vector<uint64_t> heads(layout.num_pairs(), 0);
+    for (uint64_t p = 0; p < layout.num_pairs(); ++p) {
+      for (uint64_t s = 0; s < slots; ++s) {
+        const bool forced = s == 0 || s == 63 || s == 64 || s == 511 ||
+                            s == 512 || s == slots - 1;
+        if (forced || rng.NextU64Below(3) == 0) {
+          const uint64_t bit = p * slots + s;
+          words[bit >> 6] |= uint64_t{1} << (bit & 63);
+          ++heads[p];
+        }
+      }
+    }
+    const SlotBitmap bitmap(words);
+    // Pair regions as the builder lays them out: heads, then overflow.
+    std::vector<uint64_t> bases(layout.num_pairs());
+    uint64_t next = layout.bucket_base;
+    for (uint64_t p = 0; p < layout.num_pairs(); ++p) {
+      bases[p] = next;
+      next += (heads[p] + rng.NextU64Below(5)) * layout.block_bytes;
+    }
+    std::set<uint64_t> addrs;
+    for (uint64_t p = 0; p < layout.num_pairs(); ++p) {
+      for (uint64_t s = 0; s < slots; ++s) {
+        const uint64_t bit = p * slots + s;
+        if (!bitmap.Test(bit)) continue;
+        const uint64_t a = layout.HeadAddr(bitmap, bases[p], bit);
+        EXPECT_NE(a, 0u);
+        EXPECT_EQ((a - layout.bucket_base) % layout.block_bytes, 0u);
+        EXPECT_GE(a, bases[p]) << "u=" << u << " pair " << p << " slot " << s;
+        EXPECT_LT(a, bases[p] + heads[p] * layout.block_bytes)
+            << "u=" << u << " pair " << p << " slot " << s;
+        EXPECT_TRUE(addrs.insert(a).second) << "u=" << u << " slot " << s;
       }
     }
   }
@@ -144,7 +176,8 @@ TEST(Builder, SizesAccounting) {
   // Every object lands in L buckets per radius.
   EXPECT_EQ(sizes.total_entries,
             f.gen.base.n() * f.params.L * f.params.num_radii());
-  EXPECT_EQ(sizes.storage_bytes, sizes.table_bytes + sizes.bucket_bytes);
+  EXPECT_EQ(sizes.storage_bytes,
+            f.index->layout().bucket_base + sizes.bucket_bytes);
   EXPECT_GT(sizes.bucket_bytes, 0u);
   // The DRAM-resident part is much smaller than the storage part
   // (Table 6's central claim).
@@ -163,12 +196,9 @@ TEST(Builder, ChainsContainEveryObjectOncePerPair) {
     for (uint32_t l = 0; l < layout.L; ++l) {
       std::map<uint32_t, int> seen;
       for (uint32_t slot = 0; slot < layout.slots_per_table(); ++slot) {
-        uint64_t addr = 0;
-        ASSERT_TRUE(f.device
-                        ->ReadSync(layout.TableEntryAddr(r, l, slot), &addr, 8)
-                        .ok());
+        uint64_t addr = f.index->ChainHead(r, l, slot);
         ASSERT_EQ(addr != 0, f.index->SlotNonEmpty(r, l, slot))
-            << "bitmap/table disagree at r=" << r << " l=" << l;
+            << "bitmap/chain head disagree at r=" << r << " l=" << l;
         std::vector<uint8_t> block(layout.block_bytes);
         while (addr != 0) {
           ASSERT_TRUE(
@@ -197,9 +227,7 @@ TEST(Builder, FingerprintsMatchHashes) {
   // Follow object 0's bucket at (radius 0, l 0) and check its fingerprint.
   const uint32_t h = f.index->family().Get(0, 0).Hash32(f.gen.base.Row(0));
   const uint32_t slot = layout.fp.TableIndex(h);
-  uint64_t addr = 0;
-  ASSERT_TRUE(
-      f.device->ReadSync(layout.TableEntryAddr(0, 0, slot), &addr, 8).ok());
+  uint64_t addr = f.index->ChainHead(0, 0, slot);
   ASSERT_NE(addr, 0u);
   bool found = false;
   std::vector<uint8_t> block(layout.block_bytes);
@@ -274,9 +302,11 @@ TEST(QueryEngine, StatsMatchInMemoryProbes) {
     // without affecting the candidate set (paper Sec. 5.2).
     EXPECT_GE(st.buckets_probed, ms.buckets_probed);
     EXPECT_EQ(st.candidates, ms.candidates);
-    EXPECT_EQ(st.table_reads, st.buckets_probed);
+    // One read per probed bucket plus its overflow blocks: the chain
+    // head is found in DRAM, never through a table read.
+    EXPECT_EQ(st.table_reads, 0u);
     EXPECT_GE(st.bucket_block_reads, ms.buckets_probed);
-    EXPECT_EQ(st.ios, st.table_reads + st.bucket_block_reads);
+    EXPECT_EQ(st.ios, st.bucket_block_reads);
   }
 }
 

@@ -2,10 +2,11 @@
 //
 //  * `fault=` / `retry=` as first-class device-URI layers (parse,
 //    canonical round-trip, OpenDeviceUri stacking order);
-//  * format-v3 block + table checksums: a corrupted bucket block is
-//    detected and its candidates dropped (never returned), corruption
-//    is visible in QueryStats (corrupt_blocks / dropped_candidates /
-//    partial), and persistence round-trips the CRC sidecar;
+//  * block checksums plus the meta-file checksum (format v4): a
+//    corrupted bucket block is detected and its candidates dropped
+//    (never returned), corruption is visible in QueryStats
+//    (corrupt_blocks / dropped_candidates / partial), a corrupted meta
+//    file is refused, and persistence round-trips the head addressing;
 //  * the updater keeps checksums valid across inserts;
 //  * RetryDevice makes transient faults invisible: with retries enabled
 //    and the same engine seed, results are bit-identical to a
@@ -17,6 +18,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -140,13 +142,12 @@ TEST(FaultUri, OpenStacksFaultInsideRetry) {
 }
 
 // ---------------------------------------------------------------------------
-// Checksums (format v3)
+// Checksums (format v4)
 // ---------------------------------------------------------------------------
 
 TEST(Checksums, CleanIndexVerifiesEverywhere) {
   auto f = MakeFixture();
   ASSERT_TRUE(f.index->checksums_enabled());
-  EXPECT_FALSE(f.index->table_crcs().empty());
   QueryEngine engine(f.index.get(), &f.gen.base);
   auto batch = engine.SearchBatch(f.gen.queries, 10);
   ASSERT_TRUE(batch.ok());
@@ -186,56 +187,118 @@ TEST(Checksums, CorruptedBlockNeverReturnsCandidates) {
   EXPECT_GT(dropped, 0u);
 }
 
-TEST(Checksums, CorruptedTableSectorIsDetected) {
-  // Scribble over the whole table region: chain-head addresses can no
-  // longer be trusted, so queries must drop those probes (counted in
-  // corrupt_blocks) instead of following garbage pointers.
-  auto f = MakeFixture();
+/// Index of the first occurrence of `pattern` in `data`, or SIZE_MAX.
+size_t FindBytes(const std::vector<uint8_t>& data, const void* pattern,
+                 size_t len) {
+  const auto* p = static_cast<const uint8_t*>(pattern);
+  const auto it = std::search(data.begin(), data.end(), p, p + len);
+  return it == data.end() ? SIZE_MAX : static_cast<size_t>(it - data.begin());
+}
+
+std::vector<uint8_t> ReadAll(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::vector<uint8_t> data;
+  if (f == nullptr) return data;
+  uint8_t buf[4096];
+  size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    data.insert(data.end(), buf, buf + got);
+  }
+  std::fclose(f);
+  return data;
+}
+
+void WriteAll(const std::string& path, const std::vector<uint8_t>& data) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  std::fclose(f);
+}
+
+TEST(Checksums, CorruptedMetaIsRejected) {
+  // The bitmap addresses every chain head: one flipped bit would shift
+  // every later head of its pair onto valid blocks of other buckets,
+  // whose CRCs pass. The meta file's own CRC must refuse it, and a
+  // corrupted pair base alike.
+  auto f = MakeFixture(1500);
   const IndexLayout& layout = f.index->layout();
-  const std::vector<uint8_t> junk(4096, 0xEE);
-  for (uint64_t off = 0; off < layout.total_table_bytes();
-       off += junk.size()) {
-    const uint32_t len = static_cast<uint32_t>(std::min<uint64_t>(
-        junk.size(), layout.total_table_bytes() - off));
-    ASSERT_TRUE(
-        f.device->Write(layout.table_base + off, junk.data(), len).ok());
+  const std::string path = ::testing::TempDir() + "ft_meta_corrupt_" +
+                           std::to_string(::getpid()) + ".bin";
+  ASSERT_TRUE(SaveIndexMeta(*f.index, path).ok());
+  const std::vector<uint8_t> clean = ReadAll(path);
+
+  // Locate the bitmap by its first four words and a pair base by value.
+  uint64_t words[4] = {};
+  for (uint32_t bit = 0; bit < 256; ++bit) {
+    const uint32_t pair = static_cast<uint32_t>(bit / layout.slots_per_table());
+    const uint32_t slot = static_cast<uint32_t>(bit % layout.slots_per_table());
+    if (f.index->SlotNonEmpty(pair / layout.L, pair % layout.L, slot)) {
+      words[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
   }
-  QueryEngine engine(f.index.get(), &f.gen.base);
-  auto batch = engine.SearchBatch(f.gen.queries, 10);
-  ASSERT_TRUE(batch.ok());
-  for (uint64_t q = 0; q < f.gen.queries.n(); ++q) {
-    EXPECT_TRUE(batch->results[q].empty()) << "query " << q;
-    EXPECT_GT(batch->stats[q].corrupt_blocks, 0u) << "query " << q;
-    EXPECT_TRUE(batch->stats[q].partial) << "query " << q;
+  const size_t bitmap_at = FindBytes(clean, words, sizeof(words));
+  ASSERT_NE(bitmap_at, SIZE_MAX);
+  const size_t base_at =
+      FindBytes(clean, f.index->pair_bases().data(), 2 * sizeof(uint64_t));
+  ASSERT_NE(base_at, SIZE_MAX);
+
+  for (const size_t flip : {bitmap_at + 3, base_at + sizeof(uint64_t)}) {
+    std::vector<uint8_t> bad = clean;
+    bad[flip] ^= 0x10;
+    WriteAll(path, bad);
+    auto loaded = LoadIndexMeta(path, f.device.get());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "byte " << flip;
   }
+  WriteAll(path, clean);
+  EXPECT_TRUE(LoadIndexMeta(path, f.device.get()).ok());
+  std::remove(path.c_str());
 }
 
 TEST(Checksums, DisabledBuildSkipsVerification) {
   auto f = MakeFixture(1500, 24, /*checksums=*/false);
   EXPECT_FALSE(f.index->checksums_enabled());
-  EXPECT_TRUE(f.index->table_crcs().empty());
   QueryEngine engine(f.index.get(), &f.gen.base);
   auto batch = engine.SearchBatch(f.gen.queries, 5);
   ASSERT_TRUE(batch.ok());
 }
 
-TEST(Checksums, PersistenceRoundTripsCrcSidecar) {
+TEST(Checksums, PersistenceRoundTripsHeadAddressing) {
   auto f = MakeFixture(1500);
+  // A far-away row lands in buckets that were empty at build time, so
+  // the born-live map is populated too.
+  data::Dataset& base = f.gen.base;
+  std::vector<float> far(base.dim(), 1000.0f);
+  base.Append(far.data());
+  IndexUpdater updater(f.index.get());
+  ASSERT_TRUE(updater.Insert(base, static_cast<uint32_t>(base.n() - 1)).ok());
+  ASSERT_FALSE(f.index->born_live().empty());
+
   const std::string path = ::testing::TempDir() + "ft_meta_" +
                            std::to_string(::getpid()) + ".bin";
   ASSERT_TRUE(SaveIndexMeta(*f.index, path).ok());
   auto loaded = LoadIndexMeta(path, f.device.get());
-  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE((*loaded)->checksums_enabled());
-  EXPECT_EQ((*loaded)->table_crcs(), f.index->table_crcs());
+  EXPECT_EQ((*loaded)->pair_bases(), f.index->pair_bases());
+  ASSERT_EQ((*loaded)->born_live().size(), f.index->born_live().size());
+  for (size_t i = 0; i < f.index->born_live().size(); ++i) {
+    EXPECT_EQ((*loaded)->born_live()[i].key, f.index->born_live()[i].key);
+    EXPECT_EQ((*loaded)->born_live()[i].addr, f.index->born_live()[i].addr);
+  }
 
-  QueryEngine before(f.index.get(), &f.gen.base);
-  QueryEngine after(loaded->get(), &f.gen.base);
+  QueryEngine before(f.index.get(), &base);
+  QueryEngine after(loaded->get(), &base);
   auto want = before.SearchBatch(f.gen.queries, 10);
   auto got = after.SearchBatch(f.gen.queries, 10);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
   ExpectBatchesEqual(*got, *want);
+  auto hit = after.Search(far.data(), 1);
+  ASSERT_TRUE(hit.ok());
+  ASSERT_FALSE(hit->empty());
+  EXPECT_EQ((*hit)[0].id, base.n() - 1);
+  EXPECT_EQ((*hit)[0].dist, 0.f);
   std::remove(path.c_str());
 }
 
@@ -247,15 +310,14 @@ TEST(Checksums, PersistenceRoundTripsChecksumlessIndex) {
   auto loaded = LoadIndexMeta(path, f.device.get());
   ASSERT_TRUE(loaded.ok());
   EXPECT_FALSE((*loaded)->checksums_enabled());
-  EXPECT_TRUE((*loaded)->table_crcs().empty());
   std::remove(path.c_str());
 }
 
 TEST(Checksums, UpdaterMaintainsChecksumsAcrossInserts) {
   auto f = MakeFixture(2000);
   // Insert 200 fresh objects (perturbed copies of existing rows): every
-  // touched block is re-stamped and every touched table sector's CRC
-  // refreshed, so a full-verification query stays clean.
+  // touched or moved block is re-stamped, so a full-verification query
+  // stays clean.
   data::Dataset& base = f.gen.base;
   IndexUpdater updater(f.index.get());
   std::vector<float> row(base.dim());

@@ -2,9 +2,9 @@
 // checks:
 //
 //  * O_DIRECT rejects extents that are not sector-aligned, so the query
-//    engine must issue table-entry reads (8-byte payloads) as full
-//    sector reads — covered end-to-end by building an index on a
-//    buffered file and re-serving it through an O_DIRECT reopen.
+//    engine must issue every read as whole aligned units — covered
+//    end-to-end by building an index on a buffered file and re-serving
+//    it through an O_DIRECT reopen.
 //  * Unaligned direct requests must fail fast with InvalidArgument at
 //    submission, not as a confusing kIoError completion.
 //  * The capacity bounds must not wrap for hostile/corrupt addresses
@@ -60,8 +60,8 @@ TEST(FileDeviceDirect, RejectsUnalignedRequestsWithInvalidArgument) {
   IoRequest req;
   req.buf = buf.data();
 
-  // 8-byte table-entry-style read: the exact shape QueryEngine used to
-  // issue. Must be rejected at submission with a clear error.
+  // 8-byte read, smaller than a sector. Must be rejected at submission
+  // with a clear error.
   req.offset = 0;
   req.length = 8;
   EXPECT_EQ(dev->SubmitRead(req).code(), StatusCode::kInvalidArgument);
@@ -221,10 +221,10 @@ TEST(FileDeviceDirect, ServesSubSectorBlockLayoutThroughDirectDevice) {
   std::remove(meta.c_str());
 }
 
-// End-to-end regression for the sector-aligned table reads: build an
-// index on a buffered file device, then serve the identical byte image
-// through an O_DIRECT reopen. Before the fix, every 8-byte table read
-// failed with EINVAL and queries silently returned empty answers.
+// End-to-end regression for aligned engine reads: build an index on a
+// buffered file device, then serve the identical byte image through an
+// O_DIRECT reopen. An unaligned read would fail with EINVAL and queries
+// would silently return empty answers.
 TEST(FileDeviceDirect, ServesQueriesThroughODirectReopen) {
   data::GeneratorSpec spec;
   spec.kind = data::GeneratorKind::kClustered;

@@ -11,21 +11,24 @@
 //    errors, and no partial results — on every backend (mem:, striped
 //    sim:, file:, uring:) at 1 and 4 shards. This is the suite the TSan
 //    CI leg runs (concurrency label).
-//  * Quiesced parity: after Save() drains the overlay into the on-device
-//    tables, the same queries return bit-identical results through the
-//    legacy (table-walk) path as through the overlay path.
+//  * Quiesced parity: after Save() folds the overlay into the chain
+//    heads the index computes (rank addresses and the born-live map),
+//    the same queries return bit-identical results as through the
+//    overlay path, and a reopened image holds every entry exactly once.
 //  * Fault absorption: with injected transient read faults + the retry
 //    layer, failed inserts roll back cleanly and a retried insert lands
-//    intact.
-//  * Staging I/O: an Insert reads only table entries and blocks that
-//    existed before it, each page once, in bursts deeper than one on
-//    the updater's own queue; over a device that cannot create one,
-//    inserts refuse and change nothing.
+//    intact; a save whose writes fail partway leaves the published
+//    chains whole, and its retry saves every entry.
+//  * Staging I/O: an Insert reads only blocks that existed before it,
+//    each page once, in bursts deeper than one on the updater's own
+//    queue; over a device that cannot create one, inserts refuse and
+//    change nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -33,8 +36,12 @@
 
 #include "api/index.h"
 #include "core/builder.h"
+#include "core/layout.h"
 #include "core/live_updater.h"
+#include "core/persistence.h"
+#include "core/query_engine.h"
 #include "data/generators.h"
+#include "e2lsh/in_memory.h"
 #include "storage/memory_device.h"
 #include "storage/uring_device.h"
 
@@ -167,7 +174,7 @@ TEST(LiveUpdate, InsertBatchIsOneEpochWithConsecutiveIds) {
 }
 
 // ---------------------------------------------------------------------------
-// Quiesced parity: overlay path vs. flushed table path
+// Quiesced parity: overlay path vs. saved chain heads
 // ---------------------------------------------------------------------------
 
 TEST(LiveUpdate, SaveFlushesOverlayWithBitIdenticalResults) {
@@ -192,12 +199,12 @@ TEST(LiveUpdate, SaveFlushesOverlayWithBitIdenticalResults) {
     auto before = (*idx)->SearchBatch(t.gen.queries, 5);
     ASSERT_TRUE(before.ok());
 
-    // Save() quiesces and drains the overlay into the on-device tables.
+    // Save() quiesces and folds the overlay into the saved chain heads.
     const std::string meta = ::testing::TempDir() + "/e2_live_flush.meta";
     ASSERT_TRUE((*idx)->Save(meta).ok());
     EXPECT_EQ((*idx)->device_stats().update_lag, 0u);
 
-    // Same queries through the flushed table path: bit parity.
+    // Same queries through the saved chain heads: bit parity.
     auto after = (*idx)->SearchBatch(t.gen.queries, 5);
     ASSERT_TRUE(after.ok());
     ASSERT_EQ(after->results.size(), before->results.size());
@@ -222,6 +229,178 @@ TEST(LiveUpdate, SaveFlushesOverlayWithBitIdenticalResults) {
     auto hidden = (*idx)->Search(t.gen.base.Row(42), 1);
     ASSERT_TRUE(hidden.ok());
     EXPECT_NE((*hidden)[0].id, 42u);
+  }
+}
+
+/// The standard queries over `index` (rows resolve through `base` and
+/// any published epoch) equal in-memory E2LSH over `all`, and the two
+/// far-away rows are their own nearest neighbors.
+void ExpectAnswersAreWhole(const core::StorageIndex& index,
+                           const data::Dataset& base, const data::Dataset& all,
+                           const data::Dataset& queries, uint64_t base_n,
+                           const std::vector<float>& far_f,
+                           const std::vector<float>& far_g) {
+  core::QueryEngine engine(&index, &base);
+  auto mem = e2lsh::InMemoryE2lsh::Build(all, index.params());
+  ASSERT_TRUE(mem.ok());
+  const auto want = (*mem)->SearchBatch(queries, 5);
+  auto got = engine.SearchBatch(queries, 5);
+  ASSERT_TRUE(got.ok());
+  for (uint64_t q = 0; q < queries.n(); ++q) {
+    ASSERT_EQ(got->results[q].size(), want.results[q].size()) << "query " << q;
+    for (size_t i = 0; i < want.results[q].size(); ++i) {
+      EXPECT_EQ(got->results[q][i].id, want.results[q][i].id)
+          << "query " << q << " rank " << i;
+      EXPECT_FLOAT_EQ(got->results[q][i].dist, want.results[q][i].dist);
+    }
+    EXPECT_FALSE(got->stats[q].partial) << "query " << q;
+  }
+  for (const std::vector<float>* far : {&far_f, &far_g}) {
+    auto hit = engine.Search(far->data(), 1);
+    ASSERT_TRUE(hit.ok());
+    ASSERT_FALSE(hit->empty());
+    EXPECT_EQ((*hit)[0].dist, 0.f);
+    EXPECT_GE((*hit)[0].id, base_n);
+  }
+}
+
+/// Every chain of a saved index, walked from StorageIndex::ChainHead over
+/// a copy of its image, holds every id exactly once per pair, and its
+/// answers are whole (ExpectAnswersAreWhole).
+void ExpectSavedIndexIsWhole(const core::StorageIndex& index,
+                             const data::Dataset& all,
+                             const data::Dataset& queries, uint64_t base_n,
+                             const std::vector<float>& far_f,
+                             const std::vector<float>& far_g) {
+  const core::IndexLayout& layout = index.layout();
+  ASSERT_EQ(index.n(), all.n());
+  std::vector<uint8_t> image(index.sizes().storage_bytes);
+  for (uint64_t off = 0; off < image.size(); off += 1 << 16) {
+    const uint32_t len =
+        static_cast<uint32_t>(std::min<uint64_t>(1 << 16, image.size() - off));
+    ASSERT_TRUE(index.device()->ReadSync(off, image.data() + off, len).ok());
+  }
+  auto codec = core::ObjectInfoCodec::MakeWithIdBits(layout.id_bits, layout.fp);
+  ASSERT_TRUE(codec.ok());
+  for (uint32_t r = 0; r < layout.num_radii; ++r) {
+    for (uint32_t l = 0; l < layout.L; ++l) {
+      std::vector<uint32_t> seen(all.n(), 0);
+      for (uint32_t slot = 0; slot < layout.slots_per_table(); ++slot) {
+        uint64_t addr = index.ChainHead(r, l, slot);
+        for (uint64_t hops = 0; addr != 0; ++hops) {
+          ASSERT_LT(hops, all.n()) << "cyclic chain at r=" << r << " l=" << l;
+          ASSERT_LE(addr + layout.block_bytes, image.size());
+          const uint8_t* block = image.data() + addr;
+          ASSERT_TRUE(core::VerifyBlockCrc(block, layout.block_bytes));
+          const core::BlockHeader hdr = core::BlockHeader::DecodeFrom(block);
+          for (uint32_t e = 0; e < hdr.count; ++e) {
+            const uint32_t id = codec->DecodeId(codec->Read(
+                block + core::kBlockHeaderBytes + e * core::kObjectInfoBytes));
+            ASSERT_LT(id, all.n());
+            ++seen[id];
+          }
+          addr = hdr.next;
+        }
+      }
+      for (uint64_t id = 0; id < all.n(); ++id) {
+        ASSERT_EQ(seen[id], 1u) << "id " << id << " at r=" << r << " l=" << l;
+      }
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectAnswersAreWhole(index, all, all, queries, base_n, far_f, far_g));
+}
+
+/// Pairs in which the saved head block of `row`'s bucket holds exactly
+/// `count` entries.
+uint32_t PairsWithHeadCount(Index* idx, const std::vector<float>& row,
+                            uint32_t count) {
+  const core::StorageIndex& index = *idx->storage_index();
+  const core::IndexLayout& layout = index.layout();
+  std::vector<uint8_t> block(layout.block_bytes);
+  uint32_t pairs = 0;
+  for (uint32_t r = 0; r < layout.num_radii; ++r) {
+    for (uint32_t l = 0; l < layout.L; ++l) {
+      const uint32_t h = index.family().Get(r, l).Hash32(row.data());
+      const uint64_t head = index.ChainHead(r, l, layout.fp.TableIndex(h));
+      if (head == 0 ||
+          !idx->device()->ReadSync(head, block.data(), layout.block_bytes).ok()) {
+        continue;
+      }
+      if (core::BlockHeader::DecodeFrom(block.data()).count == count) ++pairs;
+    }
+  }
+  return pairs;
+}
+
+TEST(LiveUpdate, SaveRelocatesFullHeadsAndKeepsEveryEntry) {
+  for (const std::string scheme : {"file:", "sim:cssd"}) {
+    auto t = MakeData();
+    const uint64_t base_n = t.gen.base.n();
+    const uint32_t dim = t.gen.base.dim();
+    // F is far from every base row: 120 built copies fill its head block
+    // in every pair. G is far from both, so its buckets are born live in
+    // the pairs where its slot was empty at build time.
+    const std::vector<float> far_f(dim, 40.0f);
+    const std::vector<float> far_g(dim, -40.0f);
+    TestData built = t;
+    for (int i = 0; i < 120; ++i) built.gen.base.Append(far_f.data());
+    data::Dataset all = built.gen.base;
+
+    std::string uri = scheme;
+    if (scheme == "file:") uri += ::testing::TempDir() + "/e2_live_reloc.bin";
+    const std::string meta = ::testing::TempDir() + "/e2_live_reloc.meta";
+    auto idx = BuildOn(built, uri);
+    ASSERT_TRUE(idx.ok()) << uri << ": " << idx.status().ToString();
+    auto insert = [&](const float* rows, uint32_t count) {
+      auto first = (*idx)->InsertBatch(rows, count);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      ASSERT_EQ(*first, all.n());
+      for (uint32_t i = 0; i < count; ++i) all.Append(rows + size_t{i} * dim);
+    };
+    auto save_and_reopen = [&] {
+      ASSERT_TRUE((*idx)->Save(meta).ok());
+      idx->reset();
+      idx = Index::Open(meta, OpenSpec{uri}, all);
+      ASSERT_TRUE(idx.ok()) << uri << ": " << idx.status().ToString();
+    };
+
+    // Round 1: the first F copies every full built head of F's buckets
+    // away from its rank address and prepends a block in front of the
+    // copy; the rest of the batch fills that block and a second one in
+    // front of it. The extra rows copy heads on write; G starts new
+    // buckets. Save writes each new head at its bucket's rank address.
+    const uint32_t per_block =
+        (*idx)->storage_index()->layout().objects_per_block();
+    std::vector<float> fs;
+    for (uint32_t i = 0; i < 2 * per_block; ++i) {
+      fs.insert(fs.end(), far_f.begin(), far_f.end());
+    }
+    ASSERT_NO_FATAL_FAILURE(insert(fs.data(), 2 * per_block));
+    const auto extras = MakeExtraRows(96);
+    ASSERT_NO_FATAL_FAILURE(
+        insert(extras.Row(0), static_cast<uint32_t>(extras.n())));
+    ASSERT_NO_FATAL_FAILURE(insert(far_g.data(), 1));
+    ASSERT_NO_FATAL_FAILURE(save_and_reopen());
+    EXPECT_FALSE((*idx)->storage_index()->born_live().empty()) << uri;
+    // The second, filled prepend now sits at F's rank addresses.
+    EXPECT_GT(PairsWithHeadCount(idx->get(), far_f, per_block), 0u) << uri;
+    ASSERT_NO_FATAL_FAILURE(ExpectSavedIndexIsWhole(
+        *(*idx)->storage_index(), all, t.gen.queries, base_n, far_f, far_g));
+
+    // Round 2: the heads the first save wrote at the rank addresses are
+    // full, so one more F copies them away again and prepends in front of
+    // the copies; another G grows born-live buckets.
+    ASSERT_NO_FATAL_FAILURE(insert(far_f.data(), 1));
+    ASSERT_NO_FATAL_FAILURE(insert(far_g.data(), 1));
+    ASSERT_NO_FATAL_FAILURE(save_and_reopen());
+    EXPECT_GT(PairsWithHeadCount(idx->get(), far_f, 1), 0u) << uri;
+    ASSERT_NO_FATAL_FAILURE(ExpectSavedIndexIsWhole(
+        *(*idx)->storage_index(), all, t.gen.queries, base_n, far_f, far_g));
+    idx->reset();
+    std::remove(meta.c_str());
+    std::remove((meta + ".image").c_str());
+    if (scheme == "file:") std::remove(uri.substr(5).c_str());
   }
 }
 
@@ -334,17 +513,15 @@ TEST(LiveUpdate, InsertReadsOnlyOldPagesOnceEachInDeepBursts) {
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EXPECT_EQ(live.n(), t.gen.base.n() + 1);
 
-  // Every read is of a table entry or of a block the build wrote: the
-  // blocks the insert allocates are written without being read.
+  // Every read is of a block the build wrote: the blocks the insert
+  // allocates are written without being read.
   ASSERT_FALSE(log.offsets.empty());
-  const uint64_t table_end = layout.table_base + layout.total_table_bytes();
   for (const uint64_t off : log.offsets) {
-    const bool table_entry = off >= layout.table_base && off < table_end;
     const bool old_block =
         off >= layout.bucket_base &&
         (off - layout.bucket_base) % layout.block_bytes == 0 &&
         off + layout.block_bytes <= built_end;
-    EXPECT_TRUE(table_entry || old_block) << "read at " << off;
+    EXPECT_TRUE(old_block) << "read at " << off;
   }
   std::vector<uint64_t> sorted = log.offsets;
   std::sort(sorted.begin(), sorted.end());
@@ -623,6 +800,85 @@ TEST(LiveUpdate, InsertsSurviveInjectedFaultsWithRetry) {
     EXPECT_EQ(qs.corrupt_blocks, 0u);
   }
   EXPECT_GT((*idx)->device_stats().faults_injected, 0u);
+}
+
+/// Pass-through over a queue-making device whose writes fail once armed.
+class FailingWriteDevice : public storage::BlockDevice {
+ public:
+  explicit FailingWriteDevice(storage::BlockDevice* inner) : inner_(inner) {}
+  /// Let `writes` more writes land, then fail every write; -1 disarms.
+  void FailAfter(int64_t writes) { left_ = writes; }
+
+  Status SubmitRead(const storage::IoRequest& req) override {
+    return inner_->SubmitRead(req);
+  }
+  size_t PollCompletions(storage::IoCompletion* out, size_t max) override {
+    return inner_->PollCompletions(out, max);
+  }
+  Status Write(uint64_t offset, const void* data, uint32_t length) override {
+    if (left_ == 0) return Status::IoError("injected write failure");
+    if (left_ > 0) --left_;
+    return inner_->Write(offset, data, length);
+  }
+  uint64_t capacity() const override { return inner_->capacity(); }
+  uint32_t outstanding() const override { return inner_->outstanding(); }
+  std::string name() const override { return "failing-write"; }
+  storage::DeviceStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+  storage::QueueResult CreateQueue(
+      const storage::QueueOptions& options) override {
+    return inner_->CreateQueue(options);
+  }
+
+ private:
+  storage::BlockDevice* inner_;
+  int64_t left_ = -1;
+};
+
+TEST(LiveUpdate, FailedSaveKeepsEveryChainWholeAndRetrySucceeds) {
+  auto t = MakeData();
+  const uint64_t base_n = t.gen.base.n();
+  const uint32_t dim = t.gen.base.dim();
+  // F's built heads are full, so inserting F copies them away from their
+  // rank addresses; G starts born-live buckets (see
+  // SaveRelocatesFullHeadsAndKeepsEveryEntry).
+  const std::vector<float> far_f(dim, 40.0f);
+  const std::vector<float> far_g(dim, -40.0f);
+  for (int i = 0; i < 120; ++i) t.gen.base.Append(far_f.data());
+  auto mem = storage::MemoryDevice::Create(256ULL << 20);
+  ASSERT_TRUE(mem.ok());
+  FailingWriteDevice dev(mem->get());
+  auto index = BuildCore(t, &dev);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const data::Dataset& built = t.gen.base;
+  data::Dataset all = built;
+
+  core::LiveUpdater live(index->get());
+  const auto extras = MakeExtraRows(24);
+  std::vector<float> rows(far_f);
+  rows.insert(rows.end(), extras.Row(0), extras.Row(0) + extras.n() * dim);
+  rows.insert(rows.end(), far_g.begin(), far_g.end());
+  const uint32_t count = static_cast<uint32_t>(rows.size() / dim);
+  ASSERT_TRUE(live.InsertBatch(rows.data(), count).ok());
+  for (uint32_t i = 0; i < count; ++i) all.Append(rows.data() + size_t{i} * dim);
+
+  // The save writes one block per redirected built bucket: a few of them
+  // land at their rank addresses, then the device fails. Nothing links
+  // to those addresses, so the published chains still answer whole.
+  dev.FailAfter(4);
+  EXPECT_EQ(live.Flush().code(), StatusCode::kIoError);
+  ASSERT_NO_FATAL_FAILURE(ExpectAnswersAreWhole(
+      **index, built, all, t.gen.queries, base_n, far_f, far_g));
+
+  dev.FailAfter(-1);
+  ASSERT_TRUE(live.Flush().ok());
+  const std::string meta = ::testing::TempDir() + "/e2_live_failed_save.meta";
+  ASSERT_TRUE(core::SaveIndexMeta(**index, meta).ok());
+  auto reopened = core::LoadIndexMeta(meta, &dev);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_NO_FATAL_FAILURE(ExpectSavedIndexIsWhole(
+      **reopened, all, t.gen.queries, base_n, far_f, far_g));
+  std::remove(meta.c_str());
 }
 
 }  // namespace

@@ -117,7 +117,33 @@ TEST(Persistence, RejectsCorruptMagic) {
   std::fclose(f);
   auto dev = storage::MemoryDevice::Create(1 << 20);
   ASSERT_TRUE(dev.ok());
-  EXPECT_FALSE(LoadIndexMeta(path, dev->get()).ok());
+  EXPECT_EQ(LoadIndexMeta(path, dev->get()).status().code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(Persistence, RefusesPreV4ImagesByName) {
+  // A v3 header as the previous format wrote it: magic, then n and dim.
+  // Its image carries an on-storage hash table that format v4 no longer
+  // reads, so the file is refused with a pointer to a rebuild rather
+  // than served through a second read path.
+  const std::string path = ::testing::TempDir() + "/e2_v3_meta.bin";
+  auto dev = storage::MemoryDevice::Create(1 << 20);
+  ASSERT_TRUE(dev.ok());
+  for (const char* magic : {"E2OSIDX3", "E2OSIDX2"}) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const uint64_t n = 3000;
+    const uint32_t dim = 24;
+    std::fwrite(magic, 1, 8, f);
+    std::fwrite(&n, sizeof(n), 1, f);
+    std::fwrite(&dim, sizeof(dim), 1, f);
+    std::fclose(f);
+    const Status st = LoadIndexMeta(path, dev->get()).status();
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << magic;
+    EXPECT_NE(st.message().find("format v4"), std::string::npos) << st.ToString();
+    EXPECT_NE(st.message().find("rebuild"), std::string::npos) << st.ToString();
+  }
   std::remove(path.c_str());
 }
 

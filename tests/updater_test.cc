@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <set>
 
 #include "core/builder.h"
 #include "core/persistence.h"
@@ -134,6 +135,17 @@ TEST(Updater, ManyInsertsGrowChains) {
   ASSERT_TRUE(res.ok());
   ASSERT_FALSE(res->empty());
   EXPECT_EQ((*res)[0].id, start + 119);
+
+  // Full heads moved off their rank addresses on the way: no clone may
+  // be lost. The 121 nearest rows of the first clone are row 0 and all
+  // 120 clones.
+  QueryStats stats;
+  auto near = engine.Search(base.Row(start), 121, &stats);
+  ASSERT_TRUE(near.ok());
+  EXPECT_FALSE(stats.partial);
+  std::set<uint32_t> ids;
+  for (const auto& nb : *near) ids.insert(nb.id);
+  for (uint32_t i = 0; i < 120; ++i) EXPECT_EQ(ids.count(start + i), 1u) << i;
 }
 
 TEST(Updater, RemoveHidesObjectAndRestoreRevives) {
@@ -202,18 +214,33 @@ TEST(Updater, EnduranceAccountingPerInsert) {
   data::Dataset& base = f.gen.base;
   std::vector<float> p(base.Row(42), base.Row(42) + base.dim());
   base.Append(p.data());
+  // Row 42's buckets all exist; count those whose head block is full.
+  const IndexLayout& layout = f.index->layout();
+  std::vector<uint8_t> block(layout.block_bytes);
+  uint64_t full = 0;
+  for (uint32_t r = 0; r < layout.num_radii; ++r) {
+    for (uint32_t l = 0; l < layout.L; ++l) {
+      const uint32_t h = f.index->family().Get(r, l).Hash32(p.data());
+      const uint64_t head = f.index->ChainHead(r, l, layout.fp.TableIndex(h));
+      ASSERT_NE(head, 0u);
+      ASSERT_TRUE(f.device->ReadSync(head, block.data(), block.size()).ok());
+      const BlockHeader hdr = BlockHeader::DecodeFrom(block.data());
+      if (hdr.count == layout.objects_per_block()) ++full;
+    }
+  }
+  EXPECT_GT(full, 0u);
   IndexUpdater updater(f.index.get());
   ASSERT_TRUE(updater.Insert(base, static_cast<uint32_t>(base.n() - 1)).ok());
   const uint64_t pairs = static_cast<uint64_t>(f.params.num_radii()) * f.params.L;
-  // Upper bound: one block write + one table write per pair.
-  EXPECT_LE(updater.bytes_written(), pairs * (512 + 8));
-  EXPECT_GT(updater.bytes_written(), 0u);
+  // One block write per pair, plus one where a full head moves off its
+  // rank address to make room for a one-entry head (exact on mem:).
+  EXPECT_EQ(updater.bytes_written(), (pairs + full) * layout.block_bytes);
 }
 
 // ---------------------------------------------------------------------------
-// Direct-I/O regression: the updater's 8-byte table writes and 512-byte
-// block writes violate a direct device's alignment contract unless they
-// are staged through aligned read-modify-write windows.
+// Direct-I/O regression: the updater's 512-byte block writes violate a
+// 4K direct device's alignment contract unless they are staged through
+// aligned read-modify-write windows.
 // ---------------------------------------------------------------------------
 
 /// Hard-enforces a (larger) alignment unit on every read and write — a
@@ -268,9 +295,10 @@ TEST(UpdaterDirectIo, InsertThroughFourKAlignmentShim) {
 
   AlignmentShim shim(dev->get(), 4096);
   // The shim really enforces the contract the updater must survive:
-  // a bare 8-byte table write is exactly the historical failure.
-  uint64_t probe = 0;
-  EXPECT_EQ(shim.Write(8, &probe, 8).code(), StatusCode::kInvalidArgument);
+  // a bare 512-byte block write is rejected.
+  const std::vector<uint8_t> probe(512, 0);
+  EXPECT_EQ(shim.Write(512, probe.data(), 512).code(),
+            StatusCode::kInvalidArgument);
 
   auto reopened = LoadIndexMeta(meta, &shim);
   ASSERT_TRUE(reopened.ok());
