@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "util/aligned_buffer.h"
@@ -176,17 +177,7 @@ LiveUpdater::LiveUpdater(StorageIndex* index) : index_(index) {
 }
 
 Result<uint32_t> LiveUpdater::Insert(const float* row) {
-  if (row == nullptr) return Status::InvalidArgument("null row");
-  if (read_queue_ == nullptr) return queue_status_;
-  std::lock_guard<std::mutex> lock(mu_);
-  uint32_t id = 0;
-  const uint64_t cursor = next_block_;
-  if (Status st = StageInsertLocked(row, &id); !st.ok()) {
-    next_block_ = cursor;  // nothing committed points at the new blocks
-    return st;
-  }
-  PublishLocked();
-  return id;
+  return InsertBatch(row, 1);
 }
 
 Result<uint32_t> LiveUpdater::InsertBatch(const float* rows, uint32_t count) {
@@ -202,7 +193,7 @@ Result<uint32_t> LiveUpdater::InsertBatch(const float* rows, uint32_t count) {
     const uint64_t cursor = next_block_;
     if (Status st = StageInsertLocked(rows + static_cast<size_t>(i) * dim, &id);
         !st.ok()) {
-      next_block_ = cursor;
+      next_block_ = cursor;  // nothing committed points at the row's blocks
       // Rows staged before the failure stay inserted: publish them.
       if (i > 0) PublishLocked();
       return st;
@@ -318,6 +309,13 @@ Status LiveUpdater::StageInsertLocked(const float* row, uint32_t* id_out) {
     bool placed = false;
     if (head != 0) {
       E2_RETURN_NOT_OK(io.Read(head, block.data(), block_bytes));
+      // Appending re-stamps the block: a corrupt head must fail the row
+      // here, before its bad bytes are stamped as valid.
+      if (index_->checksums_enabled_ &&
+          !VerifyBlockCrc(block.data(), block_bytes)) {
+        return Status::IoError("corrupt chain head block at address " +
+                               std::to_string(head));
+      }
       BlockHeader hdr = BlockHeader::DecodeFrom(block.data());
       const uint32_t count = std::min<uint32_t>(hdr.count, per_block);
       if (count < per_block) {

@@ -1,11 +1,12 @@
-// core::LiveUpdater — index mutation concurrent with serving.
+// core::LiveUpdater — the one index updater (paper Sec. 7: insertion
+// and deletion as cheap maintenance of a storage-resident index).
 //
-// IndexUpdater (core/updater.h) mutates the StorageIndex and the device
-// in place and therefore requires external synchronization against
-// queries. LiveUpdater removes that requirement with epoch publication
+// Mutations run concurrently with serving through epoch publication
 // (core/epoch.h): every mutation is staged so that *nothing a reader can
 // currently observe changes* until an atomic publish makes the whole
-// mutation visible at once.
+// mutation visible at once. Offline maintenance is the same path:
+// Insert/Remove/Restore, then Flush() (which Index::Save runs) and
+// SaveIndexMeta.
 //
 // The staging discipline, writer side:
 //
@@ -43,7 +44,9 @@
 //     born-live map), reads every head block in one burst on the
 //     updater's private queue, and writes the blocks it allocates
 //     without reading them. Flush() stages its reads in a burst the same
-//     way.
+//     way. With checksums on, every staged head's CRC is verified before
+//     the row uses it: a corrupt head fails the row with IoError and
+//     nothing is written, so a flipped byte is never re-stamped as valid.
 //
 // Thread safety: any number of mutator threads may call
 // Insert/Remove/Restore concurrently (an internal mutex serializes
@@ -74,8 +77,8 @@ class LiveUpdater {
     uint64_t removes = 0;
     uint64_t restores = 0;
     uint64_t epochs_published = 0;
-    /// Bytes actually written to the device by staging (whole RMW
-    /// windows — the honest endurance number, as IndexUpdater reports).
+    /// Bytes actually written to the device by inserts and Flush (whole
+    /// RMW windows: the device-endurance figure).
     uint64_t staged_bytes = 0;
     /// Operations staged but not yet published (reader-visible lag;
     /// nonzero only mid-batch).
@@ -90,8 +93,9 @@ class LiveUpdater {
   LiveUpdater(const LiveUpdater&) = delete;
   LiveUpdater& operator=(const LiveUpdater&) = delete;
 
-  /// Insert one row (dim = index->dim() floats); returns the assigned
-  /// id (== effective n before the call) and publishes a new epoch.
+  /// Insert one row (dim = index->dim() floats): InsertBatch(row, 1).
+  /// Returns the assigned id (== effective n before the call) and
+  /// publishes a new epoch.
   /// Inserts stage through a private device queue: on a device that
   /// cannot create one, Insert and InsertBatch return the device's error
   /// and change nothing.

@@ -227,7 +227,17 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
   r.Bytes(bitmap.data(), bitmap_words * sizeof(uint64_t));
   index->bitmap_ = SlotBitmap(std::move(bitmap));
 
+  // Every writer (the builder, LiveUpdater::Flush) leaves the allocation
+  // cursor at the end of the image: a cursor inside it would let later
+  // inserts overwrite built blocks with validly stamped ones.
   r.Pod(&index->next_block_idx_);
+  const uint64_t image_end = index->sizes_.storage_bytes;
+  if (!r.ok() || image_end < layout.bucket_base ||
+      index->next_block_idx_ !=
+          (image_end - layout.bucket_base) / layout.block_bytes ||
+      layout.BlockAddr(index->next_block_idx_) != image_end) {
+    return corrupt("allocation cursor");
+  }
   uint64_t tombstones = 0;
   r.Pod(&tombstones);
   if (!r.ok() || tombstones > r.Fits(sizeof(uint32_t))) {
@@ -245,7 +255,6 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
   index->checksums_enabled_ = checksums != 0;
 
   // Every address must name a whole block inside the stored image.
-  const uint64_t image_end = index->sizes_.storage_bytes;
   const auto block_in_image = [&layout, image_end](uint64_t addr) {
     return addr >= layout.bucket_base &&
            (addr - layout.bucket_base) % layout.block_bytes == 0 &&

@@ -104,11 +104,10 @@ class StorageIndex {
     return epoch_publisher_;
   }
 
-  /// True if the object was removed via IndexUpdater::Remove; the query
-  /// engine skips such candidates (tombstones live in DRAM only).
-  /// Reflects built/loaded + quiesced-flushed state only: while a
-  /// LiveUpdater is publishing, the live truth is the current epoch's
-  /// tombstone set.
+  /// True if the object's tombstone was loaded with the meta file or
+  /// installed by LiveUpdater::Flush; the query engine skips such
+  /// candidates (tombstones live in DRAM only). While a LiveUpdater is
+  /// publishing, the live truth is the current epoch's tombstone set.
   bool IsDeleted(uint32_t id) const {
     return !tombstones_.empty() && tombstones_.count(id) > 0;
   }
@@ -140,7 +139,6 @@ class StorageIndex {
 
  private:
   friend class IndexBuilder;
-  friend class IndexUpdater;
   friend class LiveUpdater;
   friend Status SaveIndexMeta(const StorageIndex& index, const std::string& path);
   friend Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(

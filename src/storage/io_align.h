@@ -12,8 +12,9 @@
 //      raw block device;
 //   3. 512                   — the paper's NVMe minimum, otherwise.
 //
-// The result feeds BlockDevice::io_alignment(), which the query engine
-// uses to size and align its table-entry reads.
+// The result feeds BlockDevice::io_alignment(): the query engine widens
+// and aligns its bucket-block reads to it, and the live updater stages
+// its writes through read-modify-write windows of that size.
 #pragma once
 
 #include <cstdint>

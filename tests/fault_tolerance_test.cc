@@ -7,7 +7,8 @@
 //    (never returned), corruption is visible in QueryStats
 //    (corrupt_blocks / dropped_candidates / partial), a corrupted meta
 //    file is refused, and persistence round-trips the head addressing;
-//  * the updater keeps checksums valid across inserts;
+//  * live inserts keep checksums valid, and refuse to re-stamp a
+//    corrupt chain head;
 //  * RetryDevice makes transient faults invisible: with retries enabled
 //    and the same engine seed, results are bit-identical to a
 //    fault-free run;
@@ -25,10 +26,10 @@
 #include <vector>
 
 #include "core/builder.h"
+#include "core/live_updater.h"
 #include "core/persistence.h"
 #include "core/query_engine.h"
 #include "core/sharded_engine.h"
-#include "core/updater.h"
 #include "data/generators.h"
 #include "storage/device_registry.h"
 #include "storage/faulty_device.h"
@@ -270,8 +271,9 @@ TEST(Checksums, PersistenceRoundTripsHeadAddressing) {
   data::Dataset& base = f.gen.base;
   std::vector<float> far(base.dim(), 1000.0f);
   base.Append(far.data());
-  IndexUpdater updater(f.index.get());
-  ASSERT_TRUE(updater.Insert(base, static_cast<uint32_t>(base.n() - 1)).ok());
+  LiveUpdater live(f.index.get());
+  ASSERT_TRUE(live.Insert(far.data()).ok());
+  ASSERT_TRUE(live.Flush().ok());
   ASSERT_FALSE(f.index->born_live().empty());
 
   const std::string path = ::testing::TempDir() + "ft_meta_" +
@@ -316,24 +318,67 @@ TEST(Checksums, PersistenceRoundTripsChecksumlessIndex) {
 TEST(Checksums, UpdaterMaintainsChecksumsAcrossInserts) {
   auto f = MakeFixture(2000);
   // Insert 200 fresh objects (perturbed copies of existing rows): every
-  // touched or moved block is re-stamped, so a full-verification query
-  // stays clean.
-  data::Dataset& base = f.gen.base;
-  IndexUpdater updater(f.index.get());
+  // written or copied block is stamped, so a full-verification query
+  // stays clean, through the overlay and after Flush.
+  const data::Dataset& base = f.gen.base;
+  LiveUpdater live(f.index.get());
   std::vector<float> row(base.dim());
   for (uint32_t i = 0; i < 200; ++i) {
     const float* src = base.Row(i % 2000);
     for (uint32_t d = 0; d < base.dim(); ++d) row[d] = src[d] + 0.25f;
-    base.Append(row.data());
-    ASSERT_TRUE(updater.Insert(base, 2000 + i).ok()) << "insert " << i;
+    ASSERT_TRUE(live.Insert(row.data()).ok()) << "insert " << i;
   }
+  QueryEngine engine(f.index.get(), &base);
+  auto expect_clean = [&](const char* phase) {
+    auto batch = engine.SearchBatch(f.gen.queries, 10);
+    ASSERT_TRUE(batch.ok());
+    for (uint64_t q = 0; q < f.gen.queries.n(); ++q) {
+      EXPECT_EQ(batch->stats[q].corrupt_blocks, 0u) << phase << " query " << q;
+      EXPECT_FALSE(batch->stats[q].partial) << phase << " query " << q;
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(expect_clean("before Flush"));
+  ASSERT_TRUE(live.Flush().ok());
+  ASSERT_NO_FATAL_FAILURE(expect_clean("after Flush"));
+}
+
+TEST(Checksums, InsertRefusesCorruptHeadAndWritesNothing) {
+  // Appending to a head block re-stamps its CRC. A head whose bytes
+  // were flipped on the device must fail the insert, not come out of it
+  // validly stamped with the flipped byte kept.
+  auto f = MakeFixture(1500);
+  const IndexLayout& layout = f.index->layout();
+  const float* row = f.gen.base.Row(7);
+  std::vector<uint8_t> block(layout.block_bytes);
+  uint64_t head = 0;
+  for (uint32_t l = 0; l < layout.L && head == 0; ++l) {
+    const uint32_t h = f.index->family().Get(0, l).Hash32(row);
+    const uint64_t addr = f.index->ChainHead(0, l, layout.fp.TableIndex(h));
+    ASSERT_TRUE(f.device->ReadSync(addr, block.data(), block.size()).ok());
+    if (BlockHeader::DecodeFrom(block.data()).count < layout.objects_per_block()) {
+      head = addr;
+    }
+  }
+  ASSERT_NE(head, 0u) << "no radius-0 head of row 7 has room";
+  const uint8_t flipped = block[kBlockHeaderBytes] ^ 0x01;
+  ASSERT_TRUE(f.device->Write(head + kBlockHeaderBytes, &flipped, 1).ok());
   QueryEngine engine(f.index.get(), &f.gen.base);
-  auto batch = engine.SearchBatch(f.gen.queries, 10);
-  ASSERT_TRUE(batch.ok());
-  for (uint64_t q = 0; q < f.gen.queries.n(); ++q) {
-    EXPECT_EQ(batch->stats[q].corrupt_blocks, 0u) << "query " << q;
-    EXPECT_FALSE(batch->stats[q].partial) << "query " << q;
-  }
+  QueryStats before;
+  ASSERT_TRUE(engine.Search(row, 1, &before).ok());
+  ASSERT_GT(before.corrupt_blocks, 0u);
+
+  LiveUpdater live(f.index.get());
+  const uint64_t written = f.device->stats().bytes_written;
+  const auto id = live.Insert(row);
+  EXPECT_EQ(id.status().code(), StatusCode::kIoError);
+  EXPECT_NE(id.status().message().find(std::to_string(head)), std::string::npos)
+      << id.status().ToString();
+  EXPECT_EQ(f.device->stats().bytes_written, written);
+  EXPECT_EQ(live.n(), f.index->n());
+  EXPECT_EQ(live.epoch_seq(), 0u);
+  QueryStats after;
+  ASSERT_TRUE(engine.Search(row, 1, &after).ok());
+  EXPECT_EQ(after.corrupt_blocks, before.corrupt_blocks);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 // verify queries produce identical answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 
 #include "core/builder.h"
 #include "core/persistence.h"
@@ -12,6 +16,7 @@
 #include "data/generators.h"
 #include "storage/file_device.h"
 #include "storage/memory_device.h"
+#include "util/crc32c.h"
 
 namespace e2lshos::core {
 namespace {
@@ -182,6 +187,54 @@ TEST(Persistence, TruncatedFileRejected) {
   // Truncate the tail off.
   ::truncate(meta.c_str(), 64);
   EXPECT_FALSE(LoadIndexMeta(meta, dev->get()).ok());
+  std::remove(meta.c_str());
+}
+
+TEST(Persistence, RejectsAllocationCursorInsideImage) {
+  // The builder and LiveUpdater::Flush leave the allocation cursor at the
+  // image's end. A cursor inside the image would hand built blocks to
+  // later inserts, so it is refused even under a valid file checksum.
+  auto t = MakeData(800);
+  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  ASSERT_TRUE(dev.ok());
+  auto idx = IndexBuilder::Build(t.gen.base, t.params, dev->get());
+  ASSERT_TRUE(idx.ok());
+  const std::string meta = ::testing::TempDir() + "/e2_meta_cursor.bin";
+  ASSERT_TRUE(SaveIndexMeta(**idx, meta).ok());
+  std::vector<uint8_t> file;
+  {
+    std::ifstream in(meta, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), {});
+  }
+
+  // The cursor is followed by the (empty) tombstone count, the checksum
+  // flag and the first pair base.
+  const IndexLayout& layout = (*idx)->layout();
+  const uint64_t cursor =
+      ((*idx)->sizes().storage_bytes - layout.bucket_base) / layout.block_bytes;
+  const uint64_t no_tombstones = 0;
+  const uint8_t checksums = 1;
+  std::vector<uint8_t> pattern(25);
+  std::memcpy(pattern.data(), &cursor, 8);
+  std::memcpy(pattern.data() + 8, &no_tombstones, 8);
+  std::memcpy(pattern.data() + 16, &checksums, 1);
+  std::memcpy(pattern.data() + 17, (*idx)->pair_bases().data(), 8);
+  const auto at = std::search(file.begin(), file.end(), pattern.begin(),
+                              pattern.end());
+  ASSERT_NE(at, file.end());
+
+  const uint64_t lowered = cursor / 2;
+  std::memcpy(&*at, &lowered, 8);
+  const size_t body = file.size() - sizeof(uint32_t);
+  const uint32_t crc = util::Crc32c(file.data(), body);
+  std::memcpy(file.data() + body, &crc, sizeof(crc));
+  std::ofstream(meta, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(file.data()),
+             static_cast<std::streamsize>(file.size()));
+  const Status st = LoadIndexMeta(meta, dev->get()).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("allocation cursor"), std::string::npos)
+      << st.ToString();
   std::remove(meta.c_str());
 }
 
