@@ -18,7 +18,9 @@ HashFamily::HashFamily(uint32_t dim, const E2lshParams& params)
 uint64_t HashFamily::MemoryBytes() const {
   uint64_t bytes = 0;
   for (const auto& g : hashes_) {
-    bytes += static_cast<uint64_t>(g.m()) * (dim_ * sizeof(float) + 2 * sizeof(double));
+    // m projection rows and offsets, plus the one bucket width.
+    bytes += static_cast<uint64_t>(g.m()) * (dim_ * sizeof(float) + sizeof(double)) +
+             sizeof(double);
   }
   return bytes;
 }

@@ -15,45 +15,47 @@
 
 namespace e2lshos::lsh {
 
-/// \brief One scalar LSH function h(o) = floor((a.o + b) / w).
-class LshFunction {
- public:
-  LshFunction() = default;
+/// \brief The implementations of CompoundHash's projection routine. Each
+/// sums every dot product in util::Dot's order, so all of them return the
+/// same bits; a process runs the fastest one its CPU supports.
+enum class HashKernel { kScalar, kAvx2 };
 
-  /// Draw a ~ N(0, I_d), b ~ U[0, w).
-  LshFunction(uint32_t dim, double w, util::Rng& rng);
+/// Whether this CPU can run `kernel` (kScalar always can).
+bool HashKernelSupported(HashKernel kernel);
 
-  /// Hash a d-dimensional point.
-  int32_t Hash(const float* o) const;
+/// The kernel every CompoundHash in this process runs, picked once.
+HashKernel ActiveHashKernel();
 
-  /// The projection value (a.o + b) / w before flooring (used by tests
-  /// and by multi-probe style analyses).
-  double Project(const float* o) const;
+/// "scalar" or "avx2".
+const char* HashKernelName(HashKernel kernel);
 
-  uint32_t dim() const { return static_cast<uint32_t>(a_.size()); }
-  double w() const { return w_; }
-  const std::vector<float>& a() const { return a_; }
-  double b() const { return b_; }
-
- private:
-  std::vector<float> a_;
-  double b_ = 0.0;
-  double w_ = 1.0;
-};
-
-/// \brief A compound hash g(o) of m independent LSH functions folded to a
-/// 32-bit value.
+/// \brief A compound hash g(o) of m p-stable functions folded to a 32-bit
+/// value. The functions' projection vectors a_j are the rows of one
+/// contiguous m x d matrix.
 class CompoundHash {
  public:
   CompoundHash() = default;
 
-  /// Build m functions over dimension `dim` with bucket width `w`.
+  /// Draw m functions over dimension `dim` with bucket width `w`: for each
+  /// in turn, a ~ N(0, I_d), then b ~ U[0, w). A saved index regenerates
+  /// its functions from the seed, so this draw order is part of the format.
   CompoundHash(uint32_t dim, uint32_t m, double w, util::Rng& rng);
+
+  /// The projection routine behind every method below, on `kernel` (which
+  /// must be supported). For each function j: dots[j] = a_j . o in float,
+  /// floors[j] = floor((dots[j] + b_j) / w) in double, and, when
+  /// `residuals` is not null, residuals[j] = the fractional part in [0, 1).
+  /// Every array holds m() values.
+  void Project(HashKernel kernel, const float* o, float* dots, int32_t* floors,
+               float* residuals) const;
 
   /// 32-bit folded hash of a point: FNV-1a over the m floor values with a
   /// final avalanche. Two points receive equal values iff all m component
   /// hashes collide (modulo a 2^-32 false-collision rate).
-  uint32_t Hash32(const float* o) const;
+  uint32_t Hash32(const float* o) const { return Hash32(o, ActiveHashKernel()); }
+
+  /// Hash32 on a given kernel (tests pin every kernel to the same bits).
+  uint32_t Hash32(const float* o, HashKernel kernel) const;
 
   /// The raw m-dimensional hash vector (diagnostics / tests).
   void HashVector(const float* o, int32_t* out) const;
@@ -62,14 +64,18 @@ class CompoundHash {
   /// [0, 1)), the inputs to Multi-Probe perturbation scoring.
   void HashWithResiduals(const float* o, int32_t* floors, float* residuals) const;
 
-  uint32_t m() const { return static_cast<uint32_t>(funcs_.size()); }
-  const LshFunction& func(uint32_t j) const { return funcs_[j]; }
+  uint32_t m() const { return m_; }
+  double w() const { return w_; }
 
   /// Fold an m-vector of floor values to the 32-bit compound value.
   static uint32_t Fold(const int32_t* values, uint32_t m);
 
  private:
-  std::vector<LshFunction> funcs_;
+  uint32_t dim_ = 0;
+  uint32_t m_ = 0;
+  double w_ = 1.0;
+  std::vector<float> a_;   // m x dim_, row j is function j's projection
+  std::vector<double> b_;  // m offsets in [0, w_)
 };
 
 /// \brief Collision probability p_w(s) of h for two points at distance s,

@@ -27,7 +27,7 @@ namespace e2lshos::lsh {
 class MultiProbeSequence {
  public:
   /// `residuals[j]` in [0, 1): fractional position of the query within
-  /// component bucket j (from LshFunction::Project minus its floor).
+  /// component bucket j (CompoundHash::HashWithResiduals).
   explicit MultiProbeSequence(const std::vector<float>& residuals);
 
   /// The `t`-th best perturbation (0-based; t = -1 conceptually is the

@@ -1,43 +1,33 @@
 // CRC32C (Castagnoli) — the checksum used for on-device block integrity.
 //
-// Table-based slice-by-4 implementation: no SSE4.2 dependency, so the
-// same bits verify on any host. The polynomial (0x1EDC6F41, reflected
-// 0x82F63B78) matches iSCSI/ext4/LevelDB, i.e. what a hardware CRC32C
-// instruction would produce — swapping in an accelerated path later
-// cannot change stored checksums.
+// The polynomial (0x1EDC6F41, reflected 0x82F63B78) matches
+// iSCSI/ext4/LevelDB. Two kernels compute it: the SSE4.2 crc32
+// instruction where the CPU has one, a table-driven slice-by-4 loop
+// everywhere else. Both produce the same bits, so an image stamped on one
+// host verifies on any other.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
 namespace e2lshos::util {
 
-namespace crc_internal {
+/// \brief The implementations of Crc32cExtend.
+enum class Crc32cKernel { kTable, kSse42 };
 
-struct Crc32cTables {
-  std::array<std::array<uint32_t, 256>, 4> t;
+/// Whether this CPU can run `kernel` (kTable always can).
+bool Crc32cKernelSupported(Crc32cKernel kernel);
 
-  constexpr Crc32cTables() : t{} {
-    constexpr uint32_t kPoly = 0x82F63B78u;  // reflected Castagnoli
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int j = 0; j < 8; ++j) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? kPoly : 0u);
-      }
-      t[0][i] = crc;
-    }
-    for (uint32_t i = 0; i < 256; ++i) {
-      t[1][i] = (t[0][i] >> 8) ^ t[0][t[0][i] & 0xFFu];
-      t[2][i] = (t[1][i] >> 8) ^ t[0][t[1][i] & 0xFFu];
-      t[3][i] = (t[2][i] >> 8) ^ t[0][t[2][i] & 0xFFu];
-    }
-  }
-};
+/// The kernel Crc32cExtend runs in this process, picked once.
+Crc32cKernel ActiveCrc32cKernel();
 
-inline constexpr Crc32cTables kCrc32cTables{};
+/// "table" or "sse4.2".
+const char* Crc32cKernelName(Crc32cKernel kernel);
 
-}  // namespace crc_internal
+/// Crc32cExtend on a given kernel (tests compare kernels); `kernel` must
+/// be supported.
+uint32_t Crc32cExtend(Crc32cKernel kernel, uint32_t crc, const void* data,
+                      size_t len);
 
 /// Extend a running CRC32C over `len` bytes. Start (and finish) with
 /// the one-shot Crc32c() unless incrementally checksumming a stream;
@@ -45,21 +35,7 @@ inline constexpr Crc32cTables kCrc32cTables{};
 /// Crc32cExtend(Crc32cExtend(0xFFFFFFFF, a), b) finalized equals
 /// Crc32c over a||b.
 inline uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
-  const auto& t = crc_internal::kCrc32cTables.t;
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  while (len >= 4) {
-    crc ^= static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-           (static_cast<uint32_t>(p[2]) << 16) |
-           (static_cast<uint32_t>(p[3]) << 24);
-    crc = t[3][crc & 0xFFu] ^ t[2][(crc >> 8) & 0xFFu] ^
-          t[1][(crc >> 16) & 0xFFu] ^ t[0][crc >> 24];
-    p += 4;
-    len -= 4;
-  }
-  while (len-- > 0) {
-    crc = (crc >> 8) ^ t[0][(crc ^ *p++) & 0xFFu];
-  }
-  return crc;
+  return Crc32cExtend(ActiveCrc32cKernel(), crc, data, len);
 }
 
 /// One-shot CRC32C of a buffer (standard init 0xFFFFFFFF, final xor).

@@ -1,53 +1,24 @@
 // Distance and dot-product kernels.
 //
-// The paper accelerates hash value and distance computations with
-// AVX-512 (Sec. 3.5); we provide AVX-512/AVX2 intrinsic paths with a
-// portable scalar fallback. All method-vs-method comparisons share these
-// kernels, so relative speedups are preserved.
+// Each sums in four running float accumulators (lane i mod 4), adds them
+// as ((s0 + s1) + s2) + s3, then adds the d mod 4 tail. That order is
+// fixed: the hash family is regenerated when an index is loaded, so the
+// projections that built an image must come out bit for bit the same in
+// every later build. The root CMakeLists compiles with -ffp-contract=off
+// so no build fuses the multiply and the add. The hash projections run
+// the same sums through the run-time-dispatched kernels of
+// lsh/hash_function.cc.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 
-#if defined(__AVX512F__) || defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace e2lshos::util {
 
 /// \brief Squared Euclidean distance between two d-dimensional vectors.
 inline float SquaredL2(const float* a, const float* b, size_t d) {
   size_t i = 0;
-  float acc;
-#if defined(__AVX512F__)
-  __m512 vacc0 = _mm512_setzero_ps();
-  __m512 vacc1 = _mm512_setzero_ps();
-  for (; i + 32 <= d; i += 32) {
-    const __m512 d0 = _mm512_sub_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i));
-    const __m512 d1 =
-        _mm512_sub_ps(_mm512_loadu_ps(a + i + 16), _mm512_loadu_ps(b + i + 16));
-    vacc0 = _mm512_fmadd_ps(d0, d0, vacc0);
-    vacc1 = _mm512_fmadd_ps(d1, d1, vacc1);
-  }
-  for (; i + 16 <= d; i += 16) {
-    const __m512 d0 = _mm512_sub_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i));
-    vacc0 = _mm512_fmadd_ps(d0, d0, vacc0);
-  }
-  acc = _mm512_reduce_add_ps(_mm512_add_ps(vacc0, vacc1));
-#elif defined(__AVX2__)
-  __m256 vacc = _mm256_setzero_ps();
-  for (; i + 8 <= d; i += 8) {
-    const __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    vacc = _mm256_fmadd_ps(diff, diff, vacc);
-  }
-  __m128 lo = _mm256_castps256_ps128(vacc);
-  __m128 hi = _mm256_extractf128_ps(vacc, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_hadd_ps(lo, lo);
-  lo = _mm_hadd_ps(lo, lo);
-  acc = _mm_cvtss_f32(lo);
-#else
   float acc0 = 0.f, acc1 = 0.f, acc2 = 0.f, acc3 = 0.f;
   for (; i + 4 <= d; i += 4) {
     const float d0 = a[i] - b[i];
@@ -59,8 +30,7 @@ inline float SquaredL2(const float* a, const float* b, size_t d) {
     acc2 += d2 * d2;
     acc3 += d3 * d3;
   }
-  acc = acc0 + acc1 + acc2 + acc3;
-#endif
+  float acc = acc0 + acc1 + acc2 + acc3;
   for (; i < d; ++i) {
     const float diff = a[i] - b[i];
     acc += diff * diff;
@@ -76,31 +46,6 @@ inline float L2(const float* a, const float* b, size_t d) {
 /// \brief Dot product a . b over d dimensions.
 inline float Dot(const float* a, const float* b, size_t d) {
   size_t i = 0;
-  float acc;
-#if defined(__AVX512F__)
-  __m512 vacc0 = _mm512_setzero_ps();
-  __m512 vacc1 = _mm512_setzero_ps();
-  for (; i + 32 <= d; i += 32) {
-    vacc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i), vacc0);
-    vacc1 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i + 16),
-                            _mm512_loadu_ps(b + i + 16), vacc1);
-  }
-  for (; i + 16 <= d; i += 16) {
-    vacc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i), vacc0);
-  }
-  acc = _mm512_reduce_add_ps(_mm512_add_ps(vacc0, vacc1));
-#elif defined(__AVX2__)
-  __m256 vacc = _mm256_setzero_ps();
-  for (; i + 8 <= d; i += 8) {
-    vacc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), vacc);
-  }
-  __m128 lo = _mm256_castps256_ps128(vacc);
-  __m128 hi = _mm256_extractf128_ps(vacc, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_hadd_ps(lo, lo);
-  lo = _mm_hadd_ps(lo, lo);
-  acc = _mm_cvtss_f32(lo);
-#else
   float acc0 = 0.f, acc1 = 0.f, acc2 = 0.f, acc3 = 0.f;
   for (; i + 4 <= d; i += 4) {
     acc0 += a[i] * b[i];
@@ -108,8 +53,7 @@ inline float Dot(const float* a, const float* b, size_t d) {
     acc2 += a[i + 2] * b[i + 2];
     acc3 += a[i + 3] * b[i + 3];
   }
-  acc = acc0 + acc1 + acc2 + acc3;
-#endif
+  float acc = acc0 + acc1 + acc2 + acc3;
   for (; i < d; ++i) acc += a[i] * b[i];
   return acc;
 }

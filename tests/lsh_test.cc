@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "lsh/fingerprint.h"
@@ -37,31 +39,44 @@ std::vector<float> PointAtDistance(const std::vector<float>& base, double dist,
   return out;
 }
 
-TEST(LshFunction, HashIsFloorOfProjection) {
+TEST(CompoundHash, SingleFunctionHashIsFloorOfProjection) {
   util::Rng rng(1);
-  LshFunction h(16, 4.0, rng);
+  CompoundHash h(16, 1, 4.0, rng);
   util::Rng rng2(2);
   const auto p = RandomPoint(16, rng2);
-  EXPECT_EQ(h.Hash(p.data()),
-            static_cast<int32_t>(std::floor(h.Project(p.data()))));
+  int32_t hash = 0, fl = 0;
+  float residual = -1.0f;
+  h.HashVector(p.data(), &hash);
+  h.HashWithResiduals(p.data(), &fl, &residual);
+  EXPECT_EQ(hash, fl);
+  EXPECT_GE(residual, 0.0f);
+  EXPECT_LT(residual, 1.0f);
+  EXPECT_EQ(h.Hash32(p.data()), CompoundHash::Fold(&hash, 1));
 }
 
-TEST(LshFunction, OffsetWithinBucketWidth) {
+TEST(CompoundHash, OffsetWithinBucketWidth) {
+  // At the origin a . o = 0, so the projection is b / w: floor 0 and a
+  // residual in [0, 1) exactly when b lies in [0, w).
   util::Rng rng(3);
+  const std::vector<float> origin(8, 0.0f);
   for (int i = 0; i < 50; ++i) {
-    LshFunction h(8, 2.5, rng);
-    EXPECT_GE(h.b(), 0.0);
-    EXPECT_LT(h.b(), 2.5);
+    CompoundHash h(8, 1, 2.5, rng);
+    int32_t fl = -1;
+    float residual = -1.0f;
+    h.HashWithResiduals(origin.data(), &fl, &residual);
+    EXPECT_EQ(fl, 0);
+    EXPECT_GE(residual, 0.0f);
+    EXPECT_LT(residual, 1.0f);
   }
 }
 
-TEST(LshFunction, IdenticalPointsAlwaysCollide) {
+TEST(CompoundHash, IdenticalPointsAlwaysCollide) {
   util::Rng rng(4);
-  LshFunction h(32, 4.0, rng);
+  CompoundHash h(32, 1, 4.0, rng);
   util::Rng rng2(5);
   const auto p = RandomPoint(32, rng2);
   const auto q = p;
-  EXPECT_EQ(h.Hash(p.data()), h.Hash(q.data()));
+  EXPECT_EQ(h.Hash32(p.data()), h.Hash32(q.data()));
 }
 
 TEST(CollisionProbability, AnalyticPropertiesHold) {
@@ -87,10 +102,13 @@ TEST(CollisionProbability, MatchesEmpiricalRate) {
     int collisions = 0;
     const int trials = 4000;
     for (int t = 0; t < trials; ++t) {
-      LshFunction h(d, w, rng);
+      CompoundHash h(d, 1, w, rng);
       const auto p = RandomPoint(d, rng);
       const auto q = PointAtDistance(p, dist, rng);
-      collisions += h.Hash(p.data()) == h.Hash(q.data());
+      int32_t hp = 0, hq = 0;
+      h.HashVector(p.data(), &hp);
+      h.HashVector(q.data(), &hq);
+      collisions += hp == hq;
     }
     const double expected = CollisionProbability(w / dist);
     EXPECT_NEAR(static_cast<double>(collisions) / trials, expected, 0.035)
@@ -254,7 +272,7 @@ TEST(HashFamily, BucketWidthScalesWithRadius) {
   HashFamily fam(16, *params);
   // Component width at radius index r is w * c^r.
   for (uint32_t r = 0; r < params->num_radii(); ++r) {
-    EXPECT_NEAR(fam.Get(r, 0).func(0).w(), params->w * params->radii[r], 1e-9);
+    EXPECT_NEAR(fam.Get(r, 0).w(), params->w * params->radii[r], 1e-9);
   }
 }
 
@@ -316,6 +334,152 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CollisionCase{2.0, 1.0}, CollisionCase{4.0, 1.0},
                       CollisionCase{4.0, 2.0}, CollisionCase{8.0, 1.0},
                       CollisionCase{8.0, 4.0}, CollisionCase{16.0, 2.0}));
+
+// ---------------------------------------------------------------------------
+// Kernel bit identity. A saved index regenerates its hash family at load,
+// so every kernel, in every build, must reproduce the hashes existing
+// images were built with. The golden digests below were computed by the
+// per-function scalar code that built them.
+// ---------------------------------------------------------------------------
+
+// Golden inputs: the origin, then in turn non-negative SIFT-like
+// coordinates, Gaussians with negatives, vectors one third zeros, and
+// coordinates up to +-1e6.
+std::vector<float> GoldenPoint(uint32_t d, uint32_t i) {
+  util::Rng rng(0x601dULL + i);
+  std::vector<float> p(d, 0.0f);
+  if (i == 0) return p;
+  for (uint32_t k = 0; k < d; ++k) {
+    switch (i % 4) {
+      case 0: p[k] = static_cast<float>(rng.Uniform(0.0, 5.66)); break;
+      case 1: p[k] = static_cast<float>(rng.Gaussian(0.0, 3.0)); break;
+      case 2: p[k] = k % 3 == 0 ? 0.0f : static_cast<float>(rng.Gaussian()); break;
+      default:
+        p[k] = (k % 2 ? 1e6f : -1e6f) * static_cast<float>(rng.Uniform(0.0, 1.0));
+    }
+  }
+  return p;
+}
+
+uint64_t Mix(uint64_t h, uint32_t v) {
+  h ^= v;
+  return h * 0x100000001b3ULL;
+}
+
+constexpr uint64_t kDigestSeed = 0xcbf29ce484222325ULL;
+
+class HashKernelTest : public ::testing::TestWithParam<HashKernel> {
+ protected:
+  void SetUp() override {
+    if (!HashKernelSupported(GetParam())) {
+      GTEST_SKIP() << "this CPU cannot run the " << HashKernelName(GetParam())
+                   << " kernel";
+    }
+  }
+};
+
+TEST_P(HashKernelTest, SiftFamilyMatchesGoldenValues) {
+  // The registry's SIFT parameters at perfbench's scale: n = 20000,
+  // d = 128 -> m = 20, L = 11, 8 radii.
+  E2lshConfig cfg;
+  cfg.rho = 0.233;
+  cfg.x_max = 2.83;
+  auto params = ComputeParams(20000, 128, cfg);
+  ASSERT_TRUE(params.ok());
+  ASSERT_EQ(params->m, 20u);
+  ASSERT_EQ(params->L, 11u);
+  ASSERT_EQ(params->num_radii(), 8u);
+  HashFamily fam(128, *params);
+  const auto p1 = GoldenPoint(128, 1);
+  EXPECT_EQ(fam.Get(0, 0).Hash32(p1.data(), GetParam()), 1706097578u);
+  EXPECT_EQ(fam.Get(3, 5).Hash32(p1.data(), GetParam()), 1128347655u);
+  EXPECT_EQ(fam.Get(7, 10).Hash32(p1.data(), GetParam()), 2042814354u);
+  uint64_t digest = kDigestSeed;
+  for (uint32_t i = 0; i < 32; ++i) {
+    const auto p = GoldenPoint(128, i);
+    for (uint32_t r = 0; r < fam.num_radii(); ++r) {
+      for (uint32_t l = 0; l < fam.L(); ++l) {
+        digest = Mix(digest, fam.Get(r, l).Hash32(p.data(), GetParam()));
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x9d94a034ef12d2c0ULL);
+}
+
+TEST_P(HashKernelTest, OddShapesMatchGoldenValues) {
+  // m = 1, 3 and 21 reach a lone leftover row, a narrow pass, and full
+  // eight-row passes plus leftovers; d = 1, 3, 5 and 131 reach inputs
+  // shorter than four and d mod 4 tails of 1 and 3.
+  struct Golden {
+    uint32_t d, m;
+    uint64_t digest;
+  };
+  const Golden golden[] = {
+      {1, 1, 0x911384dbd4014288ULL},   {1, 3, 0x78c5dc529bfe0566ULL},
+      {1, 21, 0xbed7928fd0513badULL},  {3, 1, 0xd64a7b441644c88dULL},
+      {3, 3, 0x4f3049bf26a80019ULL},   {3, 21, 0x3f77bb8cb719c811ULL},
+      {5, 1, 0xd89722cb6befcfc9ULL},   {5, 3, 0xa02b6dfbd1586247ULL},
+      {5, 21, 0x6ddd81c42124ef01ULL},  {131, 1, 0xdbce2586664fe8abULL},
+      {131, 3, 0xf1d76b75950735f5ULL}, {131, 21, 0xb38e075591991462ULL},
+  };
+  for (const Golden& g : golden) {
+    util::Rng rng(g.d * 1000ULL + g.m);
+    const CompoundHash hash(g.d, g.m, 2.5, rng);
+    uint64_t digest = kDigestSeed;
+    for (uint32_t i = 0; i < 16; ++i) {
+      digest = Mix(digest, hash.Hash32(GoldenPoint(g.d, i).data(), GetParam()));
+    }
+    EXPECT_EQ(digest, g.digest) << "d = " << g.d << ", m = " << g.m;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, HashKernelTest,
+    ::testing::Values(HashKernel::kScalar, HashKernel::kAvx2),
+    [](const ::testing::TestParamInfo<HashKernel>& info) {
+      return std::string(HashKernelName(info.param));
+    });
+
+TEST(HashKernel, Avx2ProjectionsMatchScalarBitForBit) {
+  if (!HashKernelSupported(HashKernel::kAvx2)) {
+    GTEST_SKIP() << "this CPU cannot run the avx2 kernel";
+  }
+  // The float dot products themselves, not only the floors: a fused
+  // multiply-add changes the last bit of a dot long before it moves a
+  // floor. 20000 inputs x 67 rows = 1.34M dot products, with zeros,
+  // negatives, tiny values and +-1e6 mixed into every input; the shapes
+  // reach every d mod 4 tail and passes of one to four row pairs.
+  struct Shape {
+    uint32_t d, m;
+  };
+  const Shape shapes[] = {{128, 20}, {131, 21}, {5, 3}, {1, 1},
+                          {3, 7},    {64, 9},   {18, 6}};
+  util::Rng rng(99);
+  for (const Shape& s : shapes) {
+    const CompoundHash hash(s.d, s.m, 3.0, rng);
+    std::vector<float> o(s.d), dots(s.m), ref_dots(s.m);
+    std::vector<float> res(s.m), ref_res(s.m);
+    std::vector<int32_t> floors(s.m), ref_floors(s.m);
+    for (int n = 0; n < 20000; ++n) {
+      for (auto& v : o) {
+        switch (rng.NextU64Below(8)) {
+          case 0: v = 0.0f; break;
+          case 1: v = static_cast<float>(rng.Uniform(-1e6, 1e6)); break;
+          case 2: v = static_cast<float>(rng.Uniform(-1e-3, 1e-3)); break;
+          default: v = static_cast<float>(rng.Gaussian(0.0, 10.0));
+        }
+      }
+      hash.Project(HashKernel::kAvx2, o.data(), dots.data(), floors.data(), res.data());
+      hash.Project(HashKernel::kScalar, o.data(), ref_dots.data(),
+                   ref_floors.data(), ref_res.data());
+      ASSERT_EQ(0, std::memcmp(dots.data(), ref_dots.data(), s.m * sizeof(float)))
+          << "d = " << s.d << ", m = " << s.m << ", input " << n;
+      ASSERT_EQ(floors, ref_floors) << "d = " << s.d << ", m = " << s.m;
+      ASSERT_EQ(0, std::memcmp(res.data(), ref_res.data(), s.m * sizeof(float)))
+          << "d = " << s.d << ", m = " << s.m << ", input " << n;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace e2lshos::lsh

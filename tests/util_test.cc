@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
@@ -416,6 +417,44 @@ TEST(Distance, MatchesNaive) {
     }
     EXPECT_NEAR(util::SquaredL2(a.data(), b.data(), d), naive, 1e-3);
     EXPECT_NEAR(util::Dot(a.data(), b.data(), d), dot, 1e-3);
+  }
+}
+
+// The summation order util::Dot and util::SquaredL2 must keep in every
+// build: the hash projections of a saved index are recomputed when it is
+// loaded, possibly by a different build, so their bits cannot change.
+float FourAccumulatorSum(const float* a, const float* b, size_t d, bool diff) {
+  float s[4] = {0.f, 0.f, 0.f, 0.f};
+  const auto term = [&](size_t i) {
+    if (!diff) return a[i] * b[i];
+    const float t = a[i] - b[i];
+    return t * t;
+  };
+  size_t i = 0;
+  for (; i + 4 <= d; i += 4) {
+    for (size_t k = 0; k < 4; ++k) s[k] = s[k] + term(i + k);
+  }
+  float acc = ((s[0] + s[1]) + s[2]) + s[3];
+  for (; i < d; ++i) acc = acc + term(i);
+  return acc;
+}
+
+TEST(Distance, MatchesFourAccumulatorOrderBitForBit) {
+  util::Rng rng(4);
+  for (size_t d = 0; d <= 160; ++d) {
+    std::vector<float> a(d), b(d);
+    for (int rep = 0; rep < 50; ++rep) {
+      for (size_t i = 0; i < d; ++i) {
+        a[i] = static_cast<float>(rng.Gaussian(0.0, rep % 5 == 0 ? 1e6 : 10.0));
+        b[i] = static_cast<float>(rng.Gaussian(0.0, 10.0));
+      }
+      const float dot = util::Dot(a.data(), b.data(), d);
+      const float l2 = util::SquaredL2(a.data(), b.data(), d);
+      const float want_dot = FourAccumulatorSum(a.data(), b.data(), d, false);
+      const float want_l2 = FourAccumulatorSum(a.data(), b.data(), d, true);
+      ASSERT_EQ(0, std::memcmp(&dot, &want_dot, sizeof(float))) << "d = " << d;
+      ASSERT_EQ(0, std::memcmp(&l2, &want_l2, sizeof(float))) << "d = " << d;
+    }
   }
 }
 

@@ -40,10 +40,12 @@
 #include "api/index.h"
 #include "data/io.h"
 #include "data/registry.h"
+#include "lsh/hash_function.h"
 #include "net/client.h"
 #include "net/daemon.h"
 #include "net/socket.h"
 #include "util/clock.h"
+#include "util/crc32c.h"
 #include "util/parse.h"
 #include "util/rng.h"
 
@@ -533,6 +535,9 @@ int CmdServeDaemon(int argc, char** argv) {
   }
 
   if (Status st = daemon.Start(); !st.ok()) return Fail(st);
+  std::printf("kernels: hash=%s crc32c=%s\n",
+              lsh::HashKernelName(lsh::ActiveHashKernel()),
+              util::Crc32cKernelName(util::ActiveCrc32cKernel()));
   if (!GetS(flags, "listen").empty()) {
     std::printf("listening on unix:%s\n", GetS(flags, "listen").c_str());
   }
