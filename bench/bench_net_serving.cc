@@ -10,8 +10,8 @@
 // connection-level concurrency (N clients feeding the shared MPMC
 // submission queue). Expected shape: a single connection pays the
 // serialize/copy/wake tax per round trip; a handful of connections
-// recover most of the engine's batch capacity because handlers overlap
-// their waits inside the shard micro-batcher.
+// recover most of the engine's batch capacity because their queries
+// share the shards' free engine contexts.
 //
 // --shards S (default 2), --queries Q, --json PATH.
 #include "common.h"
@@ -204,8 +204,8 @@ int main(int argc, char** argv) {
   daemon.Wait();
   std::printf(
       "\nExpected shape: one connection pays the per-round-trip protocol "
-      "tax;\na handful of concurrent connections overlap inside the shard "
-      "micro-batcher\nand close most of the gap to the in-process batch "
+      "tax;\na handful of concurrent connections share the shards' free "
+      "engine contexts\nand close most of the gap to the in-process batch "
       "rate.\n");
   return 0;
 }

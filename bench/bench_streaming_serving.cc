@@ -5,10 +5,12 @@
 // actually exposes — per-query enqueue→completion latency under a
 // sustained arrival process. A producer thread submits queries into a
 // bounded SubmissionQueue at a target rate while a StreamingServer
-// drains it across N engine shards (micro-batches, no global barrier);
-// each point of the sweep reports achieved QPS and p50/p95/p99/max
-// latency. Expected shape: latency is flat while the offered rate is
-// below the engine's batch capacity, then the queue saturates and p99
+// drains it across N engine shards (each shard admits a query into a
+// free engine context as soon as it arrives; no global barrier); each
+// point of the sweep reports achieved QPS, p50/p95/p99/max latency and
+// the mean number of queries admitted per admitting engine poll
+// (mean_batch_size). Expected shape: latency is flat while the offered
+// rate is below the engine's capacity, then the queue saturates and p99
 // blows up — the classic open-loop hockey stick.
 //
 // --shards S (default 2), --json PATH for machine-readable rows,
@@ -43,8 +45,6 @@ RatePoint RunPoint(core::ShardedQueryEngine* engine, const bench::Workload& w,
   core::SubmissionQueue queue(w.dim(), 1024);
   core::ServerOptions sopts;
   sopts.k = k;
-  sopts.max_batch_size = 32;
-  sopts.max_wait_us = 200;
   sopts.deadline_us = deadline_us;
   core::StreamingServer server(engine, sopts);
   if (!server.Start(&queue).ok()) return point;
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Streaming serving (" + spec->name + "): arrival rate vs. latency",
       {"offered qps", "achieved qps", "sustained qps", "p50 us", "p95 us",
-       "p99 us", "max us", "mean batch", "rejected"});
+       "p99 us", "max us", "admitted/poll", "rejected"});
 
   for (const double frac : {0.25, 0.5, 0.7, 0.85, 1.0, 1.2}) {
     const double rate = std::max(100.0, frac * capacity);

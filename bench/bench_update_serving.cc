@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
       }
       ServeSpec serve;
       serve.k = 10;
-      serve.max_batch_size = 16;
       serve.search.shards = shards;
       auto served = (*idx)->Serve(serve);
       if (!served.ok()) {
@@ -199,8 +198,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Expected shape: p99 at a nonzero update rate stays within 2x of the "
-      "same\nshard count's no-writes p99 — readers pick epochs up at "
-      "micro-batch\nboundaries and never block on the writer; the residual "
+      "same\nshard count's no-writes p99 — each query pins the epoch "
+      "current at its\nadmission and never blocks on the writer; the residual "
       "interference is the\ndevice-level contention of staging I/O with "
       "query reads.\n");
   return failures == 0 ? 0 : 1;

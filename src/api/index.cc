@@ -315,8 +315,6 @@ Result<std::unique_ptr<Server>> Index::Serve(const ServeSpec& spec) {
 
   core::ServerOptions opts;
   opts.k = spec.k;
-  opts.max_batch_size = spec.max_batch_size;
-  opts.max_wait_us = spec.max_wait_us;
   opts.deadline_us = spec.deadline_us;
   opts.on_result = spec.on_result;
 

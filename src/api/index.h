@@ -85,8 +85,10 @@ struct SearchSpec {
 /// \brief Streaming-serving configuration for Index::Serve.
 struct ServeSpec {
   uint32_t k = 10;                ///< Neighbors returned per query.
-  uint32_t max_batch_size = 64;   ///< Micro-batch dispatch threshold.
-  uint64_t max_wait_us = 200;     ///< Micro-batch age-out.
+  /// Ignored; read by perfbench until the next benchmark change. Each
+  /// query enters a free engine context as soon as it arrives.
+  uint32_t max_batch_size = 64;
+  uint64_t max_wait_us = 200;     ///< Ignored, as max_batch_size.
   uint64_t deadline_us = 0;       ///< Load shedding; 0 = off.
   /// Per-query completion callback (worker threads; must be
   /// thread-safe). Optional — poll Server::stats() for a stats-only run,
@@ -191,13 +193,14 @@ class Index {
 
   /// Live mutations — legal while a Server is serving (unlike the query
   /// entry points): staged through core::LiveUpdater and published as
-  /// epochs that in-flight queries pick up at micro-batch boundaries.
+  /// epochs. A query pins the current epoch when an engine context
+  /// admits it, so queries already running keep their snapshot.
   /// Thread-safe against each other and against serving.
   ///
   /// Insert one row of dim() floats; returns the assigned id (== n()
   /// before the call). The row becomes searchable exactly when the
-  /// epoch publishes — a SearchBatch starting after Insert returns is
-  /// guaranteed to see it.
+  /// epoch publishes — every query admitted after Insert returns, served
+  /// or from a SearchBatch, is guaranteed to see it.
   Result<uint32_t> Insert(const float* row);
   /// Insert `count` contiguous rows; ids are consecutive from the
   /// returned first id, and all become visible together (one epoch).

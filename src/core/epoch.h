@@ -4,8 +4,9 @@
 // Writers (core::LiveUpdater) stage bucket-block mutations into
 // copy-on-write device blocks plus DRAM-side overlay state, then
 // atomically publish an immutable EpochState snapshot. Readers
-// (core::QueryEngine) acquire the current snapshot once per micro-batch
-// (SearchBatch) and consult only it for the duration of the batch:
+// (core::QueryEngine) acquire the current snapshot once per query, when
+// an engine context admits it, and consult only it until the query
+// finishes — so every query admitted after a mutation returned sees it:
 //
 //   * `overlay` redirects a bucket's chain head away from the head the
 //     StorageIndex computes (its rank address or born-live entry; saved

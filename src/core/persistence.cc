@@ -187,7 +187,8 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
   r.Pod(&layout.block_bytes);
   r.Pod(&layout.bucket_base);
   if (!r.ok() || layout.num_radii == 0 || layout.L == 0 || layout.fp.u == 0 ||
-      layout.fp.u > lsh::kHashBits ||
+      layout.fp.u > lsh::kHashBits || layout.id_bits == 0 ||
+      layout.id_bits > 8 * kObjectInfoBytes - layout.fp.fingerprint_bits() ||
       layout.block_bytes < kBlockHeaderBytes + kObjectInfoBytes ||
       layout.bucket_base != layout.block_bytes) {
     return corrupt("layout");
@@ -297,6 +298,8 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
 
   // The hash family is fully determined by (dim, params): regenerate it.
   index->family_ = lsh::HashFamily(index->dim_, p);
+  // The DRAM figure describes this build's structures, not the writer's.
+  index->sizes_.dram_index_bytes = index->DramIndexBytes();
   return index;
 }
 

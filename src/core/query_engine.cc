@@ -1,6 +1,7 @@
 #include "core/query_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <thread>
 
@@ -23,8 +24,9 @@ QueryEngine::QueryEngine(const StorageIndex* index, const data::Dataset* base,
   for (auto& ctx : contexts_) {
     ctx.hashes.resize(index_->layout().L);
   }
-  max_chain_blocks_ = static_cast<uint32_t>(
-      index_->n() / index_->layout().objects_per_block() + 2);
+  // The layout comes from a built or validated index; cannot fail.
+  codec_ = *ObjectInfoCodec::MakeWithIdBits(index_->layout().id_bits,
+                                            index_->layout().fp);
   slots_.resize(options_.max_inflight_ios);
   free_slots_.reserve(slots_.size());
   // Reads are issued at the device's advertised granularity (io_alignment
@@ -56,14 +58,18 @@ QueryEngine::QueryEngine(const StorageIndex* index, const data::Dataset* base,
   }
 }
 
-void QueryEngine::StartQuery(Context* ctx, int64_t query_idx, const float* q,
-                             uint32_t k) {
-  ctx->query_idx = query_idx;
-  ctx->q = q;
-  ctx->topk = std::make_unique<util::TopK>(k);
+void QueryEngine::StartQuery(Context* ctx) {
+  ctx->busy = true;
+  ++busy_;
+  ctx->topk = std::make_unique<util::TopK>(ctx->query.k);
   ctx->checked.clear();
   ctx->radius_idx = 0;
   ctx->stats = QueryStats{};
+  // Chain budgets follow the epoch's n: live inserts lengthen chains.
+  ctx->epoch = index_->epoch_publisher()->Acquire();
+  ctx->effective_n = ctx->epoch != nullptr ? ctx->epoch->n : index_->n();
+  ctx->max_chain_blocks = static_cast<uint32_t>(
+      ctx->effective_n / index_->layout().objects_per_block() + 2);
   ctx->start_ns = util::NowNs();
   BeginRadius(ctx);
 }
@@ -78,10 +84,11 @@ void QueryEngine::BeginRadius(Context* ctx) {
   ctx->draining = false;
   ++ctx->stats.radii_searched;
 
+  const EpochState* epoch = ctx->epoch.get();
   const std::unordered_map<uint64_t, uint64_t>* overlay =
-      (epoch_ != nullptr && epoch_->overlay != nullptr &&
-       !epoch_->overlay->empty())
-          ? epoch_->overlay.get()
+      (epoch != nullptr && epoch->overlay != nullptr &&
+       !epoch->overlay->empty())
+          ? epoch->overlay.get()
           : nullptr;
   for (uint32_t l = 0; l < layout.L; ++l) {
     const uint32_t h = ctx->hashes[l];
@@ -101,7 +108,7 @@ void QueryEngine::BeginRadius(Context* ctx) {
     PendingIssue p;
     p.addr = head;
     p.expected_fp = layout.fp.Fingerprint(h);
-    p.chain_budget = max_chain_blocks_;
+    p.chain_budget = ctx->max_chain_blocks;
     ctx->to_issue.push_back(p);
   }
 }
@@ -149,7 +156,6 @@ bool QueryEngine::IssueFrom(Context* ctx) {
     }
     ctx->to_issue.pop_front();
     free_slots_.pop_back();
-    slot.in_use = true;
     slot.ctx = static_cast<uint32_t>(ctx - contexts_.data());
     slot.expected_fp = p.expected_fp;
     slot.chain_budget = p.chain_budget;
@@ -195,7 +201,7 @@ void QueryEngine::ProcessBucketBlock(Context* ctx, const IoSlot& slot) {
       continue;
     }
     const uint32_t id = codec.DecodeId(v);
-    if (id >= effective_n_) {
+    if (id >= ctx->effective_n) {
       // Corrupted entry (id beyond the database): never dereference it.
       ++ctx->stats.io_errors;
       continue;
@@ -206,14 +212,15 @@ void QueryEngine::ProcessBucketBlock(Context* ctx, const IoSlot& slot) {
     }
     // With an epoch pinned, its tombstone set is the complete live
     // truth; the index's own copy is frozen at built/loaded state.
+    const EpochState* epoch = ctx->epoch.get();
     const bool deleted =
-        epoch_ != nullptr ? epoch_->IsDeleted(id) : index_->IsDeleted(id);
+        epoch != nullptr ? epoch->IsDeleted(id) : index_->IsDeleted(id);
     if (deleted) {
       ++ctx->stats.tombstone_skips;
       continue;
     }
-    const float* row = (epoch_ != nullptr && id >= epoch_->base_rows)
-                           ? epoch_->RowPtr(id)
+    const float* row = (epoch != nullptr && id >= epoch->base_rows)
+                           ? epoch->RowPtr(id)
                            : base_->Row(id);
     const float dist = std::sqrt(util::SquaredL2(row, ctx->q, base_->dim()));
     ctx->topk->Push(id, dist);
@@ -240,48 +247,37 @@ void QueryEngine::ProcessBucketBlock(Context* ctx, const IoSlot& slot) {
 }
 
 void QueryEngine::HandleCompletion(const storage::IoCompletion& comp,
-                                   BatchResult* out, const data::Dataset& queries,
-                                   uint32_t k) {
+                                   QuerySource* source) {
   const uint32_t slot_idx = static_cast<uint32_t>(comp.user_data);
   IoSlot& slot = slots_[slot_idx];
   Context* ctx = &contexts_[slot.ctx];
 
   --ctx->pending_ios;
   --inflight_;
-  slot.in_use = false;
-
-  if (comp.code == StatusCode::kOk && ctx->query_idx >= 0) {
+  if (comp.code == StatusCode::kOk) {
     ProcessBucketBlock(ctx, slot);
-  } else if (comp.code != StatusCode::kOk && ctx->query_idx >= 0) {
+  } else {
     ++ctx->stats.io_errors;
   }
   free_slots_.push_back(slot_idx);
 
   // When draining, queued probes for this radius are abandoned.
   if (ctx->draining) ctx->to_issue.clear();
-  MaybeAdvance(ctx, out, queries, k);
+  MaybeAdvance(ctx, source);
 }
 
-void QueryEngine::MaybeAdvance(Context* ctx, BatchResult* out,
-                               const data::Dataset& queries, uint32_t k) {
+void QueryEngine::MaybeAdvance(Context* ctx, QuerySource* source) {
   const lsh::E2lshParams& params = index_->params();
-  for (;;) {
-    if (ctx->query_idx < 0) return;
-    if (ctx->pending_ios > 0 || !ctx->to_issue.empty()) return;
-
+  while (ctx->pending_ios == 0 && ctx->to_issue.empty()) {
     // Radius drained: terminal test of the (R,c)-NN ladder. A query is
     // answered once the k-th best distance is within c*R, or the ladder
     // is exhausted.
     const double radius = params.radii[ctx->radius_idx];
     const bool satisfied =
         ctx->topk->full() && ctx->topk->WorstDist() <= params.c * radius;
-    const bool last = ctx->radius_idx + 1 >= params.num_radii();
-    if (satisfied || last) {
-      FinishQuery(ctx, out);
-      if (next_query_ >= total_queries_) return;
-      const int64_t idx = next_query_++;
-      StartQuery(ctx, idx, queries.Row(idx), k);
-      continue;  // the new query may begin with an all-empty radius
+    if (satisfied || ctx->radius_idx + 1 >= params.num_radii()) {
+      FinishQuery(ctx, source);
+      return;
     }
     ++ctx->radius_idx;
     BeginRadius(ctx);
@@ -289,74 +285,57 @@ void QueryEngine::MaybeAdvance(Context* ctx, BatchResult* out,
   }
 }
 
-void QueryEngine::FinishQuery(Context* ctx, BatchResult* out) {
+void QueryEngine::FinishQuery(Context* ctx, QuerySource* source) {
   ctx->stats.wall_ns = util::NowNs() - ctx->start_ns;
   ctx->stats.partial =
       ctx->stats.corrupt_blocks > 0 || ctx->stats.io_errors > 0;
-  out->results[ctx->query_idx] = ctx->topk->SortedResults();
-  out->stats[ctx->query_idx] = ctx->stats;
-  ctx->query_idx = -1;
-  ++completed_queries_;
+  ctx->epoch.reset();  // superseded epochs die once no query holds them
+  ctx->busy = false;
+  --busy_;
+  source->Finish(ctx->query, ctx->topk->SortedResults(), ctx->stats);
 }
 
-Result<BatchResult> QueryEngine::SearchBatch(const data::Dataset& queries,
-                                             uint32_t k) {
-  if (queries.dim() != base_->dim()) {
-    return Status::InvalidArgument("query dimension mismatch");
-  }
-  if (k == 0) return Status::InvalidArgument("k must be > 0");
-  {
-    auto codec = ObjectInfoCodec::MakeWithIdBits(index_->layout().id_bits,
-                                                 index_->layout().fp);
-    if (!codec.ok()) return codec.status();
-    codec_ = codec.value();
-  }
-  // Pin the current epoch for the whole batch (the micro-batch boundary
-  // of the live-update scheme — see core/epoch.h). Chain budgets follow
-  // the epoch's n: live inserts lengthen chains.
-  epoch_ = index_->epoch_publisher()->Acquire();
-  effective_n_ = epoch_ != nullptr ? epoch_->n : index_->n();
-  max_chain_blocks_ = static_cast<uint32_t>(
-      effective_n_ / index_->layout().objects_per_block() + 2);
-
-  BatchResult out;
-  out.results.resize(queries.n());
-  out.stats.resize(queries.n());
-  next_query_ = 0;
-  total_queries_ = static_cast<int64_t>(queries.n());
-  completed_queries_ = 0;
-  compute_ns_ = 0;
-  inflight_ = 0;
-
-  const uint64_t batch_start = util::NowNs();
-
-  // Prime the contexts.
-  for (auto& ctx : contexts_) {
-    if (next_query_ >= total_queries_) break;
-    const int64_t idx = next_query_++;
-    StartQuery(&ctx, idx, queries.Row(idx), k);
-    MaybeAdvance(&ctx, &out, queries, k);
-  }
-
-  std::vector<storage::IoCompletion> comps(64);
+void QueryEngine::Run(QuerySource* source) {
+  storage::IoCompletion comps[64];
+  bool open = true;
   uint32_t idle_spins = 0;
-  while (completed_queries_ < total_queries_) {
+  for (;;) {
     bool progressed = false;
     for (auto& ctx : contexts_) {
-      if (ctx.query_idx < 0) continue;
+      if (!open) break;
+      if (ctx.busy) continue;
+      const StreamPull pull = source->Pull(&ctx.query, &ctx.q);
+      if (pull != StreamPull::kReady) {
+        open = pull == StreamPull::kPending;
+        break;
+      }
+      StartQuery(&ctx);
+      progressed = true;
+    }
+    if (busy_ == 0) {
+      source->EndPoll();
+      if (!open) return;
+      // Idle: nothing in flight and nothing queued. Sleep briefly so an
+      // idle shard doesn't spin a core.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      continue;
+    }
+
+    for (auto& ctx : contexts_) {
+      if (!ctx.busy) continue;
       progressed |= IssueFrom(&ctx);
       // If every probe of the radius was dropped at submission (hard I/O
-      // errors), no completion will arrive to advance this context — do
-      // it here. No-op while I/Os are pending or queued.
+      // errors), or the radius had none, no completion will arrive to
+      // advance this context — do it here. No-op while I/Os are pending
+      // or queued.
       if (ctx.pending_ios == 0 && ctx.to_issue.empty()) {
-        MaybeAdvance(&ctx, &out, queries, k);
+        MaybeAdvance(&ctx, source);
         progressed = true;
       }
     }
-    const size_t n = index_->device()->PollCompletions(comps.data(), comps.size());
-    for (size_t i = 0; i < n; ++i) {
-      HandleCompletion(comps[i], &out, queries, k);
-    }
+    const size_t n = index_->device()->PollCompletions(comps, 64);
+    for (size_t i = 0; i < n; ++i) HandleCompletion(comps[i], source);
+    source->EndPoll();
     progressed |= n > 0;
     if (progressed) {
       idle_spins = 0;
@@ -373,10 +352,63 @@ Result<BatchResult> QueryEngine::SearchBatch(const data::Dataset& queries,
       }
     }
   }
+}
 
-  out.wall_ns = util::NowNs() - batch_start;
+namespace {
+
+/// Rows [begin, end) of a dataset, answered into `out` (row begin + i
+/// is result i).
+class RowSource : public QuerySource {
+ public:
+  RowSource(const data::Dataset& queries, uint64_t begin, uint64_t end,
+            uint32_t k, BatchResult* out)
+      : queries_(queries), begin_(begin), next_(begin), end_(end), k_(k),
+        out_(out) {}
+
+  StreamPull Pull(StreamQuery* q, const float** vec) override {
+    if (next_ == end_) return StreamPull::kClosed;
+    q->id = next_ - begin_;
+    q->k = k_;
+    *vec = queries_.Row(next_++);
+    return StreamPull::kReady;
+  }
+
+  void Finish(const StreamQuery& q, std::vector<util::Neighbor>&& neighbors,
+              const QueryStats& stats) override {
+    out_->results[q.id] = std::move(neighbors);
+    out_->stats[q.id] = stats;
+  }
+
+ private:
+  const data::Dataset& queries_;
+  const uint64_t begin_;
+  uint64_t next_;
+  const uint64_t end_;
+  const uint32_t k_;
+  BatchResult* out_;
+};
+
+}  // namespace
+
+Result<BatchResult> QueryEngine::SearchRows(const data::Dataset& queries,
+                                            uint64_t begin, uint64_t end,
+                                            uint32_t k) {
+  if (queries.dim() != base_->dim()) {
+    return Status::InvalidArgument("query dimension mismatch");
+  }
+  if (k == 0) return Status::InvalidArgument("k must be > 0");
+  if (begin > end || end > queries.n()) {
+    return Status::OutOfRange("query rows outside the dataset");
+  }
+  BatchResult out;
+  out.results.resize(end - begin);
+  out.stats.resize(end - begin);
+  RowSource source(queries, begin, end, k, &out);
+  compute_ns_ = 0;
+  const uint64_t start = util::NowNs();
+  Run(&source);
+  out.wall_ns = util::NowNs() - start;
   out.compute_ns = compute_ns_;
-  epoch_.reset();  // let superseded epochs die between batches
   return out;
 }
 

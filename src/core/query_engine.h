@@ -18,6 +18,12 @@
 // drained; a query completes when the k-th best distance is within c*R
 // (the (R,c)-NN ladder guarantee) or the ladder is exhausted.
 //
+// One loop (Run) serves every caller: between device polls it pulls from
+// a QuerySource into every free context, so a query starts as soon as a
+// context is free, never at a batch boundary (iteration-level
+// scheduling). SearchBatch runs the loop over a dataset's rows; the
+// streaming server runs it over its QueryStream.
+//
 // The synchronous mode (EngineOptions::synchronous) caps the queue depth
 // at one outstanding I/O — the Fig. 1(A) baseline of Sec. 6.5.
 #pragma once
@@ -28,6 +34,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/query_stream.h"
 #include "core/storage_index.h"
 #include "data/dataset.h"
 #include "util/aligned_buffer.h"
@@ -93,6 +100,22 @@ struct BatchResult {
   }
 };
 
+/// \brief Where QueryEngine::Run takes queries from and hands answers
+/// to; called from the engine's thread only.
+class QuerySource {
+ public:
+  virtual ~QuerySource() = default;
+  /// Admit the next query: set q->id and q->k (> 0) and point *vec at
+  /// its floats, valid until Finish(*q) (move them into q->vec to hand
+  /// them over). kPending: nothing now; kClosed: nothing ever again.
+  virtual StreamPull Pull(StreamQuery* q, const float** vec) = 0;
+  virtual void Finish(const StreamQuery& q,
+                      std::vector<util::Neighbor>&& neighbors,
+                      const QueryStats& stats) = 0;
+  /// After every poll round, whose Pull and Finish calls precede it.
+  virtual void EndPoll() {}
+};
+
 class QueryEngine {
  public:
   /// The index and base dataset must outlive the engine. The device used
@@ -101,7 +124,20 @@ class QueryEngine {
               const EngineOptions& options = {});
 
   /// Run top-k ANNS for every query in `queries`.
-  Result<BatchResult> SearchBatch(const data::Dataset& queries, uint32_t k);
+  Result<BatchResult> SearchBatch(const data::Dataset& queries, uint32_t k) {
+    return SearchRows(queries, 0, queries.n(), k);
+  }
+
+  /// Rows [begin, end) of `queries` only, read in place: result i
+  /// answers row begin + i.
+  Result<BatchResult> SearchRows(const data::Dataset& queries, uint64_t begin,
+                                 uint64_t end, uint32_t k);
+
+  /// Serve `source` until it reports kClosed and every admitted query is
+  /// answered; idle (no query in flight, kPending) costs a 20 us sleep.
+  /// A query pins the current epoch (core/epoch.h) from admission to
+  /// answer, so every query admitted after an Insert returned sees it.
+  void Run(QuerySource* source);
 
   /// Convenience: single query.
   Result<std::vector<util::Neighbor>> Search(const float* query, uint32_t k,
@@ -119,8 +155,14 @@ class QueryEngine {
   };
 
   struct Context {
-    int64_t query_idx = -1;  // -1 = idle
+    bool busy = false;
+    StreamQuery query;  ///< Id, k, and (for stream queries) the vector.
     const float* q = nullptr;
+    /// Pinned from StartQuery to FinishQuery; null when nothing was
+    /// published (the built image is then served byte for byte).
+    std::shared_ptr<const EpochState> epoch;
+    uint64_t effective_n = 0;        ///< Object count the epoch vouches for.
+    uint32_t max_chain_blocks = 0;   ///< Chain-cycle guard (corruption).
     std::unique_ptr<util::TopK> topk;
     std::unordered_set<uint32_t> checked;
     uint32_t radius_idx = 0;
@@ -140,24 +182,22 @@ class QueryEngine {
     uint8_t* buf = nullptr;
     uint32_t ctx = 0;
     uint32_t expected_fp = 0;
-    bool in_use = false;
     uint32_t chain_budget = 0;
     /// Offset of the block inside `buf`: a read widened to the device's
     /// alignment unit may start before the block.
     uint32_t buf_offset = 0;
   };
 
-  void StartQuery(Context* ctx, int64_t query_idx, const float* q, uint32_t k);
+  /// ctx->query and ctx->q hold the admitted query.
+  void StartQuery(Context* ctx);
   void BeginRadius(Context* ctx);
   /// Try to submit queued probes; returns true if anything was submitted.
   bool IssueFrom(Context* ctx);
-  void HandleCompletion(const storage::IoCompletion& comp, BatchResult* out,
-                        const data::Dataset& queries, uint32_t k);
+  void HandleCompletion(const storage::IoCompletion& comp, QuerySource* source);
   void ProcessBucketBlock(Context* ctx, const IoSlot& slot);
   /// Radius drained: advance the ladder or finish the query.
-  void MaybeAdvance(Context* ctx, BatchResult* out, const data::Dataset& queries,
-                    uint32_t k);
-  void FinishQuery(Context* ctx, BatchResult* out);
+  void MaybeAdvance(Context* ctx, QuerySource* source);
+  void FinishQuery(Context* ctx, QuerySource* source);
 
   const StorageIndex* index_;
   const data::Dataset* base_;
@@ -170,22 +210,9 @@ class QueryEngine {
   std::vector<IoSlot> slots_;
   std::vector<uint32_t> free_slots_;
   uint32_t inflight_ = 0;
-
-  // Batch progress.
-  int64_t next_query_ = 0;
-  int64_t total_queries_ = 0;
-  int64_t completed_queries_ = 0;
+  uint32_t busy_ = 0;  ///< Contexts holding a query.
   uint64_t compute_ns_ = 0;
   ObjectInfoCodec codec_;
-  /// Epoch pinned for the duration of the current batch (see
-  /// core/epoch.h): acquired once per SearchBatch — the micro-batch
-  /// boundary — so every query in the batch sees one consistent
-  /// snapshot of live mutations. Null when none were published; the
-  /// engine then runs the legacy (built-image) path byte for byte.
-  std::shared_ptr<const EpochState> epoch_;
-  /// Object count the pinned epoch (or the index) vouches for.
-  uint64_t effective_n_ = 0;
-  uint32_t max_chain_blocks_ = 0;  ///< Chain-cycle guard (corruption).
   /// Read granularity: the device-advertised direct-I/O alignment (4096
   /// on a 4Kn drive), never below one 512-byte sector.
   uint32_t io_unit_ = storage::kSectorBytes;

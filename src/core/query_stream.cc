@@ -32,6 +32,7 @@ Result<uint64_t> SubmissionQueue::Enqueue(const float* vec, uint32_t k) {
   q.vec.assign(vec, vec + dim_);
   const uint64_t id = q.id;
   queue_.push_back(std::move(q));
+  depth_.store(queue_.size(), std::memory_order_relaxed);
   return id;
 }
 
@@ -80,16 +81,20 @@ void SubmissionQueue::ConsumerStopped() {
 }
 
 bool SubmissionQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
+  return closed_.load(std::memory_order_relaxed);
 }
 
 size_t SubmissionQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+  return depth_.load(std::memory_order_relaxed);
 }
 
 StreamPull SubmissionQueue::TryPull(StreamQuery* out) {
+  // An open, empty queue answers without the lock: a busy shard polls
+  // here between device polls.
+  if (depth_.load(std::memory_order_relaxed) == 0 &&
+      !closed_.load(std::memory_order_relaxed)) {
+    return StreamPull::kPending;
+  }
   bool notify = false;
   StreamPull result;
   {
@@ -99,6 +104,7 @@ StreamPull SubmissionQueue::TryPull(StreamQuery* out) {
     } else {
       *out = std::move(queue_.front());
       queue_.pop_front();
+      depth_.store(queue_.size(), std::memory_order_relaxed);
       notify = !closed_;
       result = StreamPull::kReady;
     }

@@ -144,7 +144,10 @@ class SubmissionQueue : public QueryStream {
   std::condition_variable not_full_;
   std::deque<StreamQuery> queue_;
   uint64_t next_id_ = 0;
-  bool closed_ = false;
+  // Written under mu_; read without it by TryPull's empty-queue check,
+  // which the serving loop makes on every spin, and by depth().
+  std::atomic<size_t> depth_{0};
+  std::atomic<bool> closed_{false};
   bool consumer_stopped_ = false;
 };
 

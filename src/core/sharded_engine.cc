@@ -77,7 +77,7 @@ ShardedQueryEngine::ShardedQueryEngine(const StorageIndex* index,
 
   if (shards == 1 && !options.wrap_shard_device) {
     // Degenerate case: one engine straight on the index's device — no
-    // queue indirection, no worker thread, no batch slicing.
+    // queue indirection, no worker thread.
     engines_.push_back(std::make_unique<QueryEngine>(index_, base_, shard_opts_));
     return;
   }
@@ -123,32 +123,20 @@ Result<BatchResult> ShardedQueryEngine::SearchBatch(const data::Dataset& queries
 
   const std::vector<ShardRange> ranges = PartitionBatch(queries.n(), num_shards());
 
-  // Contiguous per-shard query slices (the engine API takes a Dataset;
-  // the one-time copy is tiny next to the base data, and keeps every
-  // shard's working set on its own cache lines).
-  std::vector<data::Dataset> slices(ranges.size());
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    if (ranges[s].size() == 0) continue;
-    data::Dataset slice(queries.name(), queries.dim());
-    slice.mutable_data().assign(
-        queries.Row(ranges[s].begin),
-        queries.Row(ranges[s].begin) + ranges[s].size() * queries.dim());
-    slice.set_n(ranges[s].size());
-    slices[s] = std::move(slice);
-  }
-
+  // Each shard reads its range of the caller's rows in place.
   std::vector<std::future<Result<BatchResult>>> futures(ranges.size());
   const uint64_t batch_start = util::NowNs();
   for (size_t s = 0; s < ranges.size(); ++s) {
     if (ranges[s].size() == 0) continue;
     QueryEngine* engine = engines_[s].get();
-    const data::Dataset* slice = &slices[s];
-    futures[s] = pool_->SubmitWithResult(
-        [engine, slice, k] { return engine->SearchBatch(*slice, k); });
+    const ShardRange range = ranges[s];
+    futures[s] = pool_->SubmitWithResult([engine, &queries, range, k] {
+      return engine->SearchRows(queries, range.begin, range.end, k);
+    });
   }
 
   // Collect every shard before acting on errors: outstanding futures
-  // reference the slices above.
+  // reference the caller's queries.
   std::vector<BatchResult> shard_results(ranges.size());
   Status first_error = Status::OK();
   for (size_t s = 0; s < ranges.size(); ++s) {

@@ -96,7 +96,7 @@ class ShardedQueryEngine {
   /// StorageIndex view (DRAM metadata is duplicated per shard, as in the
   /// Fig. 16 per-thread setup). A 1-shard engine with no device wrapper
   /// degenerates to a plain QueryEngine on the index's device: no queue
-  /// pair, no worker thread, no batch copy. Otherwise every shard takes
+  /// pair, no worker thread. Otherwise every shard takes
   /// a queue from BlockDevice::CreateQueue; when one cannot be created,
   /// the engine has no shards and status() (returned by SearchBatch and
   /// StreamingServer::Start) carries the device's error.
@@ -121,11 +121,11 @@ class ShardedQueryEngine {
   uint32_t dim() const { return base_->dim(); }
 
   /// Barrier-free dispatch for streaming serving: direct access to shard
-  /// `s`'s engine so a front-end (core::StreamingServer) can run
-  /// independent micro-batches on each shard with no whole-batch join.
-  /// A shard engine is single-threaded — exactly one caller may drive a
-  /// given shard at a time, and SearchBatch (which uses every shard)
-  /// must not run concurrently with per-shard dispatch.
+  /// `s`'s engine so a front-end (core::StreamingServer) can run one
+  /// persistent QueryEngine::Run loop per shard with no whole-batch
+  /// join. A shard engine is single-threaded — exactly one caller may
+  /// drive a given shard at a time, and SearchBatch (which uses every
+  /// shard) must not run concurrently with per-shard dispatch.
   QueryEngine* shard_engine(uint32_t s) { return engines_[s].get(); }
 
   /// The device shard `s` actually submits to (its queue, after any

@@ -1,17 +1,103 @@
 #include "core/streaming_server.h"
 
-#include <algorithm>
-#include <chrono>
-#include <map>
-
 #include "util/clock.h"
 
 namespace e2lshos::core {
 
+/// One shard's view of the shared stream: the deadline shed at pull
+/// time, Stop, and delivery and recording once per engine poll.
+class StreamingServer::ShardSource : public QuerySource {
+ public:
+  ShardSource(StreamingServer* server, ShardState* state)
+      : server_(server), state_(state) {}
+
+  StreamPull Pull(StreamQuery* q, const float** vec) override {
+    const uint64_t deadline_ns = server_->options_.deadline_us * 1000;
+    for (;;) {
+      // Once a stop is requested no new query is pulled; the admitted
+      // ones still finish and are delivered.
+      if (server_->stop_.load(std::memory_order_relaxed)) {
+        return StreamPull::kClosed;
+      }
+      // Under sustained overload the stream may hold nothing but expired
+      // queries: deliver a poll's worth of rejections (and keep polling
+      // the device) before pulling more.
+      if (shed_ >= kShedPerPoll) return StreamPull::kPending;
+      const StreamPull pull = server_->stream_->TryPull(q);
+      if (pull != StreamPull::kReady) return pull;
+      // A query that aged past the deadline while queued is shed, not
+      // admitted: serving it would burn I/O on an answer the client has
+      // already given up on, while stretching the p99 of the rest.
+      const uint64_t now = deadline_ns > 0 ? util::NowNs() : 0;
+      if (deadline_ns == 0 || now - q->enqueue_ns <= deadline_ns) break;
+      QueryResult out;
+      out.id = q->id;
+      out.status = Status::ResourceExhausted(
+          "deadline exceeded in submission queue (load shed)");
+      out.latency_ns = now - q->enqueue_ns;
+      done_.push_back(std::move(out));
+      ++shed_;
+    }
+    if (q->k == 0) q->k = server_->options_.k;
+    *vec = q->vec.data();
+    ++admitted_;
+    return StreamPull::kReady;
+  }
+
+  void Finish(const StreamQuery& q, std::vector<util::Neighbor>&& neighbors,
+              const QueryStats& stats) override {
+    const uint64_t now = util::NowNs();
+    QueryResult out;
+    out.id = q.id;
+    out.neighbors = std::move(neighbors);
+    out.stats = stats;
+    out.latency_ns = now > q.enqueue_ns ? now - q.enqueue_ns : 0;
+    done_.push_back(std::move(out));
+  }
+
+  // One shard-lock acquisition per poll, not per query; the callback
+  // runs outside the lock so a slow consumer can't stall a concurrent
+  // stats() reader.
+  void EndPoll() override {
+    if (admitted_ == 0 && done_.empty()) return;
+    const uint64_t now = util::NowNs();
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      if (admitted_ > 0) {
+        ++state_->admitting_polls;
+        state_->admitted += admitted_;
+      }
+      for (const QueryResult& out : done_) {
+        // Rejected queries are counted but not recorded in the latency
+        // histogram: the percentiles describe served traffic.
+        if (out.status.ok()) {
+          state_->recorder.Record(out.latency_ns, now);
+        } else {
+          ++state_->rejected;
+        }
+      }
+    }
+    admitted_ = 0;
+    shed_ = 0;
+    if (server_->options_.on_result) {
+      for (QueryResult& out : done_) server_->options_.on_result(std::move(out));
+    }
+    done_.clear();
+  }
+
+ private:
+  static constexpr uint32_t kShedPerPoll = 64;
+
+  StreamingServer* server_;
+  ShardState* state_;
+  uint32_t admitted_ = 0;           ///< Admitted in this poll.
+  uint32_t shed_ = 0;               ///< Shed in this poll.
+  std::vector<QueryResult> done_;   ///< Finished or shed in this poll.
+};
+
 StreamingServer::StreamingServer(ShardedQueryEngine* engine,
                                  const ServerOptions& options)
     : engine_(engine), options_(options) {
-  if (options_.max_batch_size == 0) options_.max_batch_size = 1;
   shards_.reserve(engine_->num_shards());
   for (uint32_t s = 0; s < engine_->num_shards(); ++s) {
     shards_.push_back(std::make_unique<ShardState>());
@@ -39,11 +125,9 @@ Status StreamingServer::Start(QueryStream* stream) {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     shard->recorder.Reset();
-    shard->completed = 0;
-    shard->failed = 0;
     shard->rejected = 0;
-    shard->batches = 0;
-    shard->batched_queries = 0;
+    shard->admitting_polls = 0;
+    shard->admitted = 0;
   }
   start_ns_ = util::NowNs();
   live_workers_.store(engine_->num_shards(), std::memory_order_relaxed);
@@ -81,16 +165,8 @@ bool StreamingServer::running() const {
 }
 
 void StreamingServer::WorkerLoop(uint32_t shard) {
-  std::vector<StreamQuery> batch;
-  std::vector<StreamQuery> shed;
-  for (;;) {
-    batch.clear();
-    shed.clear();
-    const bool closed = FormBatch(&batch, &shed);
-    if (!shed.empty()) ShedQueries(shard, &shed);
-    if (!batch.empty()) RunBatch(shard, &batch);
-    if (closed || stop_.load(std::memory_order_relaxed)) break;
-  }
+  ShardSource source(this, shards_[shard].get());
+  engine_->shard_engine(shard)->Run(&source);
   // Last worker out tells the stream its consumer is gone. On a normal
   // drain (stream closed) this is a no-op; after Stop() it is the only
   // thing standing between a producer blocked in Submit on a full
@@ -100,154 +176,22 @@ void StreamingServer::WorkerLoop(uint32_t shard) {
   }
 }
 
-bool StreamingServer::FormBatch(std::vector<StreamQuery>* batch,
-                                std::vector<StreamQuery>* shed) {
-  const uint64_t max_wait_ns = options_.max_wait_us * 1000;
-  const uint64_t deadline_ns = options_.deadline_us * 1000;
-  uint64_t first_pull_ns = 0;
-  StreamQuery q;
-  // The shed bound keeps rejection delivery prompt under sustained
-  // overload: a worker drowning in expired queries still returns to
-  // deliver them instead of pulling the stream dry first.
-  while (batch->size() < options_.max_batch_size &&
-         shed->size() < options_.max_batch_size) {
-    // Once a stop is requested no new query is pulled — queries already
-    // in the forming batch are in flight and still get flushed.
-    if (stop_.load(std::memory_order_relaxed)) return false;
-    switch (stream_->TryPull(&q)) {
-      case StreamPull::kReady:
-        // A query that aged past the deadline while queued is shed, not
-        // dispatched: serving it would burn I/O on an answer the client
-        // has already given up on, while stretching the p99 of the rest.
-        if (deadline_ns > 0 && util::NowNs() - q.enqueue_ns > deadline_ns) {
-          shed->push_back(std::move(q));
-          break;
-        }
-        if (batch->empty()) first_pull_ns = util::NowNs();
-        batch->push_back(std::move(q));
-        break;
-      case StreamPull::kClosed:
-        return true;
-      case StreamPull::kPending:
-        if (!batch->empty()) {
-          if (util::NowNs() - first_pull_ns >= max_wait_ns) return false;
-          std::this_thread::yield();
-        } else if (!shed->empty()) {
-          // Nothing to serve: deliver the rejections now rather than
-          // holding them until more traffic fills the shed list.
-          return false;
-        } else {
-          // Idle: nothing pulled yet, nothing to flush. Sleep briefly so
-          // an idle server doesn't spin a core per shard.
-          std::this_thread::sleep_for(std::chrono::microseconds(20));
-        }
-        break;
-    }
-  }
-  return false;
-}
-
-void StreamingServer::ShedQueries(uint32_t shard,
-                                  std::vector<StreamQuery>* shed) {
-  const uint64_t now = util::NowNs();
-  std::vector<QueryResult> outs;
-  outs.reserve(shed->size());
-  for (StreamQuery& sq : *shed) {
-    QueryResult out;
-    out.id = sq.id;
-    out.status = Status::ResourceExhausted(
-        "deadline exceeded in submission queue (load shed)");
-    out.latency_ns = now > sq.enqueue_ns ? now - sq.enqueue_ns : 0;
-    outs.push_back(std::move(out));
-  }
-  {
-    // Rejected queries are counted but not recorded in the latency
-    // histogram: the percentiles describe served traffic.
-    ShardState& state = *shards_[shard];
-    std::lock_guard<std::mutex> lock(state.mu);
-    state.rejected += outs.size();
-  }
-  if (options_.on_result) {
-    for (QueryResult& out : outs) options_.on_result(std::move(out));
-  }
-}
-
-void StreamingServer::RunBatch(uint32_t shard, std::vector<StreamQuery>* batch) {
-  // A micro-batch is usually homogeneous in k (options_.k, or one
-  // remote client's k), but the per-query override means it need not
-  // be: group by effective k and run one engine batch per group, so
-  // every query is answered by the exact same engine call an
-  // in-process SearchBatch(queries, k) would make — truncating a
-  // wider top-k instead would not be bit-identical under distance
-  // ties.
-  std::map<uint32_t, std::vector<size_t>> by_k;
-  for (size_t i = 0; i < batch->size(); ++i) {
-    const StreamQuery& sq = (*batch)[i];
-    by_k[sq.k == 0 ? options_.k : sq.k].push_back(i);
-  }
-
-  std::vector<QueryResult> outs(batch->size());
-  for (auto& [k, idxs] : by_k) {
-    data::Dataset micro("stream", engine_->dim());
-    micro.Reserve(idxs.size());
-    for (size_t i : idxs) micro.Append((*batch)[i].vec.data());
-
-    Result<BatchResult> result =
-        engine_->shard_engine(shard)->SearchBatch(micro, k);
-    const uint64_t now = util::NowNs();
-
-    for (size_t j = 0; j < idxs.size(); ++j) {
-      StreamQuery& sq = (*batch)[idxs[j]];
-      QueryResult out;
-      out.id = sq.id;
-      out.latency_ns = now > sq.enqueue_ns ? now - sq.enqueue_ns : 0;
-      if (result.ok()) {
-        out.neighbors = std::move(result->results[j]);
-        if (j < result->stats.size()) out.stats = result->stats[j];
-      } else {
-        out.status = result.status();
-      }
-      outs[idxs[j]] = std::move(out);
-    }
-  }
-
-  // One lock per micro-batch on the delivery path, not one per query;
-  // the callback runs outside the lock so a slow consumer can't stall a
-  // concurrent stats() reader.
-  const uint64_t done_ns = util::NowNs();
-  ShardState& state = *shards_[shard];
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    ++state.batches;
-    state.batched_queries += batch->size();
-    for (const QueryResult& out : outs) {
-      state.recorder.Record(out.latency_ns, done_ns);
-      ++state.completed;
-      if (!out.status.ok()) ++state.failed;
-    }
-  }
-  if (options_.on_result) {
-    for (QueryResult& out : outs) options_.on_result(std::move(out));
-  }
-}
-
 StreamingSnapshot StreamingServer::stats() const {
   StreamingSnapshot snap;
   util::LatencyRecorder merged;
-  uint64_t batched_queries = 0;
+  uint64_t admitted = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     merged.Merge(shard->recorder);
-    snap.completed += shard->completed;
-    snap.failed += shard->failed;
     snap.rejected += shard->rejected;
-    snap.batches += shard->batches;
-    batched_queries += shard->batched_queries;
+    snap.batches += shard->admitting_polls;
+    admitted += shard->admitted;
   }
   if (snap.batches > 0) {
-    snap.mean_batch_size = static_cast<double>(batched_queries) /
-                           static_cast<double>(snap.batches);
+    snap.mean_batch_size =
+        static_cast<double>(admitted) / static_cast<double>(snap.batches);
   }
+  snap.completed = merged.count();
   snap.mean_latency_ns = merged.mean_ns();
   snap.p50_ns = merged.p50_ns();
   snap.p95_ns = merged.p95_ns();

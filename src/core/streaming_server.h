@@ -4,15 +4,18 @@
 // so the device queue depth collapses between batches — exactly the
 // regime the paper's Fig. 1(B) asynchronous pipeline is built to avoid.
 // StreamingServer keeps the queue deep under a live arrival process: one
-// worker per engine shard pulls from a shared QueryStream, forms
-// micro-batches under a (max_batch_size, max_wait_us) policy, and runs
-// them on its own per-core QueryEngine. There is no global batch
-// barrier: a shard that finishes its micro-batch immediately pulls the
-// next one while other shards are still in flight.
+// worker per engine shard runs that shard's QueryEngine::Run loop over a
+// shared QueryStream. Between device polls the loop pulls a query into
+// every free engine context, so a query starts the moment a context is
+// free — it never waits for company, and never waits behind a batch
+// that is already running (iteration-level scheduling, as in Orca,
+// applied to the paper's interleaved query contexts). A worker idles
+// only when its shard has no query in flight and the stream is empty.
 //
 // Results are delivered per query through a completion callback (invoked
-// from shard worker threads) and/or pollable future handles (FutureSink).
-// Per-query enqueue→completion latency and sustained QPS are recorded in
+// from shard worker threads) and/or pollable future handles (FutureSink),
+// as soon as the poll round that finished them ends. Per-query
+// enqueue→completion latency and sustained QPS are recorded in
 // per-shard util::LatencyRecorders, merged on stats().
 #pragma once
 
@@ -32,11 +35,10 @@
 
 namespace e2lshos::core {
 
-/// \brief One delivered completion. `status` is per query: an engine
-/// failure on a micro-batch fails each of its queries individually
-/// rather than tearing down the pipeline. Partial I/O failures that the
-/// engine absorbed best-effort surface in `stats.io_errors` with an OK
-/// status (same contract as the batch API).
+/// \brief One delivered completion. `status` is ResourceExhausted for a
+/// query shed past ServerOptions::deadline_us, else OK: I/O failures
+/// the engine absorbed best-effort surface in `stats.io_errors` and
+/// `stats.partial` (same contract as the batch API).
 struct QueryResult {
   uint64_t id = 0;
   Status status = Status::OK();
@@ -47,18 +49,17 @@ struct QueryResult {
 
 struct ServerOptions {
   uint32_t k = 10;
-  /// Micro-batch policy: a shard worker dispatches as soon as it has
-  /// `max_batch_size` queries, or `max_wait_us` after the first pulled
-  /// query of the forming batch — whichever comes first. Size 1 is
-  /// pure per-query dispatch (lowest latency, most per-batch overhead).
+  /// Ignored: a query enters a free engine context as soon as it is
+  /// pulled, so there is no batch to size or wait for. Kept only because
+  /// perfbench's traced run still sets them.
   uint32_t max_batch_size = 64;
   uint64_t max_wait_us = 200;
   /// Load shedding: a pulled query that already waited longer than this
-  /// in the stream is dropped — delivered immediately with
-  /// ResourceExhausted and counted in stats().rejected — instead of
-  /// being dispatched. Past saturation the submission queue's wait grows
-  /// without bound; shedding keeps the p99 of *served* queries bounded
-  /// and turns overload into an explicit, countable signal. 0 = off.
+  /// in the stream is dropped — delivered with ResourceExhausted and
+  /// counted in stats().rejected — instead of being admitted. Past
+  /// saturation the submission queue's wait grows without bound;
+  /// shedding keeps the p99 of *served* queries bounded and turns
+  /// overload into an explicit, countable signal. 0 = off.
   uint64_t deadline_us = 0;
   /// Invoked once per query from shard worker threads; must be
   /// thread-safe. May be empty when a FutureSink (or stats-only soak)
@@ -68,11 +69,11 @@ struct ServerOptions {
 
 /// \brief Aggregate serving metrics, merged across shard workers.
 struct StreamingSnapshot {
-  uint64_t completed = 0;  ///< Results delivered (OK or failed).
-  uint64_t failed = 0;     ///< Delivered with !status.ok().
-  uint64_t rejected = 0;   ///< Shed before dispatch (deadline_us exceeded).
-  uint64_t batches = 0;    ///< Micro-batches dispatched.
-  double mean_batch_size = 0.0;
+  uint64_t completed = 0;  ///< Answers delivered.
+  uint64_t failed = 0;     ///< Always 0: every admitted query is answered.
+  uint64_t rejected = 0;   ///< Shed before admission (deadline_us exceeded).
+  uint64_t batches = 0;    ///< Engine polls that admitted at least one query.
+  double mean_batch_size = 0.0;  ///< Queries admitted per such poll.
   double mean_latency_ns = 0.0;
   uint64_t p50_ns = 0;
   uint64_t p95_ns = 0;
@@ -104,9 +105,9 @@ class StreamingServer {
   void Wait();
 
   /// Request early shutdown: workers stop pulling new queries, finish
-  /// the micro-batches already formed or in flight, and deliver their
-  /// completions exactly once. Queries still inside the stream are never
-  /// pulled and never delivered. Returns immediately; pair with Wait().
+  /// the queries already admitted, and deliver their completions exactly
+  /// once. Queries still inside the stream are never pulled and never
+  /// delivered. Returns immediately; pair with Wait().
   void Stop();
 
   /// Convenience: Start + Wait.
@@ -120,23 +121,15 @@ class StreamingServer {
  private:
   struct ShardState {
     mutable std::mutex mu;
-    util::LatencyRecorder recorder;
-    uint64_t completed = 0;
-    uint64_t failed = 0;
+    util::LatencyRecorder recorder;  ///< One sample per answer delivered.
     uint64_t rejected = 0;
-    uint64_t batches = 0;
-    uint64_t batched_queries = 0;
+    uint64_t admitting_polls = 0;
+    uint64_t admitted = 0;
   };
+  /// A shard's view of the stream as a QuerySource (defined in the .cc).
+  class ShardSource;
 
   void WorkerLoop(uint32_t shard);
-  /// Pull up to max_batch_size queries; returns true when the stream is
-  /// closed (terminal for the worker once the batch is flushed). Pulled
-  /// queries already past deadline_us land in `shed` instead.
-  bool FormBatch(std::vector<StreamQuery>* batch,
-                 std::vector<StreamQuery>* shed);
-  void RunBatch(uint32_t shard, std::vector<StreamQuery>* batch);
-  /// Deliver shed queries as rejected results (no engine dispatch).
-  void ShedQueries(uint32_t shard, std::vector<StreamQuery>* shed);
 
   ShardedQueryEngine* engine_;
   ServerOptions options_;

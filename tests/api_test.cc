@@ -388,7 +388,6 @@ TEST(ApiIndex, ServeDeliversEveryQueryAndGuardsTheEngine) {
   core::FutureSink sink;
   ServeSpec serve;
   serve.k = 5;
-  serve.max_batch_size = 7;
   serve.search.shards = 2;
   serve.on_result = sink.Callback();
   auto server = (*idx)->Serve(serve);

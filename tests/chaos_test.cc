@@ -75,7 +75,6 @@ TEST(Chaos, DaemonOverFaultRetryUriAbsorbsTransients) {
   net::DaemonOptions opts;
   opts.unix_path = sock;
   opts.serve.search.shards = 2;
-  opts.serve.max_wait_us = 50;
   net::Daemon daemon(opts);
   ASSERT_TRUE(daemon.AddIndex("default", std::move(*index)).ok());
   ASSERT_TRUE(daemon.Start().ok());
@@ -260,7 +259,6 @@ TEST(ChaosSoak, FaultsDisconnectsAndDrain) {
   net::DaemonOptions opts;
   opts.unix_path = sock;
   opts.serve.search.shards = 4;  // per-shard queues over the stack
-  opts.serve.max_wait_us = 50;
   opts.serve.queue_capacity = 128;
   opts.recv_timeout_ms = 5000;
   opts.send_timeout_ms = 5000;

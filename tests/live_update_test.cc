@@ -6,7 +6,7 @@
 //    publishes — an Insert that returned is found (top-1, distance 0)
 //    by any search STARTED afterwards; a Remove that returned is
 //    filtered from any search started afterwards.
-//  * Reader safety: a serving engine running full micro-batches while a
+//  * Reader safety: a serving engine admitting queries while a
 //    writer stages and publishes sees zero corrupt blocks, zero I/O
 //    errors, and no partial results — on every backend (mem:, striped
 //    sim:, file:, uring:) at 1 and 4 shards. This is the suite the TSan
@@ -622,7 +622,6 @@ TEST_P(LiveUpdateSoak, MixedReadWriteSoakKeepsEveryOracle) {
   core::FutureSink sink;
   ServeSpec serve;
   serve.k = 3;
-  serve.max_batch_size = 16;
   serve.search.shards = shards;
   serve.on_result = sink.Callback();
   auto server = (*idx)->Serve(serve);

@@ -5,7 +5,7 @@
 // net::Client against a net::Daemon must return bit-identical ids and
 // distances to in-process Index::SearchBatch, across device URIs. The
 // candidate cap is set high enough that draining never triggers, so the
-// comparison is exact regardless of micro-batch boundaries or shard
+// comparison is exact regardless of admission order or shard
 // assignment. Around that: protocol-error containment (garbage frames
 // close one connection, never the listener), multi-index routing,
 // clean-drain shutdown with requests in flight, abrupt-disconnect
@@ -72,7 +72,6 @@ net::DaemonOptions UnixOptions(const std::string& sock) {
   net::DaemonOptions opts;
   opts.unix_path = sock;
   opts.serve.search.shards = 2;
-  opts.serve.max_wait_us = 50;
   opts.serve.queue_capacity = 256;
   return opts;
 }

@@ -238,5 +238,42 @@ TEST(Persistence, RejectsAllocationCursorInsideImage) {
   std::remove(meta.c_str());
 }
 
+TEST(Persistence, LoadRecomputesTheDramFigure) {
+  // The recorded dram_index_bytes is whatever the writing build counted;
+  // a loaded index reports what its own structures hold.
+  auto t = MakeData(800);
+  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  ASSERT_TRUE(dev.ok());
+  auto idx = IndexBuilder::Build(t.gen.base, t.params, dev->get());
+  ASSERT_TRUE(idx.ok());
+  const IndexSizes built = (*idx)->sizes();
+  const std::string meta = ::testing::TempDir() + "/e2_meta_dram.bin";
+  ASSERT_TRUE(SaveIndexMeta(**idx, meta).ok());
+  std::vector<uint8_t> file;
+  {
+    std::ifstream in(meta, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), {});
+  }
+
+  const auto* raw = reinterpret_cast<const uint8_t*>(&built);
+  const auto at = std::search(file.begin(), file.end(), raw, raw + sizeof(built));
+  ASSERT_NE(at, file.end());
+  IndexSizes recorded = built;
+  recorded.dram_index_bytes += 14592;  // another build's accounting
+  std::memcpy(&*at, &recorded, sizeof(recorded));
+  const size_t body = file.size() - sizeof(uint32_t);
+  const uint32_t crc = util::Crc32c(file.data(), body);
+  std::memcpy(file.data() + body, &crc, sizeof(crc));
+  std::ofstream(meta, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(file.data()),
+             static_cast<std::streamsize>(file.size()));
+
+  auto loaded = LoadIndexMeta(meta, dev->get());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->sizes().dram_index_bytes, built.dram_index_bytes);
+  EXPECT_EQ((*loaded)->sizes().storage_bytes, built.storage_bytes);
+  std::remove(meta.c_str());
+}
+
 }  // namespace
 }  // namespace e2lshos::core

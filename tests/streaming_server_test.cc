@@ -1,10 +1,12 @@
 // Tests for the streaming serving front-end: results streamed through
 // StreamingServer must be bit-identical to a one-shot
 // ShardedQueryEngine::SearchBatch over the same queries, every query's
-// completion must be delivered exactly once, and shutdown must be clean
-// with queries still in flight.
+// completion must be delivered exactly once, shutdown must be clean
+// with queries still in flight, and a query must never wait behind
+// another one (continuous admission, per-query epochs).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -12,9 +14,11 @@
 #include <thread>
 
 #include "core/builder.h"
+#include "core/live_updater.h"
 #include "core/query_stream.h"
 #include "core/sharded_engine.h"
 #include "core/streaming_server.h"
+#include "storage/memory_device.h"
 #include "storage/simulated_device.h"
 #include "streaming_test_util.h"
 #include "util/clock.h"
@@ -49,6 +53,113 @@ Fixture* GetFixture() {
   return f;
 }
 
+/// Test-side controls of a ReadGate.
+struct GateControl {
+  std::mutex mu;
+  bool closed = false;    ///< Reads submitted now are held.
+  bool released = false;  ///< Held completions flow again.
+  uint64_t held = 0;      ///< Completions held back so far.
+
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu);
+    closed = true;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu);
+    closed = false;
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu);
+    closed = false;
+    released = true;
+  }
+  uint64_t Held() {
+    std::lock_guard<std::mutex> lock(mu);
+    return held;
+  }
+};
+
+/// Shard-queue decorator that holds back the completions of every read
+/// submitted while the gate is closed, until Release(). Reads submitted
+/// while it is open pass straight through.
+class ReadGate : public storage::BlockDevice {
+ public:
+  static constexpr uint64_t kHeldTag = 1ULL << 63;
+
+  ReadGate(std::unique_ptr<storage::BlockDevice> inner,
+           std::shared_ptr<GateControl> control)
+      : inner_(std::move(inner)), control_(std::move(control)) {}
+
+  Status SubmitRead(const storage::IoRequest& req) override {
+    storage::IoRequest tagged = req;
+    {
+      std::lock_guard<std::mutex> lock(control_->mu);
+      if (control_->closed) tagged.user_data |= kHeldTag;
+    }
+    return inner_->SubmitRead(tagged);
+  }
+
+  size_t PollCompletions(storage::IoCompletion* out, size_t max) override {
+    std::lock_guard<std::mutex> lock(control_->mu);
+    size_t n = 0;
+    while (control_->released && !held_.empty() && n < max) {
+      out[n++] = held_.back();
+      held_.pop_back();
+    }
+    storage::IoCompletion polled[64];
+    const size_t got =
+        inner_->PollCompletions(polled, std::min<size_t>(64, max - n));
+    for (size_t i = 0; i < got; ++i) {
+      storage::IoCompletion c = polled[i];
+      const bool held = (c.user_data & kHeldTag) != 0;
+      c.user_data &= ~kHeldTag;
+      if (held && !control_->released) {
+        held_.push_back(c);
+        ++control_->held;
+      } else {
+        out[n++] = c;
+      }
+    }
+    return n;
+  }
+
+  Status Write(uint64_t offset, const void* data, uint32_t length) override {
+    return inner_->Write(offset, data, length);
+  }
+  uint64_t capacity() const override { return inner_->capacity(); }
+  uint32_t io_alignment() const override { return inner_->io_alignment(); }
+  uint32_t outstanding() const override { return inner_->outstanding(); }
+  std::string name() const override { return "gate(" + inner_->name() + ")"; }
+  storage::DeviceStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+ private:
+  std::unique_ptr<storage::BlockDevice> inner_;
+  std::shared_ptr<GateControl> control_;
+  std::vector<storage::IoCompletion> held_;
+};
+
+/// One shard whose device queue runs through a ReadGate.
+ShardOptions GatedShard(const std::shared_ptr<GateControl>& control) {
+  ShardOptions sopts;
+  sopts.num_shards = 1;
+  sopts.wrap_shard_device = [control](std::unique_ptr<storage::BlockDevice> q) {
+    return std::unique_ptr<storage::BlockDevice>(
+        std::make_unique<ReadGate>(std::move(q), control));
+  };
+  return sopts;
+}
+
+/// Spin until `done()` or `seconds` pass; returns done().
+template <typename Pred>
+bool WaitFor(Pred done, uint64_t seconds = 5) {
+  const uint64_t give_up = util::NowNs() + seconds * 1000 * 1000 * 1000;
+  while (!done() && util::NowNs() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return done();
+}
+
 void ExpectResultMatchesReference(const QueryResult& got,
                                   const std::vector<util::Neighbor>& want,
                                   uint64_t q) {
@@ -56,7 +167,7 @@ void ExpectResultMatchesReference(const QueryResult& got,
   ExpectSameNeighbors(got.neighbors, want, q);
 }
 
-TEST(StreamingServer, MatchesOneShotBatchAcrossShardsAndBatchSizes) {
+TEST(StreamingServer, MatchesOneShotBatchAcrossShards) {
   Fixture* f = GetFixture();
   const uint32_t k = 10;
 
@@ -67,27 +178,22 @@ TEST(StreamingServer, MatchesOneShotBatchAcrossShardsAndBatchSizes) {
     auto ref = engine.SearchBatch(f->gen.queries, k);
     ASSERT_TRUE(ref.ok());
 
-    for (const uint32_t batch_size : {1u, 7u, 64u}) {
-      Collector collector;
-      ServerOptions opts;
-      opts.k = k;
-      opts.max_batch_size = batch_size;
-      opts.max_wait_us = 100;
-      opts.on_result = collector.Callback();
-      StreamingServer server(&engine, opts);
+    Collector collector;
+    ServerOptions opts;
+    opts.k = k;
+    opts.on_result = collector.Callback();
+    StreamingServer server(&engine, opts);
 
-      DatasetStream stream(&f->gen.queries);
-      ASSERT_TRUE(server.Serve(&stream).ok())
-          << "shards=" << shards << " batch=" << batch_size;
+    DatasetStream stream(&f->gen.queries);
+    ASSERT_TRUE(server.Serve(&stream).ok()) << "shards=" << shards;
 
-      std::lock_guard<std::mutex> lock(collector.mu);
-      ASSERT_EQ(collector.results.size(), f->gen.queries.n())
-          << "shards=" << shards << " batch=" << batch_size;
-      for (uint64_t q = 0; q < f->gen.queries.n(); ++q) {
-        ASSERT_EQ(collector.deliveries[q], 1)
-            << "query " << q << " delivered more than once";
-        ExpectResultMatchesReference(collector.results[q], ref->results[q], q);
-      }
+    std::lock_guard<std::mutex> lock(collector.mu);
+    ASSERT_EQ(collector.results.size(), f->gen.queries.n())
+        << "shards=" << shards;
+    for (uint64_t q = 0; q < f->gen.queries.n(); ++q) {
+      ASSERT_EQ(collector.deliveries[q], 1)
+          << "query " << q << " delivered more than once";
+      ExpectResultMatchesReference(collector.results[q], ref->results[q], q);
     }
   }
 }
@@ -98,7 +204,6 @@ TEST(StreamingServer, NeighborsSortedWithinEachQuery) {
   Collector collector;
   ServerOptions opts;
   opts.k = 10;
-  opts.max_batch_size = 8;
   opts.on_result = collector.Callback();
   StreamingServer server(&engine, opts);
   DatasetStream stream(&f->gen.queries);
@@ -113,7 +218,7 @@ TEST(StreamingServer, NeighborsSortedWithinEachQuery) {
   }
 }
 
-TEST(StreamingServer, MaxWaitFlushesPartialBatch) {
+TEST(StreamingServer, ServesQueriesOnAnOpenQueueWithoutWaitingForCompany) {
   Fixture* f = GetFixture();
   ShardOptions sopts;
   sopts.num_shards = 2;
@@ -122,8 +227,6 @@ TEST(StreamingServer, MaxWaitFlushesPartialBatch) {
   Collector collector;
   ServerOptions opts;
   opts.k = 5;
-  opts.max_batch_size = 64;  // far more than we submit
-  opts.max_wait_us = 500;
   opts.on_result = collector.Callback();
   StreamingServer server(&engine, opts);
 
@@ -132,14 +235,15 @@ TEST(StreamingServer, MaxWaitFlushesPartialBatch) {
   for (uint64_t q = 0; q < 3; ++q) {
     ASSERT_TRUE(queue.Submit(f->gen.queries.Row(q)).ok());
   }
-  // The queue stays open: only the max-wait timer can flush these three.
+  // The queue stays open and nothing more arrives: each query is served
+  // as soon as a context takes it.
   const uint64_t deadline = util::NowNs() + 10ULL * 1000 * 1000 * 1000;
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(collector.mu);
       if (collector.results.size() == 3) break;
     }
-    ASSERT_LT(util::NowNs(), deadline) << "max-wait flush never happened";
+    ASSERT_LT(util::NowNs(), deadline) << "queries on an open queue never served";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   queue.Close();
@@ -158,7 +262,6 @@ TEST(StreamingServer, PollableFutureHandles) {
   FutureSink sink;
   ServerOptions opts;
   opts.k = 10;
-  opts.max_batch_size = 4;
   opts.on_result = sink.Callback();
   StreamingServer server(&engine, opts);
 
@@ -194,7 +297,6 @@ TEST(StreamingServer, CleanShutdownWithQueriesInFlight) {
   Collector collector;
   ServerOptions opts;
   opts.k = 10;
-  opts.max_batch_size = 2;
   opts.on_result = collector.Callback();
   StreamingServer server(&engine, opts);
 
@@ -268,7 +370,6 @@ TEST(StreamingServer, BoundedGeneratorStreamDrains) {
   Collector collector;
   ServerOptions opts;
   opts.k = 5;
-  opts.max_batch_size = 16;
   opts.on_result = collector.Callback();
   StreamingServer server(&engine, opts);
   ASSERT_TRUE(server.Serve(&stream).ok());
@@ -436,8 +537,8 @@ TEST(SubmissionQueue, BackpressureAndClose) {
 }
 
 TEST(StreamingServer, ShedQueriesAreDeliveredWhileTheStreamIsIdle) {
-  // Fewer stale queries than a batch, then silence: their rejections must
-  // not wait for more traffic (or for the stream to close).
+  // One stale query, then silence: its rejection must not wait for more
+  // traffic (or for the stream to close).
   Fixture* f = GetFixture();
   ShardOptions sopts;
   sopts.num_shards = 2;
@@ -449,7 +550,6 @@ TEST(StreamingServer, ShedQueriesAreDeliveredWhileTheStreamIsIdle) {
   Collector collector;
   ServerOptions opts;
   opts.k = 5;
-  opts.max_batch_size = 4;
   opts.deadline_us = 10000;  // 10 ms, long since blown
   opts.on_result = collector.Callback();
   StreamingServer server(&engine, opts);
@@ -487,7 +587,6 @@ TEST(StreamingServer, DeadlineShedsStaleQueriesAndCountsRejected) {
   Collector collector;
   ServerOptions opts;
   opts.k = k;
-  opts.max_batch_size = 4;
   opts.deadline_us = 100000;  // 100 ms, long since blown by the backlog
   opts.on_result = collector.Callback();
   StreamingServer server(&engine, opts);
@@ -527,6 +626,39 @@ TEST(StreamingServer, DeadlineShedsStaleQueriesAndCountsRejected) {
     EXPECT_TRUE(collector.results[id].status.ok()) << "fresh id " << id;
     EXPECT_EQ(collector.results[id].neighbors.size(), k);
   }
+}
+
+TEST(StreamingServer, RejectionsFlowWhileExpiredQueriesRemainQueued) {
+  // A stream holding nothing but expired queries: the worker hands each
+  // poll's rejections over before it pulls the rest, instead of
+  // draining the stream first.
+  Fixture* f = GetFixture();
+  ShardOptions sopts;
+  sopts.num_shards = 1;
+  ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
+  const uint64_t kStale = 1000;
+  SubmissionQueue queue(f->gen.base.dim(), kStale);
+  for (uint64_t i = 0; i < kStale; ++i) {
+    ASSERT_TRUE(queue.Submit(f->gen.queries.Row(i % f->gen.queries.n())).ok());
+  }
+  queue.Close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  std::atomic<uint64_t> rejected{0};
+  std::atomic<size_t> depth_at_first{0};
+  ServerOptions opts;
+  opts.k = 5;
+  opts.deadline_us = 1000;  // 1 ms, long since blown
+  opts.on_result = [&](QueryResult&& r) {
+    EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted);
+    if (rejected.fetch_add(1) == 0) depth_at_first = queue.depth();
+  };
+  StreamingServer server(&engine, opts);
+  ASSERT_TRUE(server.Serve(&queue).ok());
+  EXPECT_EQ(rejected.load(), kStale);
+  EXPECT_EQ(server.stats().rejected, kStale);
+  EXPECT_GT(depth_at_first.load(), 0u)
+      << "the first rejection waited for the whole backlog to be shed";
 }
 
 TEST(StreamingServer, NoDeadlineMeansNoShedding) {
@@ -624,7 +756,6 @@ TEST(StreamingServer, StatsSnapshotsCoherentWhileServing) {
 
   ServerOptions opts;
   opts.k = 5;
-  opts.max_batch_size = 4;
   StreamingServer server(&engine, opts);
   SubmissionQueue queue(f->gen.queries.dim(), 128);
   ASSERT_TRUE(server.Start(&queue).ok());
@@ -654,10 +785,12 @@ TEST(StreamingServer, StatsSnapshotsCoherentWhileServing) {
         EXPECT_LE(snap.p50_ns, snap.p95_ns);
         EXPECT_LE(snap.p95_ns, snap.p99_ns);
         EXPECT_LE(snap.p99_ns, snap.max_ns);
+        // A poll admits at most one query per free context.
         if (snap.batches > 0) {
           EXPECT_GT(snap.mean_batch_size, 0.0);
           EXPECT_LE(snap.mean_batch_size,
-                    static_cast<double>(opts.max_batch_size));
+                    static_cast<double>(
+                        engine.shard_engine_options().num_contexts));
         }
         snapshots.fetch_add(1, std::memory_order_relaxed);
       }
@@ -675,6 +808,123 @@ TEST(StreamingServer, StatsSnapshotsCoherentWhileServing) {
   const StreamingSnapshot final_snap = server.stats();
   EXPECT_GT(final_snap.completed, 0u);
   EXPECT_EQ(final_snap.failed, 0u);
+}
+
+// Query A is held at the gate with reads in flight; query B, submitted
+// after it, must still be admitted into a free context and answered
+// while A waits: no query waits behind another one.
+TEST(StreamingServer, LaterQueryIsNotBlockedByAHeldOne) {
+  Fixture* f = GetFixture();
+  const uint32_t k = 10;
+  auto gate = std::make_shared<GateControl>();
+  ShardedQueryEngine engine(f->index.get(), &f->gen.base, GatedShard(gate));
+  // Base rows: their own buckets are non-empty, so A surely reads.
+  data::Dataset two("two", f->gen.base.dim());
+  two.Append(f->gen.base.Row(7));
+  two.Append(f->gen.base.Row(8));
+  auto ref = engine.SearchBatch(two, k);
+  ASSERT_TRUE(ref.ok());
+
+  Collector collector;
+  ServerOptions opts;
+  opts.k = k;
+  opts.on_result = collector.Callback();
+  SubmissionQueue queue(two.dim(), 16);
+  StreamingServer server(&engine, opts);
+  ASSERT_TRUE(server.Start(&queue).ok());
+  // Destroyed before the server: a failed assertion must not leave A
+  // held while the server's destructor waits for it.
+  struct ReleaseOnExit {
+    GateControl* gate;
+    ~ReleaseOnExit() { gate->Release(); }
+  } release_on_exit{gate.get()};
+
+  const auto delivered = [&collector](uint64_t id) {
+    std::lock_guard<std::mutex> lock(collector.mu);
+    return collector.results.count(id) > 0;
+  };
+  gate->Close();
+  auto a = queue.Submit(two.Row(0));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(WaitFor([&] { return gate->Held() > 0; }))
+      << "query A never reached the device";
+  gate->Open();
+  auto b = queue.Submit(two.Row(1));
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(WaitFor([&] { return delivered(*b); }))
+      << "query B waited behind query A";
+  EXPECT_FALSE(delivered(*a));
+
+  gate->Release();
+  queue.Close();
+  server.Wait();
+  std::lock_guard<std::mutex> lock(collector.mu);
+  ASSERT_EQ(collector.deliveries[*a], 1);
+  ASSERT_EQ(collector.deliveries[*b], 1);
+  ExpectResultMatchesReference(collector.results[*a], ref->results[0], 0);
+  ExpectResultMatchesReference(collector.results[*b], ref->results[1], 1);
+}
+
+// The epoch is pinned per query: with query A held (and its epoch with
+// it), a row inserted afterwards must be visible to query B, admitted
+// after Insert returned.
+TEST(StreamingServer, QueryAdmittedAfterInsertSeesItWhileAnOlderQueryRuns) {
+  const data::GeneratedData gen = MakeStreamingTestData(31, 2000, 4);
+  const lsh::E2lshParams params = NeverDrainParams(gen.base);
+  auto dev = storage::MemoryDevice::Create(1ULL << 30);
+  ASSERT_TRUE(dev.ok());
+  auto index = IndexBuilder::Build(gen.base, params, dev->get());
+  ASSERT_TRUE(index.ok());
+  LiveUpdater updater(index->get());
+
+  auto gate = std::make_shared<GateControl>();
+  ShardedQueryEngine engine(index->get(), &gen.base, GatedShard(gate));
+  Collector collector;
+  ServerOptions opts;
+  opts.k = 5;
+  opts.on_result = collector.Callback();
+  SubmissionQueue queue(gen.base.dim(), 16);
+  StreamingServer server(&engine, opts);
+  ASSERT_TRUE(server.Start(&queue).ok());
+  struct ReleaseOnExit {
+    GateControl* gate;
+    ~ReleaseOnExit() { gate->Release(); }
+  } release_on_exit{gate.get()};
+
+  const auto delivered = [&collector](uint64_t id) {
+    std::lock_guard<std::mutex> lock(collector.mu);
+    return collector.results.count(id) > 0;
+  };
+  gate->Close();
+  auto a = queue.Submit(gen.base.Row(3));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(WaitFor([&] { return gate->Held() > 0; }))
+      << "query A never reached the device";
+  gate->Open();
+
+  const float* row = gen.queries.Row(0);  // not a base row
+  auto id = updater.Insert(row);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto b = queue.Submit(row);
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(WaitFor([&] { return delivered(*b); }))
+      << "query B waited behind query A";
+  EXPECT_FALSE(delivered(*a));
+  {
+    std::lock_guard<std::mutex> lock(collector.mu);
+    const QueryResult& got = collector.results[*b];
+    ASSERT_TRUE(got.status.ok());
+    ASSERT_FALSE(got.neighbors.empty());
+    EXPECT_EQ(got.neighbors[0].id, *id);
+    EXPECT_EQ(got.neighbors[0].dist, 0.0f);
+  }
+
+  gate->Release();
+  queue.Close();
+  server.Wait();
+  std::lock_guard<std::mutex> lock(collector.mu);
+  ASSERT_EQ(collector.deliveries[*a], 1);
+  EXPECT_TRUE(collector.results[*a].status.ok());
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ inline data::GeneratedData MakeStreamingTestData(uint64_t seed,
 
 /// Candidate cap S far above the database size so no query ever drains:
 /// per-query results are then independent of I/O completion order,
-/// micro-batch boundaries, and shard assignment — which is what makes
+/// admission order, and shard assignment — which is what makes
 /// "streamed == one-shot batch" an exact (bitwise) claim.
 inline lsh::E2lshParams NeverDrainParams(const data::Dataset& base) {
   lsh::E2lshConfig cfg;

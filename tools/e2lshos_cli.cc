@@ -11,8 +11,8 @@
 //                      [--probe-contexts P] [--max-n N]
 //   e2lshos_cli serve  --base data.fvecs --index idx.bin --device URI
 //                      [--queries q.fvecs] [--count N] [--rate QPS]
-//                      [--k K] [--shards S] [--batch B] [--max-wait-us W]
-//                      [--deadline-us D] [--probe-contexts P] [--max-n N]
+//                      [--k K] [--shards S] [--deadline-us D]
+//                      [--probe-contexts P] [--max-n N]
 //
 // The device URI selects and configures the backend in one string —
 // file:/path/img.bin, file:/path/img.bin?direct=1&threads=8,
@@ -110,7 +110,7 @@ Result<uint64_t> GetU(const FlagMap& f, const std::string& k, uint64_t dflt) {
   return v;
 }
 
-/// For flags consumed as uint32 (--k, --shards, --batch, ...): an
+/// For flags consumed as uint32 (--k, --shards, ...): an
 /// out-of-range value is an error, never a modular wrap (--k 2^32
 /// must not silently become k=0).
 Result<uint32_t> GetU32(const FlagMap& f, const std::string& k, uint32_t dflt) {
@@ -285,16 +285,12 @@ int CmdServe(int argc, char** argv) {
   CLI_ASSIGN(flags,
              ParseFlags(argc, argv,
                         {"base", "index", "device", "queries", "count", "rate",
-                         "k", "shards", "batch", "max-wait-us", "deadline-us",
-                         "probe-contexts", "max-n"}));
+                         "k", "shards", "deadline-us", "probe-contexts",
+                         "max-n"}));
   ServeSpec serve;
   CLI_ASSIGN(k, GetU32(flags, "k", 10));
-  CLI_ASSIGN(batch, GetU32(flags, "batch", 64));
-  CLI_ASSIGN(max_wait, GetU(flags, "max-wait-us", 200));
   CLI_ASSIGN(deadline, GetU(flags, "deadline-us", 0));
   serve.k = k;
-  serve.max_batch_size = batch;
-  serve.max_wait_us = max_wait;
   serve.deadline_us = deadline;
   CLI_ASSIGN(search, MakeSearchSpec(flags));
   serve.search = search;
@@ -353,13 +349,10 @@ int CmdServe(int argc, char** argv) {
   (*server)->Wait();
 
   const core::StreamingSnapshot snap = (*server)->stats();
-  std::printf(
-      "served %llu/%llu queries on %u shard(s), k=%u, batch<=%u, "
-      "max-wait %llu us\n",
-      static_cast<unsigned long long>(snap.completed),
-      static_cast<unsigned long long>(submitted), (*index)->num_shards(),
-      serve.k, serve.max_batch_size,
-      static_cast<unsigned long long>(serve.max_wait_us));
+  std::printf("served %llu/%llu queries on %u shard(s), k=%u\n",
+              static_cast<unsigned long long>(snap.completed),
+              static_cast<unsigned long long>(submitted),
+              (*index)->num_shards(), serve.k);
   std::printf("  offered rate: %s qps\n",
               rate > 0 ? std::to_string(static_cast<uint64_t>(rate)).c_str()
                        : "unthrottled");
@@ -372,7 +365,8 @@ int CmdServe(int argc, char** argv) {
       static_cast<double>(snap.p95_ns) / 1e6,
       static_cast<double>(snap.p99_ns) / 1e6,
       static_cast<double>(snap.max_ns) / 1e6);
-  std::printf("  micro-batches: %llu (mean size %.1f), failed queries: %llu\n",
+  std::printf("  admitting polls: %llu (mean %.1f queries admitted), "
+              "failed queries: %llu\n",
               static_cast<unsigned long long>(snap.batches),
               snap.mean_batch_size,
               static_cast<unsigned long long>(snap.failed));
@@ -433,8 +427,8 @@ int CmdServeDaemon(int argc, char** argv) {
   CLI_ASSIGN(flags,
              ParseFlags(argc, argv,
                         {"base", "index", "device", "name", "listen", "port",
-                         "host", "k", "shards", "batch", "max-wait-us",
-                         "deadline-us", "probe-contexts", "max-n",
+                         "host", "k", "shards", "deadline-us",
+                         "probe-contexts", "max-n",
                          "queue-capacity", "max-frame-bytes",
                          "recv-timeout-ms", "send-timeout-ms",
                          "breaker-ratio", "breaker-min-rate"},
@@ -485,13 +479,9 @@ int CmdServeDaemon(int argc, char** argv) {
   opts.breaker_min_rate = breaker_min_rate;
 
   CLI_ASSIGN(k, GetU32(flags, "k", 10));
-  CLI_ASSIGN(batch, GetU32(flags, "batch", 64));
-  CLI_ASSIGN(max_wait, GetU(flags, "max-wait-us", 200));
   CLI_ASSIGN(deadline, GetU(flags, "deadline-us", 0));
   CLI_ASSIGN(queue_capacity, GetU(flags, "queue-capacity", 1024));
   opts.serve.k = k;
-  opts.serve.max_batch_size = batch;
-  opts.serve.max_wait_us = max_wait;
   opts.serve.deadline_us = deadline;
   opts.serve.queue_capacity = queue_capacity;
   CLI_ASSIGN(search, MakeSearchSpec(flags));
@@ -807,13 +797,12 @@ int main(int argc, char** argv) {
         "         [--k K] [--shards S] [--probe-contexts P] [--max-n N]\n"
         "  serve  --base data.fvecs --index idx.bin --device URI "
         "[--queries q.fvecs]\n"
-        "         [--count N] [--rate QPS] [--k K] [--shards S] [--batch B]\n"
-        "         [--max-wait-us W] [--deadline-us D]\n"
+        "         [--count N] [--rate QPS] [--k K] [--shards S]\n"
+        "         [--deadline-us D]\n"
         "  serve-daemon  --base data.fvecs --index idx.bin --device URI\n"
         "         {--listen SOCKET_PATH | --port PORT [--host H]}\n"
         "         [--name NAME] [--also NAME@BASE@META@URI ...]\n"
-        "         [--k K] [--shards S] [--batch B] [--max-wait-us W]\n"
-        "         [--deadline-us D] [--queue-capacity N] "
+        "         [--k K] [--shards S] [--deadline-us D] [--queue-capacity N] "
         "[--max-frame-bytes N]\n"
         "         [--recv-timeout-ms MS] [--send-timeout-ms MS]\n"
         "         [--breaker-ratio R] [--breaker-min-rate QPS]\n"
