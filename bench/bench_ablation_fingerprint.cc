@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
        "query us", "ratio"});
 
   for (uint32_t u = 10; u <= 18; u += 2) {
-    auto dev = storage::MemoryDevice::Create(8ULL << 30);
+    auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(8ULL << 30));
     if (!dev.ok()) continue;
     core::BuildOptions opt;
     opt.table_bits = u;

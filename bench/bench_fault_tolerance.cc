@@ -26,7 +26,7 @@
 #include <string>
 
 #include "core/query_engine.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 
 using namespace e2lshos;
 
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
 
   // Build once on an instant device; every cell gets a byte-identical
   // copy of the image, so result diffs are attributable to faults alone.
-  auto master_dev = storage::MemoryDevice::Create(1ULL << 30);
+  auto master_dev = storage::SimulatedDevice::Create(storage::MemoryModel(1ULL << 30));
   if (!master_dev.ok()) return 1;
   auto master =
       core::IndexBuilder::Build(w->gen.base, w->params, master_dev->get());

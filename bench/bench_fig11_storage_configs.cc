@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   if (!w.ok()) return 1;
 
   // Build once on an instant device; copy the image to every config.
-  auto master_dev = storage::MemoryDevice::Create(8ULL << 30);
+  auto master_dev = storage::SimulatedDevice::Create(storage::MemoryModel(8ULL << 30));
   if (!master_dev.ok()) return 1;
   auto master = core::IndexBuilder::Build(w->gen.base, w->params,
                                           master_dev->get());

@@ -96,7 +96,8 @@ int main(int argc, char** argv) {
       auto w = bench::MakeWorkload(spec, args.EffectiveN(spec), args.queries, k);
       if (!w.ok()) continue;
 
-      auto master_dev = storage::MemoryDevice::Create(8ULL << 30);
+      auto master_dev =
+          storage::SimulatedDevice::Create(storage::MemoryModel(8ULL << 30));
       if (!master_dev.ok()) continue;
       auto master = core::IndexBuilder::Build(w->gen.base, w->params,
                                               master_dev->get());

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
                                args.queries ? args.queries : 400, 1);
   if (!w.ok()) return 1;
 
-  auto master_dev = storage::MemoryDevice::Create(8ULL << 30);
+  auto master_dev = storage::SimulatedDevice::Create(storage::MemoryModel(8ULL << 30));
   if (!master_dev.ok()) return 1;
   auto master = core::IndexBuilder::Build(w->gen.base, w->params,
                                           master_dev->get());

@@ -10,7 +10,7 @@
 #include "lsh/hash_family.h"
 #include "lsh/hash_function.h"
 #include "lsh/params.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 #include "util/aligned_buffer.h"
 #include "util/crc32c.h"
 #include "util/distance.h"
@@ -115,8 +115,8 @@ void BM_RngGaussian(benchmark::State& state) {
 }
 BENCHMARK(BM_RngGaussian);
 
-void BM_MemoryDeviceSubmitPoll(benchmark::State& state) {
-  auto dev = storage::MemoryDevice::Create(16 << 20);
+void BM_MemoryModelSubmitPoll(benchmark::State& state) {
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(16 << 20));
   if (!dev.ok()) {
     state.SkipWithError("device create failed");
     return;
@@ -131,7 +131,7 @@ void BM_MemoryDeviceSubmitPoll(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MemoryDeviceSubmitPoll);
+BENCHMARK(BM_MemoryModelSubmitPoll);
 
 }  // namespace
 }  // namespace e2lshos

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   // Build once on a DRAM master, then rehost the image on the measured
   // configuration (the simulated cSSD x 4, or the --device backend).
-  auto master_dev = storage::MemoryDevice::Create(8ULL << 30);
+  auto master_dev = storage::SimulatedDevice::Create(storage::MemoryModel(8ULL << 30));
   if (!master_dev.ok()) return 1;
   auto idx =
       core::IndexBuilder::Build(w->gen.base, w->params, master_dev->get());

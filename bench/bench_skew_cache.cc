@@ -16,14 +16,14 @@
 // reports hit rate, QPS, and p99 latency. Headline acceptance cell:
 // Zipf theta=1.0 with a cache of 10% of the index must serve >= 90% of
 // reads from DRAM and beat the uncached QPS; its rows carry the
-// headline_* keys bench/run_all.sh folds into BENCH_<n>.json.
+// headline_* keys, which name that cell in the JSONL output.
 #include "common.h"
 
 #include <algorithm>
 
 #include "core/query_engine.h"
 #include "data/generators.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 #include "util/aligned_buffer.h"
 
 using namespace e2lshos;
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   }
 
   // Build once on an instant device; copy the image into every cell.
-  auto master_dev = storage::MemoryDevice::Create(1ULL << 30);
+  auto master_dev = storage::SimulatedDevice::Create(storage::MemoryModel(1ULL << 30));
   if (!master_dev.ok()) return 1;
   auto master =
       core::IndexBuilder::Build(w->gen.base, w->params, master_dev->get());
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
             .Set("cache_evictions", dstats.cache_evictions)
             .Set("bytes_cached", dstats.bytes_cached);
         // The acceptance cell and its uncached baseline carry dedicated
-        // keys so run_all.sh's max-extraction lands on exactly them.
+        // keys, so a reader of the JSONL finds exactly them.
         const bool theta1 = skew.dist == data::QueryDistribution::kZipf &&
                             skew.theta == 1.0;
         if (theta1 && frac == 0.10) {

@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
       {storage::InterfaceKind::kXlfdd, "50 nsec", "20 MIOPS"},
   };
 
-  auto dev = storage::MemoryDevice::Create(16 << 20, /*queue_capacity=*/8192);
+  auto dev = storage::SimulatedDevice::Create(
+      storage::MemoryModel(16 << 20, /*queue_capacity=*/8192));
   if (!dev.ok()) return 1;
   util::AlignedBuffer buf(512);
   std::vector<storage::IoCompletion> comps(256);

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     auto w = bench::MakeWorkload(spec, args.EffectiveN(spec), args.queries, 1);
     if (!w.ok()) continue;
 
-    auto dev = storage::MemoryDevice::Create(8ULL << 30);
+    auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(8ULL << 30));
     if (!dev.ok()) continue;
     auto idx = core::IndexBuilder::Build(w->gen.base, w->params, dev->get());
     if (!idx.ok()) {

@@ -15,7 +15,7 @@
 // Headline acceptance cells: at the highest shard count, query p99
 // with the writer running at the top update rate must stay within 2x
 // of the no-writes p99 (headline_p99_ratio < 2). Those rows carry the
-// headline_* keys bench/run_all.sh folds into BENCH_<n>.json.
+// headline_* keys, which name those cells in the JSONL output.
 #include "common.h"
 
 #include <atomic>

@@ -21,7 +21,7 @@
 #include "e2lsh/in_memory.h"
 #include "storage/device_registry.h"
 #include "storage/interface_model.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "util/jsonl.h"
 

@@ -303,56 +303,6 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
   return index;
 }
 
-namespace {
-
-/// Fill `buf` with device bytes [off, off+len). Reads are issued
-/// per-unit — max(sector, io_alignment()) — because a StripedDevice
-/// rejects any request crossing its 512-byte stripe unit; many units
-/// are kept in flight so wall-clock-gated simulated devices drain at
-/// their parallel bandwidth rather than one service time per sector.
-Status ReadImageChunk(storage::BlockDevice* device, uint64_t off, uint32_t len,
-                      uint8_t* buf) {
-  const uint32_t unit =
-      std::max<uint32_t>(storage::kSectorBytes, device->io_alignment());
-  const uint32_t total = (len + unit - 1) / unit;
-  uint32_t next = 0, submitted = 0, completed = 0;
-  storage::IoCompletion comps[64];
-  Status st;
-  while (completed < total && st.ok()) {
-    while (next < total) {
-      const uint64_t rel = static_cast<uint64_t>(next) * unit;
-      storage::IoRequest req;
-      req.offset = off + rel;
-      req.length = static_cast<uint32_t>(std::min<uint64_t>(unit, len - rel));
-      req.buf = buf + rel;
-      req.user_data = next;
-      const Status submit = device->SubmitRead(req);
-      if (submit.code() == StatusCode::kResourceExhausted) break;
-      if (!submit.ok()) {
-        st = submit;
-        break;
-      }
-      ++next;
-      ++submitted;
-    }
-    const size_t n = device->PollCompletions(comps, 64);
-    for (size_t i = 0; i < n; ++i) {
-      if (comps[i].code != StatusCode::kOk && st.ok()) {
-        st = Status::IoError("image read failed");
-      }
-    }
-    completed += static_cast<uint32_t>(n);
-  }
-  // On error the remaining in-flight reads still target `buf`: drain
-  // before returning or the device writes into freed memory.
-  while (completed < submitted) {
-    completed += static_cast<uint32_t>(device->PollCompletions(comps, 64));
-  }
-  return st;
-}
-
-}  // namespace
-
 Status SaveIndexImage(const StorageIndex& index, const std::string& path) {
   storage::BlockDevice* device = index.device();
   if (device == nullptr) return Status::InvalidArgument("index has no device");
@@ -360,12 +310,23 @@ Status SaveIndexImage(const StorageIndex& index, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return Status::IoError("cannot open " + path + " for write");
   constexpr uint32_t kChunk = 1 << 20;
+  // One read per unit — max(sector, io_alignment()) — because a
+  // StripedDevice rejects any request crossing its 512-byte stripe unit.
+  // ReadSync keeps a chunk's units in flight together, so wall-clock-gated
+  // simulated devices drain at their parallel bandwidth.
+  const uint32_t unit =
+      std::max<uint32_t>(storage::kSectorBytes, device->io_alignment());
   std::vector<uint8_t> buf(kChunk);
+  std::vector<storage::IoRequest> reqs;
   Status st;
   for (uint64_t off = 0; off < bytes && st.ok(); off += kChunk) {
     const uint32_t len =
         static_cast<uint32_t>(std::min<uint64_t>(kChunk, bytes - off));
-    st = ReadImageChunk(device, off, len, buf.data());
+    reqs.clear();
+    for (uint32_t rel = 0; rel < len; rel += unit) {
+      reqs.push_back({off + rel, std::min(unit, len - rel), buf.data() + rel, 0});
+    }
+    st = device->ReadSync(reqs.data(), reqs.size());
     if (st.ok() && std::fwrite(buf.data(), 1, len, f) != len) {
       st = Status::IoError("short write to " + path);
     }

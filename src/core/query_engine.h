@@ -22,7 +22,7 @@
 // a QuerySource into every free context, so a query starts as soon as a
 // context is free, never at a batch boundary (iteration-level
 // scheduling). SearchBatch runs the loop over a dataset's rows; the
-// streaming server runs it over its QueryStream.
+// streaming server runs it over its SubmissionQueue.
 //
 // The synchronous mode (EngineOptions::synchronous) caps the queue depth
 // at one outstanding I/O — the Fig. 1(A) baseline of Sec. 6.5.

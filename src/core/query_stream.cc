@@ -4,26 +4,6 @@
 
 namespace e2lshos::core {
 
-StreamPull DatasetStream::TryPull(StreamQuery* out) {
-  const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= queries_->n()) return StreamPull::kClosed;
-  out->id = idx;
-  out->enqueue_ns = util::NowNs();
-  const float* row = queries_->Row(idx);
-  out->vec.assign(row, row + queries_->dim());
-  return StreamPull::kReady;
-}
-
-StreamPull GeneratorStream::TryPull(StreamQuery* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (limit_ != 0 && emitted_ >= limit_) return StreamPull::kClosed;
-  out->id = emitted_++;
-  out->enqueue_ns = util::NowNs();
-  out->vec.resize(sampler_.dim());
-  sampler_.NextQuery(out->vec.data());
-  return StreamPull::kReady;
-}
-
 Result<uint64_t> SubmissionQueue::Enqueue(const float* vec, uint32_t k) {
   StreamQuery q;
   q.id = next_id_++;

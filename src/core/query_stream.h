@@ -1,20 +1,10 @@
-// Query sources for streaming serving (the front half of the batched /
-// streaming query API from ROADMAP).
-//
-// A QueryStream hands queries to the StreamingServer one at a time, so
-// the serving layer can keep the device queue deep across what used to
-// be batch boundaries. Three sources cover the serving scenarios:
-//
-//   * DatasetStream  — adapter over a materialized data::Dataset (replay
-//     a recorded query log / benchmark query set);
-//   * GeneratorStream — synthesizes queries on the fly from a
-//     data::GeneratorSpec, optionally unbounded (soak testing);
-//   * SubmissionQueue — bounded MPMC queue: any number of producer
-//     threads Submit() queries while the server's shard workers pull.
-//
-// All streams are thread-safe on the pull side (several shard workers
-// pull concurrently) and stamp each query's enqueue time, the start of
-// the enqueue→completion latency the server reports.
+// The query source for streaming serving: SubmissionQueue, a bounded
+// MPMC queue. Any number of producer threads submit queries while the
+// StreamingServer's shard workers pull them one at a time, so the
+// serving layer keeps the device queue deep across what used to be
+// batch boundaries. Pulls are thread-safe (several shard workers pull
+// concurrently), and each query is stamped with its enqueue time, the
+// start of the enqueue→completion latency the server reports.
 #pragma once
 
 #include <atomic>
@@ -24,9 +14,6 @@
 #include <mutex>
 #include <vector>
 
-#include "data/dataset.h"
-#include "data/generators.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace e2lshos::core {
@@ -49,65 +36,13 @@ enum class StreamPull {
   kClosed,   ///< Drained and closed: no query will ever arrive again.
 };
 
-class QueryStream {
- public:
-  virtual ~QueryStream() = default;
-
-  /// Non-blocking pull; safe to call from many threads concurrently.
-  /// Each query is handed out exactly once.
-  virtual StreamPull TryPull(StreamQuery* out) = 0;
-
-  virtual uint32_t dim() const = 0;
-
-  /// The consumer side is gone: the serving loop's last worker exited
-  /// (Stop(), engine teardown) and nothing will ever pull again.
-  /// Sources with blocked producers must wake them with an error —
-  /// a producer wedged in SubmissionQueue::Submit on a full queue would
-  /// otherwise wait forever for a drain that cannot happen. Default is
-  /// a no-op (pull-only sources have nobody to wake).
-  virtual void ConsumerStopped() {}
-};
-
-/// \brief Replays a materialized dataset in row order, then closes.
-/// The dataset must outlive the stream. Query ids are row indices.
-class DatasetStream : public QueryStream {
- public:
-  explicit DatasetStream(const data::Dataset* queries) : queries_(queries) {}
-
-  StreamPull TryPull(StreamQuery* out) override;
-  uint32_t dim() const override { return queries_->dim(); }
-
- private:
-  const data::Dataset* queries_;
-  std::atomic<uint64_t> next_{0};
-};
-
-/// \brief Synthesizes queries from a GeneratorSpec via data::PointSampler
-/// (the same per-point logic — quantization grid included — that
-/// data::Generate uses for materialized corpora); `limit` = 0 streams
-/// forever (the caller stops the server instead of draining the stream).
-class GeneratorStream : public QueryStream {
- public:
-  GeneratorStream(const data::GeneratorSpec& spec, uint64_t limit)
-      : sampler_(spec), limit_(limit) {}
-
-  StreamPull TryPull(StreamQuery* out) override;
-  uint32_t dim() const override { return sampler_.dim(); }
-
- private:
-  std::mutex mu_;
-  data::PointSampler sampler_;
-  const uint64_t limit_;
-  uint64_t emitted_ = 0;
-};
-
 /// \brief Bounded MPMC submission queue: the live-serving source.
 ///
 /// Producer threads Submit() (blocking while the queue is full) or
 /// TrySubmit(); the server's shard workers TryPull(). Close() ends the
 /// stream: queued queries still drain, further submissions fail with
 /// FailedPrecondition, and blocked producers wake immediately.
-class SubmissionQueue : public QueryStream {
+class SubmissionQueue {
  public:
   SubmissionQueue(uint32_t dim, size_t capacity)
       : dim_(dim), capacity_(capacity == 0 ? 1 : capacity) {}
@@ -124,15 +59,17 @@ class SubmissionQueue : public QueryStream {
   bool closed() const;
   size_t depth() const;  ///< Queries currently queued.
 
-  StreamPull TryPull(StreamQuery* out) override;
-  uint32_t dim() const override { return dim_; }
+  /// Non-blocking pull; safe to call from many threads concurrently.
+  /// Each query is handed out exactly once.
+  StreamPull TryPull(StreamQuery* out);
+  uint32_t dim() const { return dim_; }
 
   /// The serving side died (StreamingServer workers all exited without
   /// draining us). Closes the queue and wakes every producer blocked in
   /// Submit with FailedPrecondition — mentioning the dead consumer, not
   /// a caller-requested close. Queries still queued stay queued (and
   /// visible via depth()) but will never be pulled.
-  void ConsumerStopped() override;
+  void ConsumerStopped();
 
  private:
   Result<uint64_t> Enqueue(const float* vec, uint32_t k);  ///< mu_ held.

@@ -23,7 +23,7 @@ class StreamingServer::ShardSource : public QuerySource {
       // queries: deliver a poll's worth of rejections (and keep polling
       // the device) before pulling more.
       if (shed_ >= kShedPerPoll) return StreamPull::kPending;
-      const StreamPull pull = server_->stream_->TryPull(q);
+      const StreamPull pull = server_->queue_->TryPull(q);
       if (pull != StreamPull::kReady) return pull;
       // A query that aged past the deadline while queued is shed, not
       // admitted: serving it would burn I/O on an answer the client has
@@ -109,17 +109,17 @@ StreamingServer::~StreamingServer() {
   Wait();
 }
 
-Status StreamingServer::Start(QueryStream* stream) {
+Status StreamingServer::Start(SubmissionQueue* queue) {
   E2_RETURN_NOT_OK(engine_->status());
   if (options_.k == 0) return Status::InvalidArgument("k must be > 0");
-  if (stream->dim() != engine_->dim()) {
+  if (queue->dim() != engine_->dim()) {
     return Status::InvalidArgument("stream dimension mismatch");
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (running_) return Status::FailedPrecondition("server already running");
   running_ = true;
   stop_.store(false, std::memory_order_relaxed);
-  stream_ = stream;
+  queue_ = queue;
   // Each serving run reports its own metrics: a restart must not blend
   // the previous run's latencies/counts into a fresh start_ns_ window.
   for (auto& shard : shards_) {
@@ -153,8 +153,8 @@ void StreamingServer::Wait() {
 
 void StreamingServer::Stop() { stop_.store(true, std::memory_order_relaxed); }
 
-Status StreamingServer::Serve(QueryStream* stream) {
-  E2_RETURN_NOT_OK(Start(stream));
+Status StreamingServer::Serve(SubmissionQueue* queue) {
+  E2_RETURN_NOT_OK(Start(queue));
   Wait();
   return Status::OK();
 }
@@ -167,12 +167,12 @@ bool StreamingServer::running() const {
 void StreamingServer::WorkerLoop(uint32_t shard) {
   ShardSource source(this, shards_[shard].get());
   engine_->shard_engine(shard)->Run(&source);
-  // Last worker out tells the stream its consumer is gone. On a normal
-  // drain (stream closed) this is a no-op; after Stop() it is the only
-  // thing standing between a producer blocked in Submit on a full
-  // SubmissionQueue and a deadlock — nobody will ever pull again.
+  // Last worker out tells the queue its consumer is gone. On a normal
+  // drain (queue closed) this is a no-op; after Stop() it is the only
+  // thing standing between a producer blocked in Submit on a full queue
+  // and a deadlock — nobody will ever pull again.
   if (live_workers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    stream_->ConsumerStopped();
+    queue_->ConsumerStopped();
   }
 }
 

@@ -5,7 +5,7 @@
 // regime the paper's Fig. 1(B) asynchronous pipeline is built to avoid.
 // StreamingServer keeps the queue deep under a live arrival process: one
 // worker per engine shard runs that shard's QueryEngine::Run loop over a
-// shared QueryStream. Between device polls the loop pulls a query into
+// shared SubmissionQueue. Between device polls the loop pulls a query into
 // every free engine context, so a query starts the moment a context is
 // free — it never waits for company, and never waits behind a batch
 // that is already running (iteration-level scheduling, as in Orca,
@@ -94,24 +94,24 @@ class StreamingServer {
   StreamingServer(const StreamingServer&) = delete;
   StreamingServer& operator=(const StreamingServer&) = delete;
 
-  /// Spawn one worker per shard pulling from `stream` (which must
+  /// Spawn one worker per shard pulling from `queue` (which must
   /// outlive the serving run). Fails if already running, if k == 0, on
-  /// a stream/engine dimension mismatch, or with the engine's status()
+  /// a queue/engine dimension mismatch, or with the engine's status()
   /// when its shard queues could not be created.
-  Status Start(QueryStream* stream);
+  Status Start(SubmissionQueue* queue);
 
-  /// Block until every worker exits: the stream reported kClosed and all
+  /// Block until every worker exits: the queue reported kClosed and all
   /// pulled queries were delivered, or Stop() was called.
   void Wait();
 
   /// Request early shutdown: workers stop pulling new queries, finish
   /// the queries already admitted, and deliver their completions exactly
-  /// once. Queries still inside the stream are never pulled and never
+  /// once. Queries still inside the queue are never pulled and never
   /// delivered. Returns immediately; pair with Wait().
   void Stop();
 
   /// Convenience: Start + Wait.
-  Status Serve(QueryStream* stream);
+  Status Serve(SubmissionQueue* queue);
 
   bool running() const;
 
@@ -126,20 +126,20 @@ class StreamingServer {
     uint64_t admitting_polls = 0;
     uint64_t admitted = 0;
   };
-  /// A shard's view of the stream as a QuerySource (defined in the .cc).
+  /// A shard's view of the queue as a QuerySource (defined in the .cc).
   class ShardSource;
 
   void WorkerLoop(uint32_t shard);
 
   ShardedQueryEngine* engine_;
   ServerOptions options_;
-  QueryStream* stream_ = nullptr;
+  SubmissionQueue* queue_ = nullptr;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::vector<std::thread> workers_;
   /// Workers still inside WorkerLoop; the last one out notifies the
-  /// stream (QueryStream::ConsumerStopped) so producers blocked on a
-  /// full SubmissionQueue wake with an error instead of waiting for a
-  /// drain that will never come.
+  /// queue (SubmissionQueue::ConsumerStopped) so producers blocked on
+  /// it while full wake with an error instead of waiting for a drain
+  /// that will never come.
   std::atomic<uint32_t> live_workers_{0};
   std::atomic<bool> stop_{false};
   bool running_ = false;

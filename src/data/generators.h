@@ -59,10 +59,9 @@ struct GeneratorSpec {
 /// \brief Stateful one-point-at-a-time sampler: the single source of
 /// truth for every generator family's per-point logic.
 ///
-/// Generate() below and streaming sources (core::GeneratorStream) share
-/// it, so a spec produces the same value distribution — including the
-/// byte-quantization grid — whether the corpus is materialized up front
-/// or synthesized on the fly. Not thread-safe; callers serialize.
+/// Generate() below draws every base and query point through it, so
+/// each family's value distribution — including the byte-quantization
+/// grid — is defined in one place. Not thread-safe; callers serialize.
 class PointSampler {
  public:
   explicit PointSampler(const GeneratorSpec& spec);

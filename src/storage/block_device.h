@@ -7,7 +7,7 @@
 //
 // Contract:
 //  * Reads and writes must not cross a 512-byte block boundary unless the
-//    device documents otherwise (SimulatedDevice and MemoryDevice allow
+//    device documents otherwise (SimulatedDevice, `mem:` included, allows
 //    arbitrary extents; StripedDevice enforces the boundary rule).
 //  * SubmitRead may return ResourceExhausted when the device queue is
 //    full; the caller must PollCompletions and retry.
@@ -18,8 +18,13 @@
 //    measured path; the live-update path (core/live_updater.h) issues
 //    them concurrently with serving reads — devices must tolerate a
 //    writer thread alongside reader threads, which every backend here
-//    does (mutexed DRAM stores, per-sector stripe locks, pwrite/ring
-//    writes on an idempotent fd).
+//    does (per-sector stripe locks, pwrite/ring writes on an idempotent
+//    fd, the DRAM backing lock described next).
+//  * A read that overlaps a concurrent Write returns, for each 512-byte
+//    sector, either its old bytes or its new ones. The DRAM-backed
+//    SimulatedDevice (`sim:` and `mem:`) copies a completed read out of
+//    its backing under a shared lock that Write takes exclusively, so
+//    it returns each overlapping Write's bytes whole or not at all.
 #pragma once
 
 #include <algorithm>

@@ -7,7 +7,6 @@
 #include "storage/file_device.h"
 #include "storage/retry_device.h"
 #include "storage/interface_model.h"
-#include "storage/memory_device.h"
 #include "storage/striped_device.h"
 #include "storage/uring_device.h"
 #include "util/parse.h"
@@ -50,17 +49,6 @@ DeviceModel GetDeviceModel(DeviceKind kind) {
   return m;
 }
 
-std::vector<std::pair<DeviceKind, std::string>> AllDeviceKinds() {
-  return {{DeviceKind::kCssd, "cSSD"},
-          {DeviceKind::kEssd, "eSSD"},
-          {DeviceKind::kXlfdd, "XLFDD"},
-          {DeviceKind::kHdd, "HDD"}};
-}
-
-Result<std::unique_ptr<SimulatedDevice>> MakeDevice(DeviceKind kind) {
-  return SimulatedDevice::Create(GetDeviceModel(kind));
-}
-
 std::string StorageConfig::DisplayName() const {
   return GetDeviceModel(kind).name + " x " + std::to_string(count);
 }
@@ -71,56 +59,6 @@ std::vector<StorageConfig> Table5Configs() {
           {DeviceKind::kEssd, 1},
           {DeviceKind::kEssd, 8},
           {DeviceKind::kXlfdd, 12}};
-}
-
-bool FileBackendAvailable(FileBackendKind kind) {
-  return kind == FileBackendKind::kFile || UringDevice::Available();
-}
-
-namespace {
-
-FileDevice::Options ToFileOptions(const FileBackendOptions& options) {
-  FileDevice::Options opt;
-  opt.capacity = options.capacity;
-  opt.queue_capacity = options.queue_capacity;
-  opt.direct_io = options.direct_io;
-  opt.io_threads = options.io_threads;
-  return opt;
-}
-
-UringDevice::Options ToUringOptions(const FileBackendOptions& options) {
-  UringDevice::Options opt;
-  opt.capacity = options.capacity;
-  opt.queue_capacity = options.queue_capacity;
-  opt.direct_io = options.direct_io;
-  opt.sqpoll = options.sqpoll;
-  return opt;
-}
-
-}  // namespace
-
-Result<std::unique_ptr<BlockDevice>> CreateFileBackend(
-    FileBackendKind kind, const std::string& path,
-    const FileBackendOptions& options) {
-  if (kind == FileBackendKind::kUring) {
-    E2_ASSIGN_OR_RETURN(auto dev,
-                        UringDevice::Create(path, ToUringOptions(options)));
-    return std::unique_ptr<BlockDevice>(std::move(dev));
-  }
-  E2_ASSIGN_OR_RETURN(auto dev, FileDevice::Create(path, ToFileOptions(options)));
-  return std::unique_ptr<BlockDevice>(std::move(dev));
-}
-
-Result<std::unique_ptr<BlockDevice>> OpenFileBackend(
-    FileBackendKind kind, const std::string& path,
-    const FileBackendOptions& options) {
-  if (kind == FileBackendKind::kUring) {
-    E2_ASSIGN_OR_RETURN(auto dev,
-                        UringDevice::Open(path, ToUringOptions(options)));
-    return std::unique_ptr<BlockDevice>(std::move(dev));
-  }
-  E2_ASSIGN_OR_RETURN(auto dev, FileDevice::Open(path, ToFileOptions(options)));
-  return std::unique_ptr<BlockDevice>(std::move(dev));
 }
 
 // ---------------------------------------------------------------------------
@@ -492,7 +430,8 @@ Result<std::unique_ptr<BlockDevice>> OpenBareDeviceUri(
         return Status::InvalidArgument(
             "mem: needs a capacity (mem:?capacity=1g or the caller's size)");
       }
-      E2_ASSIGN_OR_RETURN(auto dev, MemoryDevice::Create(capacity, queue));
+      E2_ASSIGN_OR_RETURN(auto dev,
+                          SimulatedDevice::Create(MemoryModel(capacity, queue)));
       return std::unique_ptr<BlockDevice>(std::move(dev));
     }
     case DeviceUri::Scheme::kSim: {
@@ -527,33 +466,39 @@ Result<std::unique_ptr<BlockDevice>> OpenBareDeviceUri(
     }
     case DeviceUri::Scheme::kFile:
     case DeviceUri::Scheme::kUring: {
-      const FileBackendKind kind = uri.scheme == DeviceUri::Scheme::kUring
-                                       ? FileBackendKind::kUring
-                                       : FileBackendKind::kFile;
       if (uri.path.empty()) {
         return Status::InvalidArgument(std::string(uri.scheme_name()) +
                                        ": URI needs a backing file path");
       }
-      if (!FileBackendAvailable(kind)) {
+      if (options.create && capacity == 0) {
+        return Status::InvalidArgument(
+            std::string(uri.scheme_name()) +
+            ": create needs a capacity (append ?capacity=32g)");
+      }
+      std::unique_ptr<BlockDevice> dev;
+      if (uri.scheme == DeviceUri::Scheme::kFile) {
+        FileDevice::Options opt;
+        opt.capacity = capacity;
+        opt.queue_capacity = queue;
+        opt.direct_io = uri.direct_io;
+        opt.io_threads = uri.io_threads;
+        E2_ASSIGN_OR_RETURN(dev, options.create ? FileDevice::Create(uri.path, opt)
+                                                : FileDevice::Open(uri.path, opt));
+        return dev;
+      }
+      if (!UringDevice::Available()) {
         return Status::Unimplemented(
             "uring: is unavailable on this host (kernel refused io_uring, or "
             "built without it); use file:" + uri.path);
       }
-      FileBackendOptions opt;
+      UringDevice::Options opt;
       opt.capacity = capacity;
       opt.queue_capacity = queue;
       opt.direct_io = uri.direct_io;
-      opt.io_threads = uri.io_threads;
       opt.sqpoll = uri.sqpoll;
-      if (options.create) {
-        if (opt.capacity == 0) {
-          return Status::InvalidArgument(
-              std::string(uri.scheme_name()) +
-              ": create needs a capacity (append ?capacity=32g)");
-        }
-        return CreateFileBackend(kind, uri.path, opt);
-      }
-      return OpenFileBackend(kind, uri.path, opt);
+      E2_ASSIGN_OR_RETURN(dev, options.create ? UringDevice::Create(uri.path, opt)
+                                              : UringDevice::Open(uri.path, opt));
+      return dev;
     }
   }
   return Status::Internal("unreachable device scheme");

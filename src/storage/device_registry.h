@@ -26,12 +26,6 @@ enum class DeviceKind { kCssd, kEssd, kXlfdd, kHdd };
 /// Return the calibrated model for a device kind.
 DeviceModel GetDeviceModel(DeviceKind kind);
 
-/// All Table 2 device kinds with display names.
-std::vector<std::pair<DeviceKind, std::string>> AllDeviceKinds();
-
-/// Instantiate a simulated device of the given kind.
-Result<std::unique_ptr<SimulatedDevice>> MakeDevice(DeviceKind kind);
-
 /// \brief One row of Table 5: a device type and count.
 struct StorageConfig {
   DeviceKind kind;
@@ -43,46 +37,12 @@ struct StorageConfig {
 std::vector<StorageConfig> Table5Configs();
 
 // ---------------------------------------------------------------------------
-// Real-file backends. The simulated kinds above model the paper's
-// hardware; these serve an actual index image on an actual SSD. "file"
-// is the pread-thread-pool emulation, "uring" submits genuine async I/O
-// through io_uring (real queue depth, no per-read thread hop).
-// ---------------------------------------------------------------------------
-
-/// \brief How a real backing file is driven. Selected through the
-/// `file:` / `uring:` device-URI schemes below.
-enum class FileBackendKind { kFile, kUring };
-
-/// True when the backend can actually run here ("uring" needs the
-/// compiled-in io_uring gate AND a kernel that accepts the syscalls;
-/// "file" always can).
-bool FileBackendAvailable(FileBackendKind kind);
-
-/// \brief Shared option surface for the real-file backends.
-struct FileBackendOptions {
-  uint64_t capacity = 0;       ///< Create() sizes the file to this.
-  uint32_t queue_capacity = 1024;
-  bool direct_io = false;
-  uint32_t io_threads = 4;     ///< FileDevice only: pread pool width.
-  bool sqpoll = false;         ///< UringDevice only: kernel SQ polling.
-};
-
-/// Create (truncate) `path` under the chosen backend.
-Result<std::unique_ptr<BlockDevice>> CreateFileBackend(
-    FileBackendKind kind, const std::string& path,
-    const FileBackendOptions& options);
-
-/// Open an existing file (capacity from file size) under the backend.
-Result<std::unique_ptr<BlockDevice>> OpenFileBackend(
-    FileBackendKind kind, const std::string& path,
-    const FileBackendOptions& options);
-
-// ---------------------------------------------------------------------------
 // Device URIs. One string selects and configures any backend, so every
 // entry point (e2lshos::Index, e2lshos_cli --device, bench::Args) shares
 // a single vocabulary instead of a per-tool flag zoo:
 //
-//   mem:                          DRAM device (tests, the T_read = 0 limit)
+//   mem:                          MemoryModel: the simulated device at
+//                                 zero latency (tests, the T_read = 0 limit)
 //   sim:cssd                      one simulated Table-2 device
 //   sim:essd*8?iface=spdk        eSSD x 8 stripe behind the SPDK cost model
 //   file:/path/img?direct=1&threads=8   real file, pread thread pool

@@ -119,11 +119,14 @@ Status FaultyDevice::SubmitRead(const IoRequest& req) {
 }
 
 size_t FaultyDevice::PollCompletions(IoCompletion* out, size_t max) {
+  // Stamped before the inner poll, whose cost (a DRAM device copies
+  // each due read out as it polls) must not decide whether a stall
+  // still applies.
+  const uint64_t now = util::NowNs();
   const size_t n = inner_->PollCompletions(out, max);
   // Apply pending injections to the fresh completions, hold stalled
   // ones, release due held ones.
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t now = util::NowNs();
   size_t kept = 0;
   for (size_t i = 0; i < n; ++i) {
     IoCompletion c = out[i];

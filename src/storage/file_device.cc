@@ -1,6 +1,5 @@
 #include "storage/file_device.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,39 +19,18 @@ Result<std::unique_ptr<FileDevice>> FileDevice::Create(const std::string& path,
   if (options.capacity == 0) {
     return Status::InvalidArgument("file device capacity must be > 0");
   }
-  int flags = O_RDWR | O_CREAT | O_TRUNC;
-#ifdef O_DIRECT
-  if (options.direct_io) flags |= O_DIRECT;
-#endif
-  const int fd = ::open(path.c_str(), flags, 0644);
-  if (fd < 0) {
-    return Status::IoError("open(" + path + ") failed: " + std::strerror(errno));
-  }
-  if (::ftruncate(fd, static_cast<off_t>(options.capacity)) != 0) {
-    ::close(fd);
-    return Status::IoError("ftruncate failed: " + std::string(std::strerror(errno)));
-  }
-  return std::unique_ptr<FileDevice>(new FileDevice(path, fd, options));
+  E2_ASSIGN_OR_RETURN(const BackingFile file,
+                      OpenBackingFile(path, options.direct_io, options.capacity));
+  return std::unique_ptr<FileDevice>(new FileDevice(path, file.fd, options));
 }
 
 Result<std::unique_ptr<FileDevice>> FileDevice::Open(const std::string& path,
                                                      const Options& options) {
-  int flags = O_RDWR;
-#ifdef O_DIRECT
-  if (options.direct_io) flags |= O_DIRECT;
-#endif
-  const int fd = ::open(path.c_str(), flags);
-  if (fd < 0) {
-    return Status::NotFound("open(" + path + ") failed: " + std::strerror(errno));
-  }
-  const off_t size = ::lseek(fd, 0, SEEK_END);
-  if (size <= 0) {
-    ::close(fd);
-    return Status::InvalidArgument(path + " is empty");
-  }
+  E2_ASSIGN_OR_RETURN(const BackingFile file,
+                      OpenBackingFile(path, options.direct_io, 0));
   Options opened = options;
-  opened.capacity = static_cast<uint64_t>(size);
-  return std::unique_ptr<FileDevice>(new FileDevice(path, fd, opened));
+  opened.capacity = file.size;
+  return std::unique_ptr<FileDevice>(new FileDevice(path, file.fd, opened));
 }
 
 Status FileDevice::ValidateRead(const IoRequest& req) const {

@@ -20,13 +20,6 @@ InterfaceSpec GetInterfaceSpec(InterfaceKind kind) {
   return {"unknown", 0, 0};
 }
 
-std::vector<std::pair<InterfaceKind, std::string>> AllInterfaceKinds() {
-  return {{InterfaceKind::kIoUring, "io_uring"},
-          {InterfaceKind::kSpdk, "SPDK"},
-          {InterfaceKind::kXlfdd, "XLFDD-if"},
-          {InterfaceKind::kMmapSync, "mmap-sync"}};
-}
-
 Status ChargedDevice::SubmitRead(const IoRequest& req) {
   // The CPU cost is paid whether or not the submission succeeds: a full
   // queue is discovered only after talking to the device.

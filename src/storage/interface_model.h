@@ -41,7 +41,6 @@ struct InterfaceSpec {
 enum class InterfaceKind { kIoUring, kSpdk, kXlfdd, kMmapSync };
 
 InterfaceSpec GetInterfaceSpec(InterfaceKind kind);
-std::vector<std::pair<InterfaceKind, std::string>> AllInterfaceKinds();
 
 /// \brief Wraps a device, charging the interface's CPU cost per I/O.
 ///

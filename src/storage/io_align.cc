@@ -3,8 +3,11 @@
 #include <fcntl.h>
 #include <sys/ioctl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #if defined(__linux__)
 #include <linux/fs.h>  // BLKSSZGET
@@ -13,6 +16,37 @@
 #include "storage/block_device.h"
 
 namespace e2lshos::storage {
+
+Result<BackingFile> OpenBackingFile(const std::string& path, bool direct_io,
+                                    uint64_t create_size) {
+  int flags = O_RDWR;
+  if (create_size != 0) flags |= O_CREAT | O_TRUNC;
+#ifdef O_DIRECT
+  if (direct_io) flags |= O_DIRECT;
+#endif
+  BackingFile file;
+  file.fd = ::open(path.c_str(), flags, 0644);
+  if (file.fd < 0) {
+    const std::string what = "open(" + path + ") failed: " + std::strerror(errno);
+    return create_size != 0 ? Status::IoError(what) : Status::NotFound(what);
+  }
+  if (create_size != 0) {
+    if (::ftruncate(file.fd, static_cast<off_t>(create_size)) != 0) {
+      const int err = errno;
+      ::close(file.fd);
+      return Status::IoError("ftruncate failed: " + std::string(std::strerror(err)));
+    }
+    file.size = create_size;
+    return file;
+  }
+  const off_t size = ::lseek(file.fd, 0, SEEK_END);
+  if (size <= 0) {
+    ::close(file.fd);
+    return Status::InvalidArgument(path + " is empty");
+  }
+  file.size = static_cast<uint64_t>(size);
+  return file;
+}
 
 DioAlignment ProbeDioAlignment(int fd) {
   DioAlignment out;

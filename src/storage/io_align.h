@@ -1,4 +1,6 @@
-// Device-advertised direct-I/O alignment probing.
+// What the real-file devices (FileDevice, UringDevice) share: opening
+// the backing file, and probing its device-advertised direct-I/O
+// alignment.
 //
 // Direct I/O on a 512e drive accepts 512-byte-aligned extents; a 4Kn
 // drive (4096-byte logical blocks) rejects anything under 4 KiB. The
@@ -18,8 +20,23 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+
+#include "util/status.h"
 
 namespace e2lshos::storage {
+
+/// \brief An open backing file and its size in bytes.
+struct BackingFile {
+  int fd = -1;
+  uint64_t size = 0;
+};
+
+/// Open `path` read/write, with O_DIRECT when `direct_io`. A nonzero
+/// `create_size` creates (or truncates) the file and sizes it to that
+/// many bytes; 0 opens an existing, non-empty file at its own size.
+Result<BackingFile> OpenBackingFile(const std::string& path, bool direct_io,
+                                    uint64_t create_size);
 
 /// \brief What the kernel advertises for direct I/O on one open file.
 struct DioAlignment {

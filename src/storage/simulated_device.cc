@@ -9,9 +9,11 @@
 namespace e2lshos::storage {
 
 /// \brief One queue over the simulator: a private pending heap gated on
-/// the shared wall clock, dispatching to the shared flash units. Submit
-/// takes the device lock once (unit allocation — the modeled hardware
-/// contention point); everything else is queue-private.
+/// the shared wall clock, dispatching to the shared flash units. A timed
+/// submit takes the device lock once (unit allocation — the modeled
+/// hardware contention point); a poll that has completions due holds the
+/// backing lock shared while it copies them; everything else is
+/// queue-private.
 class SimulatedDevice::Queue : public BlockDevice {
  public:
   Queue(SimulatedDevice* parent, uint32_t queue_capacity)
@@ -33,7 +35,11 @@ class SimulatedDevice::Queue : public BlockDevice {
       return Status::ResourceExhausted("queue full");
     }
     Pending p;
-    p.complete_at_ns = parent_->ScheduleOnUnit(now);
+    // A zero-service-time (DRAM) read is due at submission and occupies
+    // no flash unit.
+    p.complete_at_ns = parent_->model_.service_time_ns == 0
+                           ? now
+                           : parent_->ScheduleOnUnit(now);
     p.submit_ns = now;
     p.user_data = req.user_data;
     p.offset = req.offset;
@@ -47,10 +53,12 @@ class SimulatedDevice::Queue : public BlockDevice {
   size_t PollCompletions(IoCompletion* out, size_t max) override {
     const uint64_t now = util::NowNs();
     std::lock_guard<std::mutex> lock(mu_);
+    if (pending_.empty() || pending_.top().complete_at_ns > now) return 0;
+    // Data transfer happens at completion time, ordered against Write.
+    std::shared_lock<std::shared_mutex> data(parent_->backing_mu_);
     size_t n = 0;
     while (n < max && !pending_.empty() && pending_.top().complete_at_ns <= now) {
       const Pending& p = pending_.top();
-      // Data transfer happens at completion time.
       std::memcpy(p.buf, parent_->backing_.data() + p.offset, p.length);
       out[n].user_data = p.user_data;
       out[n].code = StatusCode::kOk;
@@ -107,6 +115,10 @@ class SimulatedDevice::Queue : public BlockDevice {
   DeviceStats stats_;
 };
 
+DeviceModel MemoryModel(uint64_t capacity, uint32_t queue_capacity) {
+  return DeviceModel{"memory", 1, 0, queue_capacity, capacity};
+}
+
 uint64_t SimulatedDevice::ScheduleOnUnit(uint64_t now_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = std::min_element(unit_free_ns_.begin(), unit_free_ns_.end());
@@ -134,8 +146,8 @@ SimulatedDevice::~SimulatedDevice() = default;
 
 Result<std::unique_ptr<SimulatedDevice>> SimulatedDevice::Create(
     const DeviceModel& model) {
-  if (model.parallel_units == 0 || model.service_time_ns == 0) {
-    return Status::InvalidArgument("device model needs units > 0 and service time > 0");
+  if (model.parallel_units == 0) {
+    return Status::InvalidArgument("device model needs units > 0");
   }
   auto dev = std::unique_ptr<SimulatedDevice>(new SimulatedDevice(model));
   E2_RETURN_NOT_OK(dev->backing_.Map(model.capacity_bytes));
@@ -154,8 +166,11 @@ Status SimulatedDevice::Write(uint64_t offset, const void* data, uint32_t length
   if (!RangeInCapacity(offset, length, backing_.capacity())) {
     return Status::OutOfRange("write beyond device capacity");
   }
+  {
+    std::unique_lock<std::shared_mutex> lock(backing_mu_);
+    std::memcpy(backing_.data() + offset, data, length);
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  std::memcpy(backing_.data() + offset, data, length);
   stats_.bytes_written += length;
   return Status::OK();
 }

@@ -15,12 +15,18 @@
 // time, so end-to-end query benchmarks measure genuine elapsed time with
 // CPU work and I/O overlapping exactly as in the paper's Fig. 1(B).
 //
+// service_time_ns = 0 is the "T_read = 0" end of the same cost model
+// (MemoryModel below, the `mem:` URI): a read is due at submission, so
+// the device completes at DRAM speed. It serves as the correctness
+// harness for the engine in tests.
+//
 // Data lives in demand-paged anonymous memory (SparseBacking), so the
 // declared multi-terabyte capacities cost only the bytes actually written.
 #pragma once
 
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <vector>
 
 #include "storage/block_device.h"
@@ -42,6 +48,10 @@ struct DeviceModel {
     return active * 1e9 / static_cast<double>(service_time_ns);
   }
 };
+
+/// The DRAM model: zero service time, one unit, `capacity` bytes.
+/// `queue_capacity` bounds the unharvested completions per queue.
+DeviceModel MemoryModel(uint64_t capacity, uint32_t queue_capacity = 4096);
 
 class SimulatedDevice : public BlockDevice {
  public:
@@ -83,6 +93,9 @@ class SimulatedDevice : public BlockDevice {
 
   DeviceModel model_;
   SparseBacking backing_;
+  /// Orders the completion-time copies out of backing_ (shared) against
+  /// Write (exclusive), so an overlapping read sees whole writes.
+  std::shared_mutex backing_mu_;
   mutable std::mutex mu_;
   std::vector<uint64_t> unit_free_ns_;
   /// Unit busy time and writes; reads count on their queue.

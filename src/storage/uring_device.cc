@@ -1,6 +1,5 @@
 #include "storage/uring_device.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -263,20 +262,9 @@ Result<std::unique_ptr<UringDevice>> UringDevice::Create(
   if (options.capacity == 0) {
     return Status::InvalidArgument("uring device capacity must be > 0");
   }
-  int flags = O_RDWR | O_CREAT | O_TRUNC;
-#ifdef O_DIRECT
-  if (options.direct_io) flags |= O_DIRECT;
-#endif
-  const int fd = ::open(path.c_str(), flags, 0644);
-  if (fd < 0) {
-    return Status::IoError("open(" + path + ") failed: " + std::strerror(errno));
-  }
-  if (::ftruncate(fd, static_cast<off_t>(options.capacity)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::IoError(ErrnoString("ftruncate", err));
-  }
-  std::unique_ptr<UringDevice> dev(new UringDevice(path, fd, options));
+  E2_ASSIGN_OR_RETURN(const BackingFile file,
+                      OpenBackingFile(path, options.direct_io, options.capacity));
+  std::unique_ptr<UringDevice> dev(new UringDevice(path, file.fd, options));
   E2_RETURN_NOT_OK(dev->InitRing(options));
   return dev;
 }
@@ -287,22 +275,11 @@ Result<std::unique_ptr<UringDevice>> UringDevice::Open(const std::string& path,
     return Status::Unimplemented(
         "io_uring is not available (kernel refused io_uring_setup)");
   }
-  int flags = O_RDWR;
-#ifdef O_DIRECT
-  if (options.direct_io) flags |= O_DIRECT;
-#endif
-  const int fd = ::open(path.c_str(), flags);
-  if (fd < 0) {
-    return Status::NotFound("open(" + path + ") failed: " + std::strerror(errno));
-  }
-  const off_t size = ::lseek(fd, 0, SEEK_END);
-  if (size <= 0) {
-    ::close(fd);
-    return Status::InvalidArgument(path + " is empty");
-  }
+  E2_ASSIGN_OR_RETURN(const BackingFile file,
+                      OpenBackingFile(path, options.direct_io, 0));
   Options opened = options;
-  opened.capacity = static_cast<uint64_t>(size);
-  std::unique_ptr<UringDevice> dev(new UringDevice(path, fd, opened));
+  opened.capacity = file.size;
+  std::unique_ptr<UringDevice> dev(new UringDevice(path, file.fd, opened));
   E2_RETURN_NOT_OK(dev->InitRing(opened));
   return dev;
 }

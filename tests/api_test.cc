@@ -20,7 +20,7 @@
 #include "core/query_engine.h"
 #include "data/generators.h"
 #include "storage/device_registry.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 
 namespace e2lshos {
 namespace {
@@ -176,10 +176,10 @@ TestData MakeData(uint64_t n = 3000, uint32_t dim = 24) {
   return t;
 }
 
-/// The hand-wired reference path: builder + MemoryDevice + QueryEngine.
+/// The hand-wired reference path: builder + `mem:` device + QueryEngine.
 std::vector<std::vector<util::Neighbor>> ReferenceResults(const TestData& t,
                                                           uint32_t k) {
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   EXPECT_TRUE(dev.ok());
   lsh::E2lshConfig cfg = t.cfg;
   cfg.x_max = t.gen.base.XMax();

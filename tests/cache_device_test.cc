@@ -29,7 +29,6 @@
 #include "data/generators.h"
 #include "storage/cache_device.h"
 #include "storage/file_device.h"
-#include "storage/memory_device.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "storage/uring_device.h"
@@ -71,7 +70,7 @@ IoCompletion ReadOne(BlockDevice* dev, uint64_t offset, uint32_t length,
 // ---------------------------------------------------------------------------
 
 TEST(CacheCounters, MissThenHitThenEviction) {
-  auto mem = MemoryDevice::Create(kCapacity);
+  auto mem = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(mem.ok());
   StampSectors(mem->get(), 8);
 
@@ -112,7 +111,7 @@ TEST(CacheCounters, MissThenHitThenEviction) {
 }
 
 TEST(CacheCounters, WriteThroughPatchesResidentBlocks) {
-  auto mem = MemoryDevice::Create(kCapacity);
+  auto mem = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(mem.ok());
   StampSectors(mem->get(), 2);
 
@@ -140,7 +139,7 @@ TEST(CacheCounters, WriteThroughPatchesResidentBlocks) {
 }
 
 TEST(CacheCounters, OversizedReadsBypassTheCache) {
-  auto mem = MemoryDevice::Create(kCapacity);
+  auto mem = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(mem.ok());
   StampSectors(mem->get(), 8);
 
@@ -169,7 +168,7 @@ TEST(CacheCounters, OversizedReadsBypassTheCache) {
 }
 
 TEST(CacheCounters, RejectsWhatTheInnerDeviceWouldReject) {
-  auto mem = MemoryDevice::Create(kCapacity);
+  auto mem = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(mem.ok());
   CacheDevice::Options copt;
   copt.capacity_bytes = 8 * kSectorBytes;
@@ -187,7 +186,7 @@ TEST(CacheCounters, RejectsWhatTheInnerDeviceWouldReject) {
 }
 
 TEST(CacheCounters, CreateValidatesCapacity) {
-  auto mem = MemoryDevice::Create(kCapacity);
+  auto mem = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(mem.ok());
   CacheDevice::Options copt;
   copt.capacity_bytes = kSectorBytes - 1;  // below one cache block
@@ -204,7 +203,7 @@ TEST(CacheCounters, CreateValidatesCapacity) {
 // ---------------------------------------------------------------------------
 
 TEST(CacheResetStats, ParentResetIsOneFullReset) {
-  auto mem = MemoryDevice::Create(kCapacity);
+  auto mem = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(mem.ok());
   StampSectors(mem->get(), 8);
   CacheDevice::Options copt;
@@ -250,7 +249,7 @@ TEST(CacheResetStats, ParentResetIsOneFullReset) {
 }
 
 TEST(CacheResetStats, QueueResetStaysQueueLocal) {
-  auto mem = MemoryDevice::Create(kCapacity);
+  auto mem = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(mem.ok());
   StampSectors(mem->get(), 8);
   CacheDevice::Options copt;
@@ -278,7 +277,7 @@ TEST(CacheResetStats, QueueResetStaysQueueLocal) {
 TEST(CacheResetStats, StripedChildrenResetOnceAndReaggregateExactly) {
   std::vector<std::unique_ptr<BlockDevice>> children;
   for (int i = 0; i < 4; ++i) {
-    auto child = MemoryDevice::Create(kCapacity);
+    auto child = SimulatedDevice::Create(MemoryModel(kCapacity));
     ASSERT_TRUE(child.ok());
     children.push_back(std::move(child).value());
   }
@@ -416,7 +415,7 @@ void RunCacheParity(BlockDevice* dev, const ParityFixture& fx,
 
 TEST(CacheParity, MemoryDevice) {
   ParityFixture fx = MakeParityFixture();
-  auto dev = MemoryDevice::Create(256 << 20);
+  auto dev = SimulatedDevice::Create(MemoryModel(256 << 20));
   ASSERT_TRUE(dev.ok());
   RunCacheParity(dev->get(), fx, "mem:");
 }
@@ -465,7 +464,7 @@ TEST(CacheParity, UringDevice) {
 
 TEST(CacheParity, EvictionPressureKeepsAnswersIdentical) {
   ParityFixture fx = MakeParityFixture();
-  auto dev = MemoryDevice::Create(256 << 20);
+  auto dev = SimulatedDevice::Create(MemoryModel(256 << 20));
   ASSERT_TRUE(dev.ok());
   auto idx = core::IndexBuilder::Build(fx.gen.base, fx.params, dev->get());
   ASSERT_TRUE(idx.ok());
@@ -501,11 +500,13 @@ TEST(CacheParity, EvictionPressureKeepsAnswersIdentical) {
 // Concurrency hammer: one thread per cache queue re-reading a
 // small sector set (heavy hit traffic on the shared store) while a
 // writer rewrites the same bytes through the write-through path (epoch
-// bumps + resident patches). TSan verifies the locking story.
+// bumps + resident patches). TSan verifies the locking story, down to
+// the device's own reads racing the write-through path.
 // ---------------------------------------------------------------------------
 
-TEST(CacheHammer, QueuesAndWriterUnderTsan) {
-  auto mem = MemoryDevice::Create(kCapacity, /*queue_capacity=*/8192);
+void HammerQueuesAndWriter(const DeviceModel& model) {
+  SCOPED_TRACE(model.name);
+  auto mem = SimulatedDevice::Create(model);
   ASSERT_TRUE(mem.ok());
   BlockDevice* dev = mem->get();
   const uint64_t sectors = dev->capacity() / kSectorBytes;
@@ -584,6 +585,13 @@ TEST(CacheHammer, QueuesAndWriterUnderTsan) {
   EXPECT_EQ(st.reads_completed,
             static_cast<uint64_t>(kQueues) * kReadsPerQueue);
   EXPECT_GT(st.cache_hits, 0u);
+}
+
+TEST(CacheHammer, QueuesAndWriterUnderTsan) {
+  // Both models copy a read out of the backing when it is polled: the
+  // memory model's reads are due at once, the timed model's later.
+  HammerQueuesAndWriter(MemoryModel(kCapacity, /*queue_capacity=*/8192));
+  HammerQueuesAndWriter(DeviceModel{"t", 4, 1000, 8192, kCapacity});
 }
 
 }  // namespace

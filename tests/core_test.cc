@@ -15,7 +15,7 @@
 #include "e2lsh/in_memory.h"
 #include "storage/device_registry.h"
 #include "storage/interface_model.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "util/rng.h"
 
@@ -116,7 +116,7 @@ TEST(Layout, HeadAddressingIsDisjoint) {
 struct Fixture {
   data::GeneratedData gen;
   lsh::E2lshParams params;
-  std::unique_ptr<storage::MemoryDevice> device;
+  std::unique_ptr<storage::SimulatedDevice> device;
   std::unique_ptr<StorageIndex> index;
 };
 
@@ -140,7 +140,7 @@ Fixture MakeFixture(uint64_t n = 4000, uint32_t dim = 24, double s_factor = 4.0,
   EXPECT_TRUE(params.ok());
   f.params = *params;
 
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   EXPECT_TRUE(dev.ok());
   f.device = std::move(dev.value());
 
@@ -164,7 +164,7 @@ TEST(Builder, RejectsBadInputs) {
 
 TEST(Builder, FailsWhenDeviceTooSmall) {
   auto f = MakeFixture(2000);
-  auto tiny = storage::MemoryDevice::Create(1 << 20);
+  auto tiny = storage::SimulatedDevice::Create(storage::MemoryModel(1 << 20));
   ASSERT_TRUE(tiny.ok());
   EXPECT_EQ(IndexBuilder::Build(f.gen.base, f.params, tiny->get()).status().code(),
             StatusCode::kOutOfRange);
@@ -380,7 +380,7 @@ TEST(QueryEngine, WorksOnStripedDevices) {
   auto f = MakeFixture(2000);
   std::vector<std::unique_ptr<storage::BlockDevice>> children;
   for (int i = 0; i < 4; ++i) {
-    auto dev = storage::MemoryDevice::Create(512ULL << 20);
+    auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(512ULL << 20));
     ASSERT_TRUE(dev.ok());
     children.push_back(std::move(dev.value()));
   }

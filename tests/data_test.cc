@@ -89,6 +89,13 @@ TEST(Generators, ByteQuantizeSnapsToGrid) {
     }
   }
   EXPECT_GT(levels.size(), 50u);  // uses a good chunk of the 256-level grid
+  // Queries come from PointSampler::NextQuery and sit on the same grid.
+  for (uint64_t i = 0; i < gen.queries.n(); ++i) {
+    for (uint32_t j = 0; j < 4; ++j) {
+      const double q = gen.queries.Row(i)[j] / step;
+      EXPECT_NEAR(q, std::round(q), 1e-3);
+    }
+  }
 }
 
 TEST(Generators, UniformStaysInRange) {

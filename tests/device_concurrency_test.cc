@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "storage/file_device.h"
-#include "storage/memory_device.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "storage/uring_device.h"
@@ -134,7 +133,7 @@ void HammerSharedDevice(BlockDevice* dev) {
 }
 
 TEST(DeviceConcurrency, MemoryDeviceSharedHammer) {
-  auto dev = MemoryDevice::Create(1 << 20, /*queue_capacity=*/256);
+  auto dev = SimulatedDevice::Create(MemoryModel(1 << 20, /*queue_capacity=*/256));
   ASSERT_TRUE(dev.ok());
   HammerSharedDevice(dev->get());
 }
@@ -202,7 +201,7 @@ TEST(DeviceConcurrency, UringDeviceTinyRingHammer) {
 TEST(DeviceConcurrency, StripedDeviceConcurrentPollers) {
   std::vector<std::unique_ptr<BlockDevice>> children;
   for (int i = 0; i < 4; ++i) {
-    auto child = MemoryDevice::Create(1 << 18, /*queue_capacity=*/512);
+    auto child = SimulatedDevice::Create(MemoryModel(1 << 18, /*queue_capacity=*/512));
     ASSERT_TRUE(child.ok());
     children.push_back(std::move(child).value());
   }

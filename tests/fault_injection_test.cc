@@ -11,7 +11,7 @@
 #include "data/generators.h"
 #include "data/ground_truth.h"
 #include "storage/faulty_device.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 
 namespace e2lshos::core {
 namespace {
@@ -19,7 +19,7 @@ namespace {
 struct Fixture {
   data::GeneratedData gen;
   lsh::E2lshParams params;
-  std::unique_ptr<storage::MemoryDevice> device;
+  std::unique_ptr<storage::SimulatedDevice> device;
   std::unique_ptr<StorageIndex> index;
 };
 
@@ -40,7 +40,7 @@ Fixture MakeFixture(uint64_t n = 3000, uint32_t dim = 24) {
   auto params = lsh::ComputeParams(n, dim, cfg);
   EXPECT_TRUE(params.ok());
   f.params = *params;
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   EXPECT_TRUE(dev.ok());
   f.device = std::move(dev.value());
   auto idx = IndexBuilder::Build(f.gen.base, f.params, f.device.get());

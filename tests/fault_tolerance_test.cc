@@ -33,7 +33,7 @@
 #include "data/generators.h"
 #include "storage/device_registry.h"
 #include "storage/faulty_device.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 #include "storage/retry_device.h"
 
 namespace e2lshos::core {
@@ -42,7 +42,7 @@ namespace {
 struct Fixture {
   data::GeneratedData gen;
   lsh::E2lshParams params;
-  std::unique_ptr<storage::MemoryDevice> device;
+  std::unique_ptr<storage::SimulatedDevice> device;
   std::unique_ptr<StorageIndex> index;
 };
 
@@ -64,7 +64,7 @@ Fixture MakeFixture(uint64_t n = 3000, uint32_t dim = 24,
   auto params = lsh::ComputeParams(n, dim, cfg);
   EXPECT_TRUE(params.ok());
   f.params = *params;
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   EXPECT_TRUE(dev.ok());
   f.device = std::move(dev.value());
   BuildOptions opt;

@@ -17,7 +17,7 @@
 
 #include "storage/device_registry.h"
 #include "storage/faulty_device.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 
 namespace e2lshos::storage {
 namespace {
@@ -68,7 +68,7 @@ void Hammer(BlockDevice* dev, uint64_t rounds, uint32_t depth,
 
 TEST(FaultyHammer, ScrambleNeverTouchesHarvestedBuffers) {
   // Every fault class is armed at once.
-  auto inner = MemoryDevice::Create(kCapacity);
+  auto inner = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(inner.ok());
   std::vector<uint8_t> image(1 << 20, 0xAB);
   ASSERT_TRUE((*inner)

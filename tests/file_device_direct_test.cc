@@ -22,7 +22,6 @@
 #include "data/generators.h"
 #include "storage/device_registry.h"
 #include "storage/file_device.h"
-#include "storage/memory_device.h"
 #include "storage/simulated_device.h"
 #include "util/aligned_buffer.h"
 
@@ -143,7 +142,7 @@ TEST(FileDeviceDirect, InMemoryDeviceBoundsDoNotWrapOnOverflow) {
   req.length = kSectorBytes;
   req.offset = std::numeric_limits<uint64_t>::max() - kSectorBytes + 1;
 
-  auto mem = MemoryDevice::Create(kCapacity);
+  auto mem = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(mem.ok());
   EXPECT_EQ((*mem)->SubmitRead(req).code(), StatusCode::kOutOfRange);
   EXPECT_EQ((*mem)->Write(req.offset, buf.data(), kSectorBytes).code(),

@@ -16,7 +16,7 @@
 #include "storage/device_registry.h"
 #include "storage/file_device.h"
 #include "storage/interface_model.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 
 namespace e2lshos {
 namespace {
@@ -64,7 +64,7 @@ TEST_F(PipelineTest, AllMethodsReachUsableAccuracy) {
       data::MeanOverallRatio(*gt_, (*mem)->SearchBatch(gen_->queries, 1).results, 1);
 
   // E2LSHoS on an instant device.
-  auto dev = storage::MemoryDevice::Create(4ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(4ULL << 30));
   ASSERT_TRUE(dev.ok());
   auto idx = core::IndexBuilder::Build(gen_->base, *params_, dev->get());
   ASSERT_TRUE(idx.ok());
@@ -168,7 +168,7 @@ TEST_F(PipelineTest, AsyncBeatsSyncOnSlowStorage) {
 TEST_F(PipelineTest, MemoryFootprintStory) {
   // Table 6: E2LSHoS keeps a large index on storage but only a small
   // DRAM-resident part, comparable to SRS's whole index.
-  auto dev = storage::MemoryDevice::Create(4ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(4ULL << 30));
   ASSERT_TRUE(dev.ok());
   auto idx = core::IndexBuilder::Build(gen_->base, *params_, dev->get());
   ASSERT_TRUE(idx.ok());

@@ -42,7 +42,7 @@
 #include "core/query_engine.h"
 #include "data/generators.h"
 #include "e2lsh/in_memory.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 #include "storage/uring_device.h"
 
 namespace e2lshos {
@@ -408,7 +408,7 @@ TEST(LiveUpdate, SaveRelocatesFullHeadsAndKeepsEveryEntry) {
 // Staging I/O: bursts on the updater's own queue
 // ---------------------------------------------------------------------------
 
-/// Queue-making wrapper over a MemoryDevice that logs, per queue, every
+/// Queue-making wrapper over a `mem:` device that logs, per queue, every
 /// read's offset and the peak number of reads in flight, plus the end of
 /// the highest byte ever written through the device itself.
 class RecordingDevice : public storage::BlockDevice {
@@ -419,7 +419,7 @@ class RecordingDevice : public storage::BlockDevice {
     uint32_t peak_in_flight = 0;
   };
 
-  explicit RecordingDevice(std::unique_ptr<storage::MemoryDevice> inner)
+  explicit RecordingDevice(std::unique_ptr<storage::SimulatedDevice> inner)
       : inner_(std::move(inner)) {}
 
   Status SubmitRead(const storage::IoRequest& req) override {
@@ -479,7 +479,7 @@ class RecordingDevice : public storage::BlockDevice {
     QueueLog* log_;
   };
 
-  std::unique_ptr<storage::MemoryDevice> inner_;
+  std::unique_ptr<storage::SimulatedDevice> inner_;
   uint64_t written_end_ = 0;
   std::vector<std::unique_ptr<QueueLog>> logs_;
 };
@@ -497,7 +497,7 @@ Result<std::unique_ptr<core::StorageIndex>> BuildCore(
 
 TEST(LiveUpdate, InsertReadsOnlyOldPagesOnceEachInDeepBursts) {
   auto t = MakeData();
-  auto mem = storage::MemoryDevice::Create(256ULL << 20);
+  auto mem = storage::SimulatedDevice::Create(storage::MemoryModel(256ULL << 20));
   ASSERT_TRUE(mem.ok());
   RecordingDevice dev(std::move(*mem));
   auto index = BuildCore(t, &dev);
@@ -557,7 +557,7 @@ class NoQueueDevice : public storage::BlockDevice {
 
 TEST(LiveUpdate, InsertWithoutNativeQueuesFailsAndChangesNothing) {
   auto t = MakeData();
-  auto mem = storage::MemoryDevice::Create(256ULL << 20);
+  auto mem = storage::SimulatedDevice::Create(storage::MemoryModel(256ULL << 20));
   ASSERT_TRUE(mem.ok());
   auto index = BuildCore(t, mem->get());
   ASSERT_TRUE(index.ok()) << index.status().ToString();
@@ -844,7 +844,7 @@ TEST(LiveUpdate, FailedSaveKeepsEveryChainWholeAndRetrySucceeds) {
   const std::vector<float> far_f(dim, 40.0f);
   const std::vector<float> far_g(dim, -40.0f);
   for (int i = 0; i < 120; ++i) t.gen.base.Append(far_f.data());
-  auto mem = storage::MemoryDevice::Create(256ULL << 20);
+  auto mem = storage::SimulatedDevice::Create(storage::MemoryModel(256ULL << 20));
   ASSERT_TRUE(mem.ok());
   FailingWriteDevice dev(mem->get());
   auto index = BuildCore(t, &dev);

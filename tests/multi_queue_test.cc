@@ -31,7 +31,6 @@
 #include "storage/device_registry.h"
 #include "storage/file_device.h"
 #include "storage/interface_model.h"
-#include "storage/memory_device.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "storage/uring_device.h"
@@ -47,7 +46,7 @@ constexpr uint64_t kCapacity = 1 << 20;
 // ---------------------------------------------------------------------------
 
 TEST(NativeQueues, CompletionsStayOnSubmittingQueue) {
-  auto dev = MemoryDevice::Create(kCapacity);
+  auto dev = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(dev.ok());
   std::vector<uint8_t> data(1024, 0xAB);
   ASSERT_TRUE(dev->get()->Write(0, data.data(), data.size()).ok());
@@ -72,7 +71,7 @@ TEST(NativeQueues, CompletionsStayOnSubmittingQueue) {
 }
 
 TEST(NativeQueues, DeviceStatsAggregateQueueTraffic) {
-  auto dev = MemoryDevice::Create(kCapacity);
+  auto dev = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(dev.ok());
   std::vector<uint8_t> data(512, 1);
   ASSERT_TRUE(dev->get()->Write(0, data.data(), data.size()).ok());
@@ -102,7 +101,7 @@ TEST(NativeQueues, DeviceStatsAggregateQueueTraffic) {
 TEST(NativeQueues, StripedDeviceComposesChildQueues) {
   std::vector<std::unique_ptr<BlockDevice>> children;
   for (int i = 0; i < 4; ++i) {
-    auto child = MemoryDevice::Create(kCapacity);
+    auto child = SimulatedDevice::Create(MemoryModel(kCapacity));
     ASSERT_TRUE(child.ok());
     children.push_back(std::move(child).value());
   }
@@ -142,7 +141,7 @@ TEST(NativeQueues, CacheParentResetDoesNotDesyncLiveQueues) {
   // double-reset of shared children and exact re-aggregation afterwards.
   std::vector<std::unique_ptr<BlockDevice>> children;
   for (int i = 0; i < 2; ++i) {
-    auto child = MemoryDevice::Create(kCapacity);
+    auto child = SimulatedDevice::Create(MemoryModel(kCapacity));
     ASSERT_TRUE(child.ok());
     children.push_back(std::move(child).value());
   }
@@ -194,7 +193,7 @@ TEST(NativeQueues, CacheParentResetDoesNotDesyncLiveQueues) {
 }
 
 TEST(NativeQueues, ChargedDeviceWrapsInnerQueues) {
-  auto dev = MemoryDevice::Create(kCapacity);
+  auto dev = SimulatedDevice::Create(MemoryModel(kCapacity));
   ASSERT_TRUE(dev.ok());
   ChargedDevice charged(dev->get(), GetInterfaceSpec(InterfaceKind::kXlfdd));
   auto queue = charged.CreateQueue({});
@@ -376,7 +375,7 @@ void RunParity(BlockDevice* dev, const ParityFixture& fx, const char* what) {
 
 TEST(MultiQueueParity, MemoryDevice) {
   ParityFixture fx = MakeParityFixture();
-  auto dev = MemoryDevice::Create(256 << 20);
+  auto dev = SimulatedDevice::Create(MemoryModel(256 << 20));
   ASSERT_TRUE(dev.ok());
   RunParity(dev->get(), fx, "mem:");
 }
@@ -430,7 +429,7 @@ TEST(MultiQueueParity, UringDevice) {
 // direct path.
 // ---------------------------------------------------------------------------
 
-/// Pass-through over a MemoryDevice that keeps BlockDevice's default
+/// Pass-through over a `mem:` device that keeps BlockDevice's default
 /// CreateQueue (Unimplemented).
 class NoQueueDevice : public BlockDevice {
  public:
@@ -456,7 +455,7 @@ class NoQueueDevice : public BlockDevice {
 
 TEST(QueueCreationFailure, MultiShardServingReturnsTheDeviceStatus) {
   ParityFixture fx = MakeParityFixture();
-  auto mem = MemoryDevice::Create(256 << 20);
+  auto mem = SimulatedDevice::Create(MemoryModel(256 << 20));
   ASSERT_TRUE(mem.ok());
   NoQueueDevice dev(mem->get());
   ASSERT_EQ(dev.CreateQueue({}).status().code(), StatusCode::kUnimplemented);
@@ -489,7 +488,7 @@ TEST(QueueCreationFailure, MultiShardServingReturnsTheDeviceStatus) {
 
 TEST(QueueCreationFailure, OneShardServesOnTheDirectPath) {
   ParityFixture fx = MakeParityFixture();
-  auto mem = MemoryDevice::Create(256 << 20);
+  auto mem = SimulatedDevice::Create(MemoryModel(256 << 20));
   ASSERT_TRUE(mem.ok());
   NoQueueDevice dev(mem->get());
   auto idx = core::IndexBuilder::Build(fx.gen.base, fx.params, &dev);
@@ -574,7 +573,7 @@ void HammerDevice(BlockDevice* dev, uint32_t num_queues, int reads_per_queue) {
 }
 
 TEST(MultiQueueHammer, MemoryDevice) {
-  auto dev = MemoryDevice::Create(kCapacity, /*queue_capacity=*/8192);
+  auto dev = SimulatedDevice::Create(MemoryModel(kCapacity, /*queue_capacity=*/8192));
   ASSERT_TRUE(dev.ok());
   HammerDevice(dev->get(), 4, 500);
 }

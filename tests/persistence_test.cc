@@ -15,7 +15,7 @@
 #include "core/query_engine.h"
 #include "data/generators.h"
 #include "storage/file_device.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 #include "util/crc32c.h"
 
 namespace e2lshos::core {
@@ -48,7 +48,7 @@ TestData MakeData(uint64_t n = 3000, uint32_t dim = 24) {
 
 TEST(Persistence, SaveLoadRoundTripsMetadata) {
   auto t = MakeData();
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   ASSERT_TRUE(dev.ok());
   auto idx = IndexBuilder::Build(t.gen.base, t.params, dev->get());
   ASSERT_TRUE(idx.ok());
@@ -120,7 +120,7 @@ TEST(Persistence, RejectsCorruptMagic) {
   ASSERT_NE(f, nullptr);
   std::fputs("NOTANIDX-GARBAGE", f);
   std::fclose(f);
-  auto dev = storage::MemoryDevice::Create(1 << 20);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(1 << 20));
   ASSERT_TRUE(dev.ok());
   EXPECT_EQ(LoadIndexMeta(path, dev->get()).status().code(),
             StatusCode::kInvalidArgument);
@@ -133,7 +133,7 @@ TEST(Persistence, RefusesPreV4ImagesByName) {
   // reads, so the file is refused with a pointer to a rebuild rather
   // than served through a second read path.
   const std::string path = ::testing::TempDir() + "/e2_v3_meta.bin";
-  auto dev = storage::MemoryDevice::Create(1 << 20);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(1 << 20));
   ASSERT_TRUE(dev.ok());
   for (const char* magic : {"E2OSIDX3", "E2OSIDX2"}) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -153,7 +153,7 @@ TEST(Persistence, RefusesPreV4ImagesByName) {
 }
 
 TEST(Persistence, RejectsMissingFileAndNullDevice) {
-  auto dev = storage::MemoryDevice::Create(1 << 20);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(1 << 20));
   ASSERT_TRUE(dev.ok());
   EXPECT_EQ(LoadIndexMeta("/nonexistent/meta.bin", dev->get()).status().code(),
             StatusCode::kNotFound);
@@ -163,13 +163,13 @@ TEST(Persistence, RejectsMissingFileAndNullDevice) {
 
 TEST(Persistence, RejectsTooSmallDevice) {
   auto t = MakeData();
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   ASSERT_TRUE(dev.ok());
   auto idx = IndexBuilder::Build(t.gen.base, t.params, dev->get());
   ASSERT_TRUE(idx.ok());
   const std::string meta = ::testing::TempDir() + "/e2_meta_small.bin";
   ASSERT_TRUE(SaveIndexMeta(**idx, meta).ok());
-  auto tiny = storage::MemoryDevice::Create(1 << 16);
+  auto tiny = storage::SimulatedDevice::Create(storage::MemoryModel(1 << 16));
   ASSERT_TRUE(tiny.ok());
   EXPECT_EQ(LoadIndexMeta(meta, tiny->get()).status().code(),
             StatusCode::kOutOfRange);
@@ -178,7 +178,7 @@ TEST(Persistence, RejectsTooSmallDevice) {
 
 TEST(Persistence, TruncatedFileRejected) {
   auto t = MakeData(800);
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   ASSERT_TRUE(dev.ok());
   auto idx = IndexBuilder::Build(t.gen.base, t.params, dev->get());
   ASSERT_TRUE(idx.ok());
@@ -195,7 +195,7 @@ TEST(Persistence, RejectsAllocationCursorInsideImage) {
   // image's end. A cursor inside the image would hand built blocks to
   // later inserts, so it is refused even under a valid file checksum.
   auto t = MakeData(800);
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   ASSERT_TRUE(dev.ok());
   auto idx = IndexBuilder::Build(t.gen.base, t.params, dev->get());
   ASSERT_TRUE(idx.ok());
@@ -242,7 +242,7 @@ TEST(Persistence, LoadRecomputesTheDramFigure) {
   // The recorded dram_index_bytes is whatever the writing build counted;
   // a loaded index reports what its own structures hold.
   auto t = MakeData(800);
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   ASSERT_TRUE(dev.ok());
   auto idx = IndexBuilder::Build(t.gen.base, t.params, dev->get());
   ASSERT_TRUE(idx.ok());

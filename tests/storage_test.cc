@@ -9,7 +9,6 @@
 #include "storage/device_registry.h"
 #include "storage/file_device.h"
 #include "storage/interface_model.h"
-#include "storage/memory_device.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "util/aligned_buffer.h"
@@ -36,7 +35,7 @@ bool CheckPattern(const uint8_t* data, uint32_t len, uint64_t seed) {
 }
 
 TEST(MemoryDevice, WriteThenSyncReadRoundTrips) {
-  auto dev = MemoryDevice::Create(1 << 20);
+  auto dev = SimulatedDevice::Create(MemoryModel(1 << 20));
   ASSERT_TRUE(dev.ok());
   WritePattern(dev->get(), 4096, 512, 1);
   util::AlignedBuffer buf(512);
@@ -45,7 +44,7 @@ TEST(MemoryDevice, WriteThenSyncReadRoundTrips) {
 }
 
 TEST(MemoryDevice, RejectsOutOfRange) {
-  auto dev = MemoryDevice::Create(4096);
+  auto dev = SimulatedDevice::Create(MemoryModel(4096));
   ASSERT_TRUE(dev.ok());
   util::AlignedBuffer buf(512);
   IoRequest req{4096 - 256, 512, buf.data(), 0};
@@ -54,14 +53,14 @@ TEST(MemoryDevice, RejectsOutOfRange) {
 }
 
 TEST(MemoryDevice, RejectsNullBuffer) {
-  auto dev = MemoryDevice::Create(4096);
+  auto dev = SimulatedDevice::Create(MemoryModel(4096));
   ASSERT_TRUE(dev.ok());
   IoRequest req{0, 512, nullptr, 0};
   EXPECT_EQ((*dev)->SubmitRead(req).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(MemoryDevice, UserDataRoundTrips) {
-  auto dev = MemoryDevice::Create(1 << 16);
+  auto dev = SimulatedDevice::Create(MemoryModel(1 << 16));
   ASSERT_TRUE(dev.ok());
   util::AlignedBuffer buf(512);
   for (uint64_t tag : {7ULL, 42ULL, ~0ULL >> 1}) {
@@ -74,7 +73,7 @@ TEST(MemoryDevice, UserDataRoundTrips) {
 }
 
 TEST(MemoryDevice, StatsCountReads) {
-  auto dev = MemoryDevice::Create(1 << 16);
+  auto dev = SimulatedDevice::Create(MemoryModel(1 << 16));
   ASSERT_TRUE(dev.ok());
   util::AlignedBuffer buf(512);
   for (int i = 0; i < 5; ++i) {
@@ -259,7 +258,7 @@ TEST(DeviceRegistry, Table5ConfigsPresent) {
 TEST(StripedDevice, RoundTripsAcrossChildren) {
   std::vector<std::unique_ptr<BlockDevice>> children;
   for (int i = 0; i < 4; ++i) {
-    auto dev = MemoryDevice::Create(1 << 20);
+    auto dev = SimulatedDevice::Create(MemoryModel(1 << 20));
     ASSERT_TRUE(dev.ok());
     children.push_back(std::move(dev.value()));
   }
@@ -281,10 +280,10 @@ TEST(StripedDevice, RoundTripsAcrossChildren) {
 
 TEST(StripedDevice, RejectsSectorCrossingReads) {
   std::vector<std::unique_ptr<BlockDevice>> children;
-  auto dev = MemoryDevice::Create(1 << 20);
+  auto dev = SimulatedDevice::Create(MemoryModel(1 << 20));
   ASSERT_TRUE(dev.ok());
   children.push_back(std::move(dev.value()));
-  auto dev2 = MemoryDevice::Create(1 << 20);
+  auto dev2 = SimulatedDevice::Create(MemoryModel(1 << 20));
   ASSERT_TRUE(dev2.ok());
   children.push_back(std::move(dev2.value()));
   auto striped = StripedDevice::Create(std::move(children));
@@ -298,7 +297,7 @@ TEST(StripedDevice, DistributesLoadEvenly) {
   std::vector<std::unique_ptr<BlockDevice>> children;
   std::vector<BlockDevice*> raw;
   for (int i = 0; i < 4; ++i) {
-    auto dev = MemoryDevice::Create(1 << 20);
+    auto dev = SimulatedDevice::Create(MemoryModel(1 << 20));
     ASSERT_TRUE(dev.ok());
     raw.push_back(dev->get());
     children.push_back(std::move(dev.value()));
@@ -325,7 +324,7 @@ TEST(InterfaceModel, SpecsMatchTable3) {
 }
 
 TEST(InterfaceModel, ChargedDeviceBurnsCpuTime) {
-  auto dev = MemoryDevice::Create(1 << 16);
+  auto dev = SimulatedDevice::Create(MemoryModel(1 << 16));
   ASSERT_TRUE(dev.ok());
   ChargedDevice charged(dev->get(), {"slow-if", 50000, 0});  // 50 us per I/O
   util::AlignedBuffer buf(512);
@@ -338,7 +337,7 @@ TEST(InterfaceModel, ChargedDeviceBurnsCpuTime) {
 }
 
 TEST(InterfaceModel, ChargedDeviceForwardsData) {
-  auto dev = MemoryDevice::Create(1 << 16);
+  auto dev = SimulatedDevice::Create(MemoryModel(1 << 16));
   ASSERT_TRUE(dev.ok());
   ChargedDevice charged(dev->get(), GetInterfaceSpec(InterfaceKind::kXlfdd));
   WritePattern(&charged, 512, 512, 9);

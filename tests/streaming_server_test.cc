@@ -18,7 +18,6 @@
 #include "core/query_stream.h"
 #include "core/sharded_engine.h"
 #include "core/streaming_server.h"
-#include "storage/memory_device.h"
 #include "storage/simulated_device.h"
 #include "streaming_test_util.h"
 #include "util/clock.h"
@@ -184,8 +183,8 @@ TEST(StreamingServer, MatchesOneShotBatchAcrossShards) {
     opts.on_result = collector.Callback();
     StreamingServer server(&engine, opts);
 
-    DatasetStream stream(&f->gen.queries);
-    ASSERT_TRUE(server.Serve(&stream).ok()) << "shards=" << shards;
+    auto queue = FilledQueue(f->gen.queries);
+    ASSERT_TRUE(server.Serve(queue.get()).ok()) << "shards=" << shards;
 
     std::lock_guard<std::mutex> lock(collector.mu);
     ASSERT_EQ(collector.results.size(), f->gen.queries.n())
@@ -206,8 +205,8 @@ TEST(StreamingServer, NeighborsSortedWithinEachQuery) {
   opts.k = 10;
   opts.on_result = collector.Callback();
   StreamingServer server(&engine, opts);
-  DatasetStream stream(&f->gen.queries);
-  ASSERT_TRUE(server.Serve(&stream).ok());
+  auto queue = FilledQueue(f->gen.queries);
+  ASSERT_TRUE(server.Serve(queue.get()).ok());
 
   std::lock_guard<std::mutex> lock(collector.mu);
   for (const auto& [id, r] : collector.results) {
@@ -334,8 +333,8 @@ TEST(StreamingServer, EmptyStreamAndZeroQueries) {
   opts.on_result = collector.Callback();
   {
     StreamingServer server(&engine, opts);
-    DatasetStream stream(&empty);
-    ASSERT_TRUE(server.Serve(&stream).ok());
+    auto queue = FilledQueue(empty);
+    ASSERT_TRUE(server.Serve(queue.get()).ok());
     EXPECT_EQ(server.stats().completed, 0u);
     EXPECT_EQ(server.stats().batches, 0u);
     EXPECT_EQ(server.stats().sustained_qps, 0.0);
@@ -365,14 +364,14 @@ TEST(StreamingServer, BoundedGeneratorStreamDrains) {
   spec.cluster_std = 3.0 / std::sqrt(48.0);
   spec.center_spread = 10.0 * std::sqrt(6.0 / 24.0);
   spec.seed = 23;
-  GeneratorStream stream(spec, 100);
+  auto queue = FilledQueue(data::Generate("generated", 0, 100, spec).queries);
 
   Collector collector;
   ServerOptions opts;
   opts.k = 5;
   opts.on_result = collector.Callback();
   StreamingServer server(&engine, opts);
-  ASSERT_TRUE(server.Serve(&stream).ok());
+  ASSERT_TRUE(server.Serve(queue.get()).ok());
 
   std::lock_guard<std::mutex> lock(collector.mu);
   ASSERT_EQ(collector.results.size(), 100u);
@@ -392,26 +391,26 @@ TEST(StreamingServer, BoundedGeneratorStreamDrains) {
 TEST(StreamingServer, RejectsBadConfigurations) {
   Fixture* f = GetFixture();
   ShardedQueryEngine engine(f->index.get(), &f->gen.base, {});
-  DatasetStream stream(&f->gen.queries);
+  auto queue = FilledQueue(f->gen.queries);
 
   ServerOptions zero_k;
   zero_k.k = 0;
   StreamingServer bad_k(&engine, zero_k);
-  EXPECT_EQ(bad_k.Start(&stream).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_k.Start(queue.get()).code(), StatusCode::kInvalidArgument);
 
   data::Dataset wrong("wrong", f->gen.queries.dim() + 1);
   std::vector<float> row(wrong.dim(), 0.0f);
   wrong.Append(row.data());
-  DatasetStream wrong_stream(&wrong);
+  auto wrong_queue = FilledQueue(wrong);
   ServerOptions opts;
   opts.k = 5;
   StreamingServer server(&engine, opts);
-  EXPECT_EQ(server.Start(&wrong_stream).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.Start(wrong_queue.get()).code(), StatusCode::kInvalidArgument);
 
   // Double-start is rejected; the first run still drains cleanly.
   StreamingServer running(&engine, opts);
-  ASSERT_TRUE(running.Start(&stream).ok());
-  EXPECT_EQ(running.Start(&stream).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(running.Start(queue.get()).ok());
+  EXPECT_EQ(running.Start(queue.get()).code(), StatusCode::kFailedPrecondition);
   running.Wait();
 }
 
@@ -422,16 +421,16 @@ TEST(StreamingServer, RestartReportsOnlyTheCurrentRun) {
   opts.k = 5;
   StreamingServer server(&engine, opts);
 
-  DatasetStream first(&f->gen.queries);
-  ASSERT_TRUE(server.Serve(&first).ok());
+  auto first = FilledQueue(f->gen.queries);
+  ASSERT_TRUE(server.Serve(first.get()).ok());
   ASSERT_EQ(server.stats().completed, f->gen.queries.n());
 
   // Second run over 3 queries: the snapshot must not blend in the first
   // run's counts or latencies.
   data::Dataset small("small", f->gen.queries.dim());
   for (uint64_t q = 0; q < 3; ++q) small.Append(f->gen.queries.Row(q));
-  DatasetStream second(&small);
-  ASSERT_TRUE(server.Serve(&second).ok());
+  auto second = FilledQueue(small);
+  ASSERT_TRUE(server.Serve(second.get()).ok());
   const StreamingSnapshot snap = server.stats();
   EXPECT_EQ(snap.completed, 3u);
   EXPECT_LE(snap.batches, 3u);
@@ -490,26 +489,6 @@ TEST(FutureSink, UnclaimedStashIsBounded) {
   EXPECT_EQ(sink.dropped(), 3u);
   // Stashed ids are still claimable; dropped ones are gone.
   EXPECT_TRUE(sink.Register(0).Ready());
-}
-
-TEST(GeneratorStream, HonorsByteQuantization) {
-  // The stream shares data::PointSampler with data::Generate, so a
-  // byte-quantized spec yields grid-aligned query coordinates.
-  data::GeneratorSpec spec;
-  spec.kind = data::GeneratorKind::kUniform;
-  spec.dim = 8;
-  spec.scale = 10.0;
-  spec.byte_quantize = true;
-  spec.seed = 3;
-  GeneratorStream stream(spec, 50);
-  const double step = spec.scale / 255.0;
-  StreamQuery q;
-  while (stream.TryPull(&q) == StreamPull::kReady) {
-    for (const float v : q.vec) {
-      const double levels = static_cast<double>(v) / step;
-      EXPECT_NEAR(levels, std::round(levels), 1e-3);
-    }
-  }
 }
 
 TEST(SubmissionQueue, BackpressureAndClose) {
@@ -689,7 +668,7 @@ TEST(StreamingServer, NoDeadlineMeansNoShedding) {
 
 // Regression: producers blocked in Submit() on a full queue must wake
 // with an error when the serving side dies (Stop without Close). Before
-// the QueryStream::ConsumerStopped hook the workers exited without
+// the SubmissionQueue::ConsumerStopped hook the workers exited without
 // closing the queue, and every wedged producer waited forever for a
 // drain that could never happen — this test then hangs until the ctest
 // timeout kills it.
@@ -871,7 +850,7 @@ TEST(StreamingServer, LaterQueryIsNotBlockedByAHeldOne) {
 TEST(StreamingServer, QueryAdmittedAfterInsertSeesItWhileAnOlderQueryRuns) {
   const data::GeneratedData gen = MakeStreamingTestData(31, 2000, 4);
   const lsh::E2lshParams params = NeverDrainParams(gen.base);
-  auto dev = storage::MemoryDevice::Create(1ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(1ULL << 30));
   ASSERT_TRUE(dev.ok());
   auto index = IndexBuilder::Build(gen.base, params, dev->get());
   ASSERT_TRUE(index.ok());

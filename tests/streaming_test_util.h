@@ -1,8 +1,9 @@
 // Shared helpers for the streaming serving test suites
 // (streaming_server_test.cc, streaming_stress_test.cc): the
 // deterministic clustered workload, the "never drain" parameter recipe
-// that makes streamed == one-shot an exact claim, and a thread-safe
-// completion collector.
+// that makes streamed == one-shot an exact claim, a closed submission
+// queue preloaded with a dataset, and a thread-safe completion
+// collector.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 
 #include "core/streaming_server.h"
@@ -48,6 +50,17 @@ inline lsh::E2lshParams NeverDrainParams(const data::Dataset& base) {
   auto params = lsh::ComputeParams(base.n(), base.dim(), cfg);
   EXPECT_TRUE(params.ok());
   return *params;
+}
+
+/// A closed SubmissionQueue holding every row of `queries` in order, so
+/// query ids are row indices and a serving run drains it, then stops.
+inline std::unique_ptr<SubmissionQueue> FilledQueue(const data::Dataset& queries) {
+  auto queue = std::make_unique<SubmissionQueue>(queries.dim(), queries.n());
+  for (uint64_t q = 0; q < queries.n(); ++q) {
+    EXPECT_TRUE(queue->TrySubmit(queries.Row(q)).ok());
+  }
+  queue->Close();
+  return queue;
 }
 
 /// Thread-safe completion collector: id -> result, deliveries per id.

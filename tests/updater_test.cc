@@ -16,7 +16,7 @@
 #include "core/query_engine.h"
 #include "data/generators.h"
 #include "storage/file_device.h"
-#include "storage/memory_device.h"
+#include "storage/simulated_device.h"
 
 namespace e2lshos::core {
 namespace {
@@ -25,7 +25,7 @@ struct Fixture {
   data::GeneratedData gen;
   lsh::E2lshConfig cfg;
   lsh::E2lshParams params;
-  std::unique_ptr<storage::MemoryDevice> device;
+  std::unique_ptr<storage::SimulatedDevice> device;
   std::unique_ptr<StorageIndex> index;
 };
 
@@ -45,7 +45,7 @@ Fixture MakeFixture(uint64_t n = 3000, uint32_t dim = 24) {
   auto params = lsh::ComputeParams(n, dim, f.cfg);
   EXPECT_TRUE(params.ok());
   f.params = *params;
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   EXPECT_TRUE(dev.ok());
   f.device = std::move(dev.value());
   auto idx = IndexBuilder::Build(f.gen.base, f.params, f.device.get());
@@ -69,7 +69,7 @@ TEST(OfflineUpdate, InsertMatchesBulkBuildBeforeAndAfterFlush) {
   auto f = MakeFixture(2000);
   const uint32_t last = static_cast<uint32_t>(f.gen.base.n() - 1);
   const data::Dataset initial = Prefix(f.gen.base, last);
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   ASSERT_TRUE(dev.ok());
   auto incremental = IndexBuilder::Build(initial, f.params, dev->get());
   ASSERT_TRUE(incremental.ok());
@@ -243,7 +243,7 @@ TEST(OfflineUpdate, InsertFlushAndPersistThroughFourKAlignmentShim) {
   const uint64_t n_total = f.gen.base.n();
   const uint64_t n_initial = n_total - 10;
   const data::Dataset initial = Prefix(f.gen.base, n_initial);
-  auto dev = storage::MemoryDevice::Create(2ULL << 30);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   ASSERT_TRUE(dev.ok());
   auto idx = IndexBuilder::Build(initial, f.params, dev->get());
   ASSERT_TRUE(idx.ok());
