@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
     sync_view = (*idx)->WithDevice(mmap_like.get());
   }
   core::EngineOptions sync_opts;
-  sync_opts.synchronous = true;
+  sync_opts.num_contexts = 1;  // Fig. 1(A): one blocking I/O at a time
+  sync_opts.max_inflight_ios = 1;
   core::QueryEngine sync_engine(sync_view.get(), &w->gen.base, sync_opts);
   auto sync_res = sync_engine.SearchBatch(w->gen.queries, 1);
   if (!sync_res.ok()) return 1;

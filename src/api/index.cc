@@ -207,7 +207,6 @@ Status Index::EnsureEngine() {
   const uint32_t resolved = core::ResolveShardCount(search_.shards);
   opts.total_contexts = search_.contexts_per_shard * resolved;
   opts.total_inflight_ios = search_.inflight_per_shard * resolved;
-  opts.synchronous = search_.synchronous;
   // fixed=1 registers each shard engine's I/O arena at startup.
   opts.register_fixed_buffers = uri_.fixed_buffers;
   auto engine =
@@ -222,8 +221,7 @@ Status Index::Configure(const SearchSpec& spec) {
   if (engine_ != nullptr &&
       spec.shards == search_.shards &&
       spec.contexts_per_shard == search_.contexts_per_shard &&
-      spec.inflight_per_shard == search_.inflight_per_shard &&
-      spec.synchronous == search_.synchronous) {
+      spec.inflight_per_shard == search_.inflight_per_shard) {
     return Status::OK();
   }
   search_ = spec;

@@ -79,7 +79,6 @@ struct SearchSpec {
   uint32_t shards = 1;              ///< Engine shards; 0 = one per hw thread.
   uint32_t contexts_per_shard = 32; ///< Interleaved query contexts per shard.
   uint32_t inflight_per_shard = 256;  ///< Outstanding-I/O budget per shard.
-  bool synchronous = false;         ///< Fig. 1(A) mode: one blocking I/O.
 };
 
 /// \brief Streaming-serving configuration for Index::Serve.

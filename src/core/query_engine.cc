@@ -13,10 +13,6 @@ namespace e2lshos::core {
 QueryEngine::QueryEngine(const StorageIndex* index, const data::Dataset* base,
                          const EngineOptions& options)
     : index_(index), base_(base), options_(options) {
-  if (options_.synchronous) {
-    options_.num_contexts = 1;
-    options_.max_inflight_ios = 1;
-  }
   if (options_.num_contexts == 0) options_.num_contexts = 1;
   if (options_.max_inflight_ios == 0) options_.max_inflight_ios = 1;
 

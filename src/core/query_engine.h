@@ -24,8 +24,8 @@
 // scheduling). SearchBatch runs the loop over a dataset's rows; the
 // streaming server runs it over its SubmissionQueue.
 //
-// The synchronous mode (EngineOptions::synchronous) caps the queue depth
-// at one outstanding I/O — the Fig. 1(A) baseline of Sec. 6.5.
+// One context and one in-flight I/O (num_contexts = max_inflight_ios = 1)
+// is the synchronous mode: the Fig. 1(A) baseline of Sec. 6.5.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,6 @@ namespace e2lshos::core {
 struct EngineOptions {
   uint32_t num_contexts = 32;       ///< Queries processed concurrently.
   uint32_t max_inflight_ios = 256;  ///< Outstanding I/O cap (queue depth).
-  bool synchronous = false;         ///< Fig. 1(A): one blocking I/O at a time.
   /// Register the engine's I/O arena with the device at construction so
   /// reads can go out as fixed-buffer I/O (UringDevice: READ_FIXED, no
   /// per-I/O page pinning). Best-effort: devices without support — or a

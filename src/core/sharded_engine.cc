@@ -72,7 +72,6 @@ ShardedQueryEngine::ShardedQueryEngine(const StorageIndex* index,
 
   shard_opts_.num_contexts = std::max(1u, options.total_contexts / shards);
   shard_opts_.max_inflight_ios = std::max(1u, options.total_inflight_ios / shards);
-  shard_opts_.synchronous = options.synchronous;
   shard_opts_.register_fixed_buffers = options.register_fixed_buffers;
 
   if (shards == 1 && !options.wrap_shard_device) {

@@ -42,8 +42,6 @@ struct ShardOptions {
   /// it exceeds a budget (see ResolveShardCount).
   uint32_t total_contexts = 32;
   uint32_t total_inflight_ios = 256;
-  /// Fig. 1(A) mode: every shard runs one blocking I/O at a time.
-  bool synchronous = false;
   /// Register every shard engine's I/O arena with its device at startup
   /// (UringDevice: READ_FIXED, no per-I/O page pinning). Best-effort —
   /// devices without fixed-buffer support simply run unregistered.

@@ -70,7 +70,6 @@ struct ServerOptions {
 /// \brief Aggregate serving metrics, merged across shard workers.
 struct StreamingSnapshot {
   uint64_t completed = 0;  ///< Answers delivered.
-  uint64_t failed = 0;     ///< Always 0: every admitted query is answered.
   uint64_t rejected = 0;   ///< Shed before admission (deadline_us exceeded).
   uint64_t batches = 0;    ///< Engine polls that admitted at least one query.
   double mean_batch_size = 0.0;  ///< Queries admitted per such poll.
@@ -81,7 +80,29 @@ struct StreamingSnapshot {
   uint64_t max_ns = 0;
   double sustained_qps = 0.0;  ///< Completions/sec over a sliding window.
   double overall_qps = 0.0;    ///< Completions / time since Start.
+
+  /// The serving-figure list: calls fn(name, member) once per field
+  /// above, in this order. The Stats RPC (net/wire.h) and the CLI
+  /// reports iterate it.
+  template <class Fn>
+  static constexpr void ForEachField(Fn&& fn) {
+    fn("completed", &StreamingSnapshot::completed);
+    fn("rejected", &StreamingSnapshot::rejected);
+    fn("batches", &StreamingSnapshot::batches);
+    fn("mean_batch_size", &StreamingSnapshot::mean_batch_size);
+    fn("mean_latency_ns", &StreamingSnapshot::mean_latency_ns);
+    fn("p50_ns", &StreamingSnapshot::p50_ns);
+    fn("p95_ns", &StreamingSnapshot::p95_ns);
+    fn("p99_ns", &StreamingSnapshot::p99_ns);
+    fn("max_ns", &StreamingSnapshot::max_ns);
+    fn("sustained_qps", &StreamingSnapshot::sustained_qps);
+    fn("overall_qps", &StreamingSnapshot::overall_qps);
+  }
 };
+
+/// A member left out of the serving-figure list fails this.
+static_assert(sizeof(StreamingSnapshot) ==
+              util::CountFields<StreamingSnapshot>() * sizeof(uint64_t));
 
 class StreamingServer {
  public:

@@ -323,69 +323,43 @@ Status Daemon::HandleFrame(const uint8_t* payload, size_t size,
     *frame = ProtocolErrorFrame(0, st.message());
     return st;
   }
+  // Each handler either writes a whole response into `w` or fails with
+  // a protocol error, which answers with an error frame and closes the
+  // connection.
   Writer w;
+  Status st;
   switch (static_cast<MsgType>(hdr.type)) {
-    case MsgType::kPing: {
-      if (Status st = r.ExpectEnd(); !st.ok()) {
-        *frame = ProtocolErrorFrame(hdr.request_id, st.message());
-        return st;
-      }
+    case MsgType::kPing:
+      st = r.ExpectEnd();
       w.Begin(hdr.type | kResponseBit, hdr.request_id);
       EncodeStatus(&w, Status::OK());
-      *frame = w.Finish();
-      return Status::OK();
-    }
+      break;
     case MsgType::kSearch:
-    case MsgType::kSearchBatch: {
-      if (Status st = HandleSearchRequest(
-              &r, hdr, static_cast<MsgType>(hdr.type) == MsgType::kSearchBatch,
-              &w);
-          !st.ok()) {
-        *frame = ProtocolErrorFrame(hdr.request_id, st.message());
-        return st;
-      }
-      *frame = w.Finish();
-      return Status::OK();
-    }
-    case MsgType::kConfigure: {
-      if (Status st = HandleConfigure(&r, hdr, &w); !st.ok()) {
-        *frame = ProtocolErrorFrame(hdr.request_id, st.message());
-        return st;
-      }
-      *frame = w.Finish();
-      return Status::OK();
-    }
-    case MsgType::kStats: {
-      if (Status st = HandleStats(&r, hdr, &w); !st.ok()) {
-        *frame = ProtocolErrorFrame(hdr.request_id, st.message());
-        return st;
-      }
-      *frame = w.Finish();
-      return Status::OK();
-    }
-    case MsgType::kHealth: {
-      if (Status st = HandleHealth(&r, hdr, &w); !st.ok()) {
-        *frame = ProtocolErrorFrame(hdr.request_id, st.message());
-        return st;
-      }
-      *frame = w.Finish();
-      return Status::OK();
-    }
-    case MsgType::kUpdate: {
-      if (Status st = HandleUpdate(&r, hdr, &w); !st.ok()) {
-        *frame = ProtocolErrorFrame(hdr.request_id, st.message());
-        return st;
-      }
-      *frame = w.Finish();
-      return Status::OK();
-    }
-    default: {
-      const Status st = Status::InvalidArgument(
-          "unknown message type " + std::to_string(hdr.type));
-      *frame = ProtocolErrorFrame(hdr.request_id, st.message());
-      return st;
-    }
+    case MsgType::kSearchBatch:
+      st = HandleSearchRequest(
+          &r, hdr, static_cast<MsgType>(hdr.type) == MsgType::kSearchBatch,
+          &w);
+      break;
+    case MsgType::kConfigure:
+      st = HandleConfigure(&r, hdr, &w);
+      break;
+    case MsgType::kStats:
+      st = HandleStats(&r, hdr, &w);
+      break;
+    case MsgType::kHealth:
+      st = HandleHealth(&r, hdr, &w);
+      break;
+    case MsgType::kUpdate:
+      st = HandleUpdate(&r, hdr, &w);
+      break;
+    default:
+      st = Status::InvalidArgument("unknown message type " +
+                                   std::to_string(hdr.type));
+      break;
   }
+  *frame = st.ok() ? w.Finish()
+                    : ProtocolErrorFrame(hdr.request_id, st.message());
+  return st;
 }
 
 Status Daemon::HandleSearchRequest(Reader* r, const FrameHeader& hdr,
@@ -592,37 +566,12 @@ Status Daemon::HandleStats(Reader* r, const FrameHeader& hdr, Writer* w) {
   }
   // Every ingredient is captured by value under its own lock (the
   // streaming snapshot merges per-shard recorders under their mutexes,
-  // the device snapshot is the PR-2 by-value pattern), so the Stats RPC
+  // the device stack returns its counters by value), so the Stats RPC
   // never serializes a half-updated histogram.
-  const core::StreamingSnapshot snap = entry->server->stats();
-  const storage::DeviceStats dev = entry->index->device_stats();
-  WireStats stats;
-  stats.completed = snap.completed;
-  stats.failed = snap.failed;
-  stats.rejected = snap.rejected;
-  stats.batches = snap.batches;
-  stats.p50_ns = snap.p50_ns;
-  stats.p95_ns = snap.p95_ns;
-  stats.p99_ns = snap.p99_ns;
-  stats.max_ns = snap.max_ns;
-  stats.mean_latency_ns = snap.mean_latency_ns;
-  stats.mean_batch_size = snap.mean_batch_size;
-  stats.sustained_qps = snap.sustained_qps;
-  stats.overall_qps = snap.overall_qps;
-  stats.queue_depth = entry->server->queue_depth();
-  stats.reads_completed = dev.reads_completed;
-  stats.bytes_read = dev.bytes_read;
-  stats.cache_hits = dev.cache_hits;
-  stats.cache_misses = dev.cache_misses;
-  stats.faults_injected = dev.faults_injected;
-  stats.retries = dev.retries;
-  stats.retries_exhausted = dev.retries_exhausted;
-  stats.updates_applied = dev.updates_applied;
-  stats.epochs_published = dev.epochs_published;
-  stats.update_staged_bytes = dev.update_staged_bytes;
-  stats.update_lag = dev.update_lag;
   EncodeStatus(w, Status::OK());
-  EncodeStats(w, stats);
+  EncodeStats(w, WireStats{entry->server->stats(),
+                           entry->index->device_stats(),
+                           entry->server->queue_depth()});
   return Status::OK();
 }
 

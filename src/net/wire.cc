@@ -4,6 +4,16 @@
 
 namespace e2lshos::net {
 
+namespace {
+
+/// One Stats field in the wire encoding of its type.
+void Put(Writer* w, uint64_t v) { w->U64(v); }
+void Put(Writer* w, double v) { w->F64(v); }
+Status Get(Reader* r, uint64_t* v) { return r->U64(v); }
+Status Get(Reader* r, double* v) { return r->F64(v); }
+
+}  // namespace
+
 WireCode WireCodeFromStatus(const Status& status) {
   // StatusCode values 0..8 are mirrored verbatim (see the enum comment).
   return static_cast<WireCode>(static_cast<uint8_t>(status.code()));
@@ -206,58 +216,15 @@ Status DecodeStatus(Reader* r, Status* out) {
 }
 
 void EncodeStats(Writer* w, const WireStats& s) {
-  w->U64(s.completed);
-  w->U64(s.failed);
-  w->U64(s.rejected);
-  w->U64(s.batches);
-  w->U64(s.p50_ns);
-  w->U64(s.p95_ns);
-  w->U64(s.p99_ns);
-  w->U64(s.max_ns);
-  w->F64(s.mean_latency_ns);
-  w->F64(s.mean_batch_size);
-  w->F64(s.sustained_qps);
-  w->F64(s.overall_qps);
-  w->U64(s.queue_depth);
-  w->U64(s.reads_completed);
-  w->U64(s.bytes_read);
-  w->U64(s.cache_hits);
-  w->U64(s.cache_misses);
-  w->U64(s.faults_injected);
-  w->U64(s.retries);
-  w->U64(s.retries_exhausted);
-  w->U64(s.updates_applied);
-  w->U64(s.epochs_published);
-  w->U64(s.update_staged_bytes);
-  w->U64(s.update_lag);
+  WireStats::ForEachField([&](const char*, auto field) { Put(w, s.*field); });
 }
 
 Status DecodeStats(Reader* r, WireStats* out) {
-  E2_RETURN_NOT_OK(r->U64(&out->completed));
-  E2_RETURN_NOT_OK(r->U64(&out->failed));
-  E2_RETURN_NOT_OK(r->U64(&out->rejected));
-  E2_RETURN_NOT_OK(r->U64(&out->batches));
-  E2_RETURN_NOT_OK(r->U64(&out->p50_ns));
-  E2_RETURN_NOT_OK(r->U64(&out->p95_ns));
-  E2_RETURN_NOT_OK(r->U64(&out->p99_ns));
-  E2_RETURN_NOT_OK(r->U64(&out->max_ns));
-  E2_RETURN_NOT_OK(r->F64(&out->mean_latency_ns));
-  E2_RETURN_NOT_OK(r->F64(&out->mean_batch_size));
-  E2_RETURN_NOT_OK(r->F64(&out->sustained_qps));
-  E2_RETURN_NOT_OK(r->F64(&out->overall_qps));
-  E2_RETURN_NOT_OK(r->U64(&out->queue_depth));
-  E2_RETURN_NOT_OK(r->U64(&out->reads_completed));
-  E2_RETURN_NOT_OK(r->U64(&out->bytes_read));
-  E2_RETURN_NOT_OK(r->U64(&out->cache_hits));
-  E2_RETURN_NOT_OK(r->U64(&out->cache_misses));
-  E2_RETURN_NOT_OK(r->U64(&out->faults_injected));
-  E2_RETURN_NOT_OK(r->U64(&out->retries));
-  E2_RETURN_NOT_OK(r->U64(&out->retries_exhausted));
-  E2_RETURN_NOT_OK(r->U64(&out->updates_applied));
-  E2_RETURN_NOT_OK(r->U64(&out->epochs_published));
-  E2_RETURN_NOT_OK(r->U64(&out->update_staged_bytes));
-  E2_RETURN_NOT_OK(r->U64(&out->update_lag));
-  return Status::OK();
+  Status st = Status::OK();
+  WireStats::ForEachField([&](const char*, auto field) {
+    if (st.ok()) st = Get(r, &(out->*field));
+  });
+  return st;
 }
 
 void EncodeHealth(Writer* w, const WireHealth& h) {

@@ -36,7 +36,9 @@
 //   Search*     | u32 count; per query: u8 qcode, u64 latency_ns,
 //               |   u32 nk, nk x (u32 id, f32 dist)
 //   Configure   | (empty)
-//   Stats       | the fixed WireStats block (EncodeStats/DecodeStats)
+//   Stats       | WireStats::ForEachField in order: the serving figures,
+//               |   u64 queue_depth, every DeviceStats counter (u64 for
+//               |   integers, f64 for the snapshot's rates and means)
 //   Health      | the fixed WireHealth block (EncodeHealth/DecodeHealth)
 //   Update      | the fixed WireUpdateAck block (count applied, first
 //               |   assigned id for inserts, epoch sequence published)
@@ -52,16 +54,18 @@
 #include <vector>
 
 #include "core/streaming_server.h"
+#include "storage/block_device.h"
 #include "util/status.h"
 #include "util/topk.h"
 
 namespace e2lshos::net {
 
 inline constexpr uint16_t kWireMagic = 0x4C45;  // "EL"
-/// v2: Update requests + the four update counters at the tail of the
-/// Stats block. The check is strict equality, so v1 and v2 peers do not
-/// interoperate — client and daemon ship from the same tree.
-inline constexpr uint8_t kWireVersion = 2;
+/// v3: the Stats block is WireStats::ForEachField, every DeviceStats
+/// counter included. The check is strict equality, so peers of different
+/// versions do not interoperate — client and daemon ship from the same
+/// tree.
+inline constexpr uint8_t kWireVersion = 3;
 /// Frame-payload bytes before the body: magic + version + type + id.
 inline constexpr uint32_t kHeaderBytes = 12;
 /// Default cap on the length prefix. A frame larger than this is a
@@ -122,32 +126,19 @@ struct FrameHeader {
 
 /// \brief Per-index serving metrics carried by a Stats response — the
 /// streaming snapshot, the admission queue depth, and the device
-/// counters, all captured by value on the daemon side.
-struct WireStats {
-  uint64_t completed = 0;
-  uint64_t failed = 0;
-  uint64_t rejected = 0;
-  uint64_t batches = 0;
-  uint64_t p50_ns = 0;
-  uint64_t p95_ns = 0;
-  uint64_t p99_ns = 0;
-  uint64_t max_ns = 0;
-  double mean_latency_ns = 0.0;
-  double mean_batch_size = 0.0;
-  double sustained_qps = 0.0;
-  double overall_qps = 0.0;
-  uint64_t queue_depth = 0;
-  uint64_t reads_completed = 0;
-  uint64_t bytes_read = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t faults_injected = 0;    ///< Device-layer injected faults.
-  uint64_t retries = 0;            ///< Device-layer transparent resubmits.
-  uint64_t retries_exhausted = 0;  ///< Requests failed after the last retry.
-  uint64_t updates_applied = 0;    ///< Live inserts + removes + restores.
-  uint64_t epochs_published = 0;   ///< Live-update epochs made visible.
-  uint64_t update_staged_bytes = 0;  ///< Device bytes written by staging.
-  uint64_t update_lag = 0;         ///< Ops staged but not reader-visible.
+/// counters, all captured by value on the daemon side. The device's
+/// read_latency histogram is not carried: it stays empty on the client.
+struct WireStats : core::StreamingSnapshot, storage::DeviceStats {
+  uint64_t queue_depth = 0;  ///< Queries admitted but not yet pulled.
+
+  /// Every carried field in wire order: the serving figures, queue_depth,
+  /// then the device counters.
+  template <class Fn>
+  static void ForEachField(Fn&& fn) {
+    core::StreamingSnapshot::ForEachField(fn);
+    fn("queue_depth", &WireStats::queue_depth);
+    storage::DeviceStats::ForEachField(fn);
+  }
 };
 
 /// \brief Daemon-wide health carried by a Health response. `state` is

@@ -103,30 +103,45 @@ struct DeviceStats {
   uint64_t update_lag = 0;  ///< Ops staged but not yet reader-visible.
   util::LatencyHistogram read_latency;
 
+  /// The counter list: calls fn(name, member) once per counter above, in
+  /// this order. Merge, the Stats RPC (net/wire.h) and the CLI reports
+  /// iterate it, so a new counter is a member plus one line here.
+  template <class Fn>
+  static constexpr void ForEachField(Fn&& fn) {
+    fn("reads_submitted", &DeviceStats::reads_submitted);
+    fn("reads_completed", &DeviceStats::reads_completed);
+    fn("bytes_read", &DeviceStats::bytes_read);
+    fn("bytes_written", &DeviceStats::bytes_written);
+    fn("busy_ns", &DeviceStats::busy_ns);
+    fn("cache_hits", &DeviceStats::cache_hits);
+    fn("cache_misses", &DeviceStats::cache_misses);
+    fn("cache_evictions", &DeviceStats::cache_evictions);
+    fn("bytes_cached", &DeviceStats::bytes_cached);
+    fn("faults_injected", &DeviceStats::faults_injected);
+    fn("retries", &DeviceStats::retries);
+    fn("retries_exhausted", &DeviceStats::retries_exhausted);
+    fn("updates_applied", &DeviceStats::updates_applied);
+    fn("epochs_published", &DeviceStats::epochs_published);
+    fn("update_staged_bytes", &DeviceStats::update_staged_bytes);
+    fn("update_lag", &DeviceStats::update_lag);
+  }
+
   /// Fold `more` in: counters add, the latency histogram merges.
   /// bytes_cached adds too: per-queue snapshots report 0 and only the
   /// cache device that owns the store contributes the gauge, so the
   /// aggregate stays the gauge.
   void Merge(const DeviceStats& more) {
-    reads_submitted += more.reads_submitted;
-    reads_completed += more.reads_completed;
-    bytes_read += more.bytes_read;
-    bytes_written += more.bytes_written;
-    busy_ns += more.busy_ns;
-    cache_hits += more.cache_hits;
-    cache_misses += more.cache_misses;
-    cache_evictions += more.cache_evictions;
-    bytes_cached += more.bytes_cached;
-    faults_injected += more.faults_injected;
-    retries += more.retries;
-    retries_exhausted += more.retries_exhausted;
-    updates_applied += more.updates_applied;
-    epochs_published += more.epochs_published;
-    update_staged_bytes += more.update_staged_bytes;
-    update_lag += more.update_lag;
+    ForEachField([&](const char*, uint64_t DeviceStats::*c) {
+      this->*c += more.*c;
+    });
     read_latency.Merge(more.read_latency);
   }
 };
+
+/// A member left out of the counter list fails this.
+static_assert(sizeof(DeviceStats) ==
+              util::CountFields<DeviceStats>() * sizeof(uint64_t) +
+                  sizeof(util::LatencyHistogram));
 
 /// \brief Per-queue configuration for BlockDevice::CreateQueue.
 struct QueueOptions {

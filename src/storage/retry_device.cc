@@ -94,7 +94,7 @@ Status RetryDevice::SubmitRead(const IoRequest& req) {
         DeferLocked(std::move(t), now);
         return Status::OK();  // accepted; will resubmit from Poll
       }
-      if (Retryable(st.code())) ++counters_.exhausted;
+      if (Retryable(st.code())) ++stats_.retries_exhausted;
     }
   }
   return st;
@@ -117,7 +117,9 @@ size_t RetryDevice::PollCompletions(IoCompletion* out, size_t max) {
         DeferLocked(std::move(t), now);
         continue;  // absorbed; the retry will complete it later
       }
-      if (c.code != StatusCode::kOk && Retryable(c.code)) ++counters_.exhausted;
+      if (c.code != StatusCode::kOk && Retryable(c.code)) {
+        ++stats_.retries_exhausted;
+      }
       // Report the whole span — backoffs included — so a retried read
       // looks like a slow read, not a fast one.
       c.latency_ns = std::max<uint64_t>(c.latency_ns, now - t.first_ns);
@@ -168,7 +170,7 @@ void RetryDevice::ResubmitDue() {
     deferred_[i] = deferred_.back();
     deferred_.pop_back();
     ++t.attempts;
-    ++counters_.retries;
+    ++stats_.retries;
     t.ticket = ++ticket_seq_;
     const bool collision = tracked_.count(t.req.user_data) != 0;
     if (!collision) tracked_.emplace(t.req.user_data, t);
@@ -180,7 +182,7 @@ void RetryDevice::ResubmitDue() {
       // Device queue full — backpressure, not a failed attempt. Put
       // the request back and try again next poll.
       --t.attempts;
-      --counters_.retries;
+      --stats_.retries;
       t.ticket = 0;
       deferred_.push_back({t, now});
       continue;
@@ -190,7 +192,7 @@ void RetryDevice::ResubmitDue() {
       DeferLocked(std::move(t), now);
       continue;
     }
-    if (Retryable(st.code())) ++counters_.exhausted;
+    if (Retryable(st.code())) ++stats_.retries_exhausted;
     IoCompletion c;
     c.user_data = t.req.user_data;
     c.code = st.code();
@@ -199,9 +201,9 @@ void RetryDevice::ResubmitDue() {
   }
 }
 
-RetryDevice::Counters RetryDevice::OwnCounters() const {
+DeviceStats RetryDevice::OwnCounters() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+  return stats_;
 }
 
 uint32_t RetryDevice::OwnOutstanding() const {
@@ -211,13 +213,7 @@ uint32_t RetryDevice::OwnOutstanding() const {
 
 void RetryDevice::ResetOwnCounters() {
   std::lock_guard<std::mutex> lock(mu_);
-  counters_ = Counters{};
-}
-
-RetryDevice::Counters RetryDevice::TotalCounters() const {
-  Counters total = OwnCounters();
-  queues_.AddTo(&total);
-  return total;
+  stats_ = DeviceStats{};
 }
 
 uint32_t RetryDevice::outstanding() const {
@@ -226,9 +222,8 @@ uint32_t RetryDevice::outstanding() const {
 
 DeviceStats RetryDevice::stats() const {
   DeviceStats s = inner_->stats();
-  const Counters c = TotalCounters();
-  s.retries += c.retries;
-  s.retries_exhausted += c.exhausted;
+  s.Merge(OwnCounters());
+  queues_.AddTo(&s);
   return s;
 }
 

@@ -88,22 +88,7 @@ class RetryDevice : public BlockDevice {
   /// The wrapped device (borrowed; owned by this object when Create()d).
   BlockDevice* inner() { return inner_; }
 
-  /// Retry counters of this endpoint and every queue it created (live
-  /// and destroyed). Also surfaced in DeviceStats.
-  uint64_t retries() const { return TotalCounters().retries; }
-  uint64_t retries_exhausted() const { return TotalCounters().exhausted; }
-
  private:
-  struct Counters {
-    uint64_t retries = 0;
-    uint64_t exhausted = 0;
-
-    void Merge(const Counters& o) {
-      retries += o.retries;
-      exhausted += o.exhausted;
-    }
-  };
-
   /// A request this endpoint is responsible for until it completes.
   struct Track {
     IoRequest req;
@@ -118,7 +103,7 @@ class RetryDevice : public BlockDevice {
     uint64_t due_ns = 0;
   };
 
-  friend class QueueRegistry<RetryDevice, Counters>;
+  friend class QueueRegistry<RetryDevice>;
 
   RetryDevice(std::unique_ptr<BlockDevice> owned, BlockDevice* inner,
               const Options& options, RetryDevice* parent);
@@ -131,11 +116,11 @@ class RetryDevice : public BlockDevice {
   void DeferLocked(Track&& t, uint64_t now);
   void ResubmitDue();
 
-  Counters OwnCounters() const;
+  /// This endpoint's retries and retries_exhausted.
+  DeviceStats OwnCounters() const;
   /// Requests parked for a backoff or failed awaiting delivery.
   uint32_t OwnOutstanding() const;
   void ResetOwnCounters();
-  Counters TotalCounters() const;
 
   std::unique_ptr<BlockDevice> owned_;  ///< Null when borrowing.
   BlockDevice* inner_;
@@ -147,8 +132,8 @@ class RetryDevice : public BlockDevice {
   std::unordered_map<uint64_t, Track> tracked_;
   std::vector<Deferred> deferred_;
   std::vector<IoCompletion> ready_;
-  Counters counters_;
-  QueueRegistry<RetryDevice, Counters> queues_;
+  DeviceStats stats_;
+  QueueRegistry<RetryDevice> queues_;
 };
 
 }  // namespace e2lshos::storage

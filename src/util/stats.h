@@ -3,11 +3,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 namespace e2lshos::util {
+
+/// \brief Length of a stats struct's field list: the number of calls
+/// `S::ForEachField(fn)` makes (storage::DeviceStats,
+/// core::StreamingSnapshot). Their headers static_assert it against the
+/// struct's size, so a member missing from the list fails to compile.
+template <class S>
+constexpr size_t CountFields() {
+  size_t n = 0;
+  S::ForEachField([&n](const char*, auto) { ++n; });
+  return n;
+}
 
 /// \brief Welford streaming mean/variance with min/max.
 class RunningStats {
@@ -75,6 +87,10 @@ class LatencyHistogram {
   }
 
   void Merge(const LatencyHistogram& other) {
+    // A device stats snapshot merges one histogram per layer and per
+    // queue, and some stay empty (the retry layer's; a queue registry's
+    // retired total until a queue retires): skip their 4096 buckets.
+    if (other.count_ == 0) return;
     count_ += other.count_;
     sum_ += other.sum_;
     max_ = std::max(max_, other.max_);

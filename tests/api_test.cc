@@ -244,9 +244,7 @@ TEST_P(ApiParity, BuildSaveOpenSearchMatchesHandWiredPath) {
     auto opened = Index::Open(meta, OpenSpec{uri}, t.gen.base);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     EXPECT_EQ((*opened)->sizes().storage_bytes, built_sizes.storage_bytes);
-    ASSERT_TRUE((*opened)
-                    ->Configure(SearchSpec{shards, 32, 256, false})
-                    .ok());
+    ASSERT_TRUE((*opened)->Configure(SearchSpec{shards, 32, 256}).ok());
     auto batch = (*opened)->SearchBatch(t.gen.queries, k);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     ExpectSameResults(batch->results, want,

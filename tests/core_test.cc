@@ -323,7 +323,8 @@ TEST(QueryEngine, CandidateCapRespected) {
 TEST(QueryEngine, SynchronousModeSameResults) {
   auto f = MakeFixture(3000, 24, 1000.0);
   QueryEngine async_engine(f.index.get(), &f.gen.base);
-  QueryEngine sync_engine(f.index.get(), &f.gen.base, {.synchronous = true});
+  QueryEngine sync_engine(f.index.get(), &f.gen.base,
+                          {.num_contexts = 1, .max_inflight_ios = 1});
   auto a = async_engine.SearchBatch(f.gen.queries, 3);
   auto s = sync_engine.SearchBatch(f.gen.queries, 3);
   ASSERT_TRUE(a.ok());

@@ -134,7 +134,8 @@ TEST(FaultInjection, SyncModeAlsoSurvives) {
   opt.completion_fail_rate = 0.05;
   storage::FaultyDevice faulty(f.device.get(), opt);
   auto view = f.index->WithDevice(&faulty);
-  QueryEngine engine(view.get(), &f.gen.base, {.synchronous = true});
+  QueryEngine engine(view.get(), &f.gen.base,
+                     {.num_contexts = 1, .max_inflight_ios = 1});
   auto batch = engine.SearchBatch(f.gen.queries, 1);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->results.size(), f.gen.queries.n());

@@ -157,7 +157,8 @@ TEST_F(PipelineTest, AsyncBeatsSyncOnSlowStorage) {
   auto async_res = async_engine.SearchBatch(few, 1);
   ASSERT_TRUE(async_res.ok());
 
-  core::QueryEngine sync_engine(idx->get(), &gen_->base, {.synchronous = true});
+  core::QueryEngine sync_engine(idx->get(), &gen_->base,
+                                {.num_contexts = 1, .max_inflight_ios = 1});
   auto sync_res = sync_engine.SearchBatch(few, 1);
   ASSERT_TRUE(sync_res.ok());
 

@@ -711,7 +711,7 @@ TEST_P(LiveUpdateSoak, MixedReadWriteSoakKeepsEveryOracle) {
   server->reset();
 
   // Quiesced sweep through the direct engine: the end state holds.
-  ASSERT_TRUE((*idx)->Configure(SearchSpec{shards, 32, 256, false}).ok());
+  ASSERT_TRUE((*idx)->Configure(SearchSpec{shards, 32, 256}).ok());
   for (uint32_t d = 0; d < kDoomed; ++d) {
     auto res = (*idx)->Search(t.gen.base.Row(d), 1);
     ASSERT_TRUE(res.ok());

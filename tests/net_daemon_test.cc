@@ -20,7 +20,10 @@
 #include <cmath>
 #include <cstdio>
 #include <random>
+#include <set>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "api/index.h"
@@ -172,6 +175,40 @@ TEST(Wire, QueryResultRejectsLyingNeighborCount) {
   EXPECT_FALSE(net::DecodeQueryResult(&r, &out).ok());
 }
 
+TEST(Wire, StatsRoundTripCarriesEveryListedField) {
+  // Each listed field gets its own value (integers with high bytes set,
+  // doubles with a fraction), so a field the codec dropped, reordered or
+  // narrowed shows by name. A field added to a list later is covered
+  // here with no edit.
+  net::WireStats sent;
+  uint64_t i = 0;
+  std::set<std::string> names;
+  net::WireStats::ForEachField([&](const char* name, auto field) {
+    EXPECT_TRUE(names.insert(name).second) << "listed twice: " << name;
+    using T = std::decay_t<decltype(sent.*field)>;
+    ++i;
+    if constexpr (std::is_floating_point_v<T>) {
+      sent.*field = static_cast<double>(i) + 0.5;
+    } else {
+      sent.*field = (i << 40) | i;
+    }
+  });
+
+  net::Writer w;
+  w.Begin(net::kResponseBit | static_cast<uint8_t>(net::MsgType::kStats), 3);
+  net::EncodeStats(&w, sent);
+  const auto frame = w.Finish();
+  net::Reader r(frame.data() + 4, frame.size() - 4);
+  net::FrameHeader hdr;
+  ASSERT_TRUE(r.Header(&hdr).ok());
+  net::WireStats got;
+  ASSERT_TRUE(net::DecodeStats(&r, &got).ok());
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  net::WireStats::ForEachField([&](const char* name, auto field) {
+    EXPECT_EQ(got.*field, sent.*field) << name;
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Endpoint / flag validation (strict range checks)
 // ---------------------------------------------------------------------------
@@ -290,7 +327,6 @@ TEST(Daemon, RemoteParityAcrossDeviceUris) {
     auto stats = (*client)->Stats("default");
     ASSERT_TRUE(stats.ok()) << uri;
     EXPECT_GE(stats->completed, static_cast<uint64_t>(count) + 2) << uri;
-    EXPECT_EQ(stats->failed, 0u) << uri;
     EXPECT_GT(stats->p50_ns, 0u) << uri;
 
     daemon.RequestStop();
@@ -298,6 +334,46 @@ TEST(Daemon, RemoteParityAcrossDeviceUris) {
     EXPECT_EQ(daemon.connections(), 0u) << uri;
   }
   std::remove(image.c_str());
+}
+
+TEST(Daemon, StatsCarryEveryDeviceCounter) {
+  // Fault, retry and cache layers over a timed model: every layer that
+  // adds counters of its own.
+  const TestData t = MakeData();
+  auto index =
+      BuildIndex(t, "sim:cssd?fault=submit:0.05,seed:7&retry=6&cache=1m");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const Index* raw = index->get();
+
+  const std::string sock = SockPath("devstats");
+  net::Daemon daemon(UnixOptions(sock));
+  ASSERT_TRUE(daemon.AddIndex("default", std::move(*index)).ok());
+  ASSERT_TRUE(daemon.Start().ok());
+  auto client = net::Client::Connect("unix:" + sock);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const uint32_t dim = t.gen.queries.dim();
+  auto results = (*client)->SearchBatch(
+      "default", t.gen.queries.Row(0),
+      static_cast<uint32_t>(t.gen.queries.n()), dim, 10);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  auto ack = (*client)->Insert("default", t.gen.queries.Row(0), 1, dim);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+
+  // The daemon is idle: a query is answered only once its reads have
+  // completed, so the counters hold still between the two snapshots.
+  auto stats = (*client)->Stats("default");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const storage::DeviceStats local = raw->device_stats();
+  storage::DeviceStats::ForEachField([&](const char* name, auto field) {
+    EXPECT_EQ((*stats).*field, local.*field) << name;
+  });
+  EXPECT_GT(stats->reads_submitted, 0u);
+  EXPECT_GT(stats->busy_ns, 0u);
+  EXPECT_GT(stats->bytes_cached, 0u);
+  EXPECT_EQ(stats->updates_applied, 1u);
+
+  daemon.RequestStop();
+  daemon.Wait();
 }
 
 TEST(Daemon, TcpEphemeralPortRoundTrip) {
@@ -670,7 +746,7 @@ TEST(DaemonSoak, ConcurrentConnectionsWithRandomDisconnects) {
               break;
             }
             auto s = (*client)->Stats("default");
-            if (s.ok() && s->failed == 0) {
+            if (s.ok()) {
               ok_ops.fetch_add(1);
             } else {
               failures.fetch_add(1);
@@ -732,9 +808,7 @@ TEST(DaemonSoak, ConcurrentConnectionsWithRandomDisconnects) {
   auto client = net::Client::Connect("unix:" + sock);
   ASSERT_TRUE(client.ok());
   EXPECT_TRUE((*client)->Ping().ok());
-  auto stats = (*client)->Stats("default");
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->failed, 0u);
+  EXPECT_TRUE((*client)->Stats("default").ok());
 
   // ...and still shuts down clean.
   daemon.RequestStop();

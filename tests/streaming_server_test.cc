@@ -249,7 +249,6 @@ TEST(StreamingServer, ServesQueriesOnAnOpenQueueWithoutWaitingForCompany) {
   server.Wait();
   const StreamingSnapshot snap = server.stats();
   EXPECT_EQ(snap.completed, 3u);
-  EXPECT_EQ(snap.failed, 0u);
 }
 
 TEST(StreamingServer, PollableFutureHandles) {
@@ -589,7 +588,6 @@ TEST(StreamingServer, DeadlineShedsStaleQueriesAndCountsRejected) {
   const StreamingSnapshot snap = server.stats();
   EXPECT_EQ(snap.rejected, kStale);
   EXPECT_EQ(snap.completed, kFresh);
-  EXPECT_EQ(snap.failed, 0u);
 
   std::lock_guard<std::mutex> lock(collector.mu);
   ASSERT_EQ(collector.results.size(), kStale + kFresh);
@@ -760,7 +758,6 @@ TEST(StreamingServer, StatsSnapshotsCoherentWhileServing) {
         // are ordered — a torn read breaks one of these.
         EXPECT_GE(snap.completed, prev_completed);
         prev_completed = snap.completed;
-        EXPECT_LE(snap.failed, snap.completed);
         EXPECT_LE(snap.p50_ns, snap.p95_ns);
         EXPECT_LE(snap.p95_ns, snap.p99_ns);
         EXPECT_LE(snap.p99_ns, snap.max_ns);
@@ -786,7 +783,6 @@ TEST(StreamingServer, StatsSnapshotsCoherentWhileServing) {
   server.Wait();
   const StreamingSnapshot final_snap = server.stats();
   EXPECT_GT(final_snap.completed, 0u);
-  EXPECT_EQ(final_snap.failed, 0u);
 }
 
 // Query A is held at the gate with reads in flight; query B, submitted

