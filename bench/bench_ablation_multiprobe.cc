@@ -29,10 +29,12 @@ int main(int argc, char** argv) {
   auto small = e2lsh::InMemoryE2lsh::Build(w->gen.base, *small_params);
   if (!full.ok() || !small.ok()) return 1;
 
+  const lsh::E2lshParams& full_params = (*full)->params();
+  const lsh::E2lshParams& fitted_small = (*small)->params();
   bench::PrintHeader(
       "Ablation: Multi-Probe LSH (" + name + "), full L=" +
-          std::to_string(w->params.L) + " vs small L=" +
-          std::to_string(small_params->L),
+          std::to_string(full_params.L) + " vs small L=" +
+          std::to_string(fitted_small.L),
       {"config", "probes T", "ratio", "us/query", "index entries"});
 
   auto run = [&](e2lsh::InMemoryE2lsh* index, const char* label, uint32_t probes,
@@ -51,10 +53,11 @@ int main(int argc, char** argv) {
                      bench::Fmt(us, 1), std::to_string(entries)});
   };
 
+  // Each index fits its own ladder: count the rungs it built.
   const uint64_t full_entries =
-      w->n() * w->params.L * w->params.num_radii();
+      w->n() * full_params.L * full_params.num_radii();
   const uint64_t small_entries =
-      w->n() * small_params->L * small_params->num_radii();
+      w->n() * fitted_small.L * fitted_small.num_radii();
   run(full->get(), "full-L plain", 0, full_entries);
   for (const uint32_t probes : {0u, 2u, 4u, 8u, 16u, 32u}) {
     run(small->get(), "small-L multiprobe", probes, small_entries);

@@ -4,7 +4,8 @@
 // 2 I/Os per non-empty probed bucket. This is the paper's I/O model (a
 // hash-table read, then the bucket); the engine's format v4 computes
 // chain heads in DRAM and issues 1 I/O per probed bucket plus overflow
-// blocks (README, "Deviations from the paper").
+// blocks. r and r-bar count the ladder the index built, whose bottom is
+// fitted to the data (README, "Deviations from the paper").
 #include "common.h"
 
 using namespace e2lshos;
@@ -27,12 +28,13 @@ int main(int argc, char** argv) {
     auto index = e2lsh::InMemoryE2lsh::Build(w->gen.base, w->params);
     if (!index.ok()) continue;
     const auto batch = (*index)->SearchBatch(w->gen.queries, 1);
+    const lsh::E2lshParams& params = (*index)->params();
 
     uint64_t cands = 0;
     for (const auto& s : batch.stats) cands += s.candidates;
     bench::PrintRow(
-        {spec.name, std::to_string(w->params.L),
-         std::to_string(w->params.num_radii()), bench::Fmt(batch.MeanRadii()),
+        {spec.name, std::to_string(params.L),
+         std::to_string(params.num_radii()), bench::Fmt(batch.MeanRadii()),
          bench::Fmt(batch.MeanIosInfiniteBlock(), 1),
          bench::Fmt(static_cast<double>(cands) / batch.stats.size(), 1),
          bench::Fmt(data::MeanOverallRatio(w->gt, batch.results, 1), 3)});

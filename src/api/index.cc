@@ -307,6 +307,11 @@ storage::DeviceStats Index::device_stats() const {
   return stats;
 }
 
+uint64_t Index::epoch_seq() const {
+  std::lock_guard<std::mutex> lock(live_mu_);
+  return live_ != nullptr ? live_->epoch_seq() : 0;
+}
+
 Result<std::unique_ptr<Server>> Index::Serve(const ServeSpec& spec) {
   E2_RETURN_NOT_OK(Configure(spec.search));  // also fails while serving
   E2_RETURN_NOT_OK(EnsureEngine());

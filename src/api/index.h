@@ -228,9 +228,14 @@ class Index {
   /// epochs published, staged bytes, reader-visible lag) — what the
   /// Stats RPC reports. Prefer this over device()->stats().
   storage::DeviceStats device_stats() const;
+  /// Sequence of the newest published live-update epoch (0 = none yet):
+  /// device_stats().epochs_published, without a snapshot of the device
+  /// stack.
+  uint64_t epoch_seq() const;
   /// On-storage / DRAM footprint breakdown (the paper's Table 6 story).
   core::IndexSizes sizes() const { return index_->sizes(); }
-  /// The derived E2LSH parameter set (m, L, S, radius ladder).
+  /// The derived E2LSH parameter set (m, L, S, and the radius ladder the
+  /// index was built with: fitted to the data, see lsh::FitLadderBottom).
   const lsh::E2lshParams& params() const { return index_->params(); }
   /// Resolved engine shard count under the current SearchSpec.
   uint32_t num_shards() const;

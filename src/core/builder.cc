@@ -37,14 +37,15 @@ Result<std::unique_ptr<StorageIndex>> IndexBuilder::Build(
 
   auto index = std::make_unique<StorageIndex>();
   index->params_ = params;
+  lsh::FitLadderBottom(base.Row(0), base.n(), base.dim(), &index->params_);
   index->device_ = device;
   index->n_ = base.n();
   index->dim_ = base.dim();
-  index->family_ = lsh::HashFamily(base.dim(), params);
+  index->family_ = lsh::HashFamily(base.dim(), index->params_);
 
   IndexLayout& layout = index->layout_;
-  layout.num_radii = params.num_radii();
-  layout.L = params.L;
+  layout.num_radii = index->params_.num_radii();
+  layout.L = index->params_.L;
   layout.block_bytes = options.block_bytes;
   layout.fp = options.table_bits > 0
                   ? lsh::FingerprintScheme{options.table_bits}

@@ -1,6 +1,8 @@
 // E2LSHoS index construction (paper Sec. 5.3).
 //
-// For each radius R in the ladder and each compound hash l in [0, L):
+// The ladder is first fitted to the data (lsh::FitLadderBottom): low
+// rungs in which rows do not collide are not built. Then, for each
+// radius R of the fitted ladder and each compound hash l in [0, L):
 // hash every database object, group objects by the u-bit table index of
 // their 32-bit compound value, and write each group as a linked chain of
 // 512-byte bucket blocks — every chain's head block at its rank address
@@ -31,7 +33,9 @@ class IndexBuilder {
   /// Build an index for `base` on `device`. The device must be large
   /// enough for the bucket chains; the builder fails with
   /// OutOfRange otherwise. The returned index borrows `device` (caller
-  /// keeps ownership) and `base` must outlive query execution.
+  /// keeps ownership) and `base` must outlive query execution. The index
+  /// serves `params` with the ladder fitted to `base`: read the rungs it
+  /// built from its params(), not from `params`.
   static Result<std::unique_ptr<StorageIndex>> Build(
       const data::Dataset& base, const lsh::E2lshParams& params,
       storage::BlockDevice* device, const BuildOptions& options = {});

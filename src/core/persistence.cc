@@ -206,13 +206,25 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
   r.Pod(&p.m);
   r.Pod(&p.L);
   r.Pod(&p.S);
+  // The family is drawn from these params and addressed through the
+  // layout's (radius, l) pairs, so both must count the same pairs; the
+  // radii must be a ladder the builder computes: from R = 1 by factors
+  // of c, at most 64 rungs, its bottom fitted to the data. The family
+  // skips the draws of the rungs below that bottom.
+  if (!r.ok() || p.L != layout.L) return corrupt("compound hash count");
   uint32_t num_radii = 0;
   r.Pod(&num_radii);
-  if (!r.ok() || num_radii == 0 || num_radii > 64) {
+  if (!r.ok() || num_radii != layout.num_radii || num_radii > 64) {
     return corrupt("radius schedule");
   }
   p.radii.resize(num_radii);
   r.Bytes(p.radii.data(), num_radii * sizeof(double));
+  double bottom = 1.0;
+  for (uint32_t k = 0; k < 64 && bottom < p.radii[0]; ++k) bottom *= p.c;
+  if (!r.ok() || p.radii[0] != bottom) return corrupt("radius schedule");
+  for (uint32_t i = 1; i < num_radii; ++i) {
+    if (p.radii[i] != p.radii[i - 1] * p.c) return corrupt("radius schedule");
+  }
 
   r.Pod(&index->sizes_);
 

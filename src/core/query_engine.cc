@@ -189,6 +189,7 @@ void QueryEngine::ProcessBucketBlock(Context* ctx, const IoSlot& slot) {
 
   const uint64_t t0 = util::NowNs();
   const uint8_t* entry = block + kBlockHeaderBytes;
+  bool matched = false;
   for (uint32_t e = 0; e < count && !ctx->draining; ++e, entry += kObjectInfoBytes) {
     const uint64_t v = codec.Read(entry);
     if (layout.fp.fingerprint_bits() > 0 &&
@@ -196,6 +197,7 @@ void QueryEngine::ProcessBucketBlock(Context* ctx, const IoSlot& slot) {
       ++ctx->stats.fp_rejects;
       continue;
     }
+    matched = true;
     const uint32_t id = codec.DecodeId(v);
     if (id >= ctx->effective_n) {
       // Corrupted entry (id beyond the database): never dereference it.
@@ -226,6 +228,7 @@ void QueryEngine::ProcessBucketBlock(Context* ctx, const IoSlot& slot) {
     }
   }
   compute_ns_ += util::NowNs() - t0;
+  if (!matched) ++ctx->stats.empty_reads;
 
   if (!ctx->draining && hdr.next != 0) {
     if (slot.chain_budget == 0) {
@@ -250,7 +253,11 @@ void QueryEngine::HandleCompletion(const storage::IoCompletion& comp,
 
   --ctx->pending_ios;
   --inflight_;
-  if (comp.code == StatusCode::kOk) {
+  if (ctx->draining) {
+    // The rung has examined S candidates: this block can add nothing,
+    // whatever it holds or however its read ended.
+    ++ctx->stats.late_reads;
+  } else if (comp.code == StatusCode::kOk) {
     ProcessBucketBlock(ctx, slot);
   } else {
     ++ctx->stats.io_errors;

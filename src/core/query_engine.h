@@ -60,6 +60,11 @@ struct QueryStats {
   /// benchmark stops reporting it.
   uint64_t table_reads = 0;
   uint64_t bucket_block_reads = 0;
+  /// Verified blocks with no entry carrying the query's fingerprint.
+  uint64_t empty_reads = 0;
+  /// Blocks that completed after their rung had examined S candidates;
+  /// their bytes are never used, so they are neither verified nor decoded.
+  uint64_t late_reads = 0;
   uint64_t buckets_probed = 0;     ///< Non-empty buckets visited.
   uint64_t candidates = 0;         ///< Distinct candidates distance-checked.
   uint64_t fp_rejects = 0;         ///< Fingerprint mismatches discarded.

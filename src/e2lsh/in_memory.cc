@@ -17,9 +17,10 @@ Result<std::unique_ptr<InMemoryE2lsh>> InMemoryE2lsh::Build(
   auto idx = std::make_unique<InMemoryE2lsh>();
   idx->base_ = &base;
   idx->params_ = params;
-  idx->family_ = lsh::HashFamily(base.dim(), params);
+  lsh::FitLadderBottom(base.Row(0), base.n(), base.dim(), &idx->params_);
+  idx->family_ = lsh::HashFamily(base.dim(), idx->params_);
 
-  const uint32_t num_radii = params.num_radii();
+  const uint32_t num_radii = idx->params_.num_radii();
   idx->tables_.resize(static_cast<size_t>(num_radii) * params.L);
 
   std::vector<std::pair<uint32_t, uint32_t>> pairs(base.n());  // (hash, id)

@@ -1,7 +1,8 @@
 // In-memory E2LSH (Datar et al. 2004), the algorithm the paper adapts to
 // storage. Semantics match core::QueryEngine exactly — same hash family,
-// radius ladder, candidate cap S, and candidate dedup — so the two can be
-// cross-checked and their speeds compared apples-to-apples (Figs. 2, 13).
+// radius ladder (fitted to the data by the same lsh::FitLadderBottom),
+// candidate cap S, and candidate dedup — so the two can be cross-checked
+// and their speeds compared apples-to-apples (Figs. 2, 13).
 //
 // The index is a CSR bucket table per (radius, l): sorted unique 32-bit
 // compound hash values with object-id spans. Keeping full 32-bit keys in
@@ -36,6 +37,8 @@ struct SearchStats {
 
 class InMemoryE2lsh {
  public:
+  /// Index `base` under `params` with the ladder fitted to `base`, as
+  /// core::IndexBuilder does: params() reports the rungs built.
   static Result<std::unique_ptr<InMemoryE2lsh>> Build(const data::Dataset& base,
                                                       const lsh::E2lshParams& params);
 

@@ -5,6 +5,11 @@
 // For radius R the component bucket width is w * R: the geometry of
 // Eq. 2/3 is scale-free, so scaling w by R makes the same (p1, p2) pair
 // apply at every rung of the radius ladder.
+//
+// The seed draws L hashes per rung of the ladder R = 1, c, c^2, ... in
+// that order. A ladder whose bottom was fitted to R = c^k (FitLadderBottom)
+// skips the draws of the k rungs below it, so each rung keeps the hashes it
+// has on the full ladder.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +26,9 @@ class HashFamily {
 
   /// Generate all num_radii x L compound hashes for dimension `dim`.
   HashFamily(uint32_t dim, const E2lshParams& params);
+
+  /// Get(0, 0) of HashFamily(dim, params), drawn alone.
+  static CompoundHash DrawFirst(uint32_t dim, const E2lshParams& params);
 
   /// The compound hash for (radius index, table index l).
   const CompoundHash& Get(uint32_t radius_idx, uint32_t l) const {

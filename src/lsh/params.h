@@ -12,6 +12,9 @@
 //
 // The radius schedule (Sec. 2.3): R = 1, c, c^2, ..., up to
 // R_max = 2 * x_max * sqrt(d), giving r = ceil(log_c R_max) + 1 radii.
+// x_max fits the top of that ladder to the data; FitLadderBottom fits the
+// bottom, at build time, by dropping the low rungs in which rows do not
+// collide (README, "Deviations from the paper").
 #pragma once
 
 #include <cstdint>
@@ -52,7 +55,9 @@ struct E2lshParams {
   uint32_t m = 0;    ///< Hash functions per compound hash.
   uint32_t L = 0;    ///< Compound hashes per radius.
   uint64_t S = 0;    ///< Candidate cap per radius.
-  std::vector<double> radii;  ///< R = 1, c, c^2, ..., >= R_max.
+  /// R = 1, c, c^2, ..., >= R_max from ComputeParams; a built index
+  /// holds the fitted ladder R = c^k, ..., >= R_max (FitLadderBottom).
+  std::vector<double> radii;
 
   uint32_t num_radii() const { return static_cast<uint32_t>(radii.size()); }
 };
@@ -60,6 +65,18 @@ struct E2lshParams {
 /// \brief Derive the full parameter set for a database of n points in
 /// dimension d.
 Result<E2lshParams> ComputeParams(uint64_t n, uint32_t d, const E2lshConfig& config);
+
+/// \brief Fit the bottom of the radius ladder to `n` rows of `dim` floats
+/// (row-major). Drops the lowest rung while fewer than 3 % of the rows share
+/// their 32-bit compound value with another row under one compound hash of
+/// that rung, its l = 0 hash (HashFamily::DrawFirst). Such a rung finds
+/// next to nothing, yet a query reads one bucket block per table there. The
+/// last rung is never dropped. Costs n compound hashes per tested rung, and
+/// fitting a fitted ladder over the same rows changes nothing. Both index
+/// builders call it before they draw the family; each kept rung keeps the
+/// hashes it has on the full ladder.
+void FitLadderBottom(const float* rows, uint64_t n, uint32_t dim,
+                     E2lshParams* params);
 
 /// \brief The index-size exponent rho implied by bucket width w and
 /// approximation ratio c (theoretical mode).

@@ -652,7 +652,7 @@ Status Daemon::HandleUpdate(Reader* r, const FrameHeader& hdr, Writer* w) {
     EncodeStatus(w, applied);
     return Status::OK();
   }
-  ack.epoch = entry->index->device_stats().epochs_published;
+  ack.epoch = entry->index->epoch_seq();
   EncodeStatus(w, Status::OK());
   EncodeUpdateAck(w, ack);
   return Status::OK();

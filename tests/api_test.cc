@@ -19,6 +19,8 @@
 #include "core/persistence.h"
 #include "core/query_engine.h"
 #include "data/generators.h"
+#include "data/registry.h"
+#include "e2lsh/in_memory.h"
 #include "storage/device_registry.h"
 #include "storage/simulated_device.h"
 
@@ -270,6 +272,38 @@ INSTANTIATE_TEST_SUITE_P(Devices, ApiParity,
 // ---------------------------------------------------------------------------
 // Facade behavior beyond parity
 // ---------------------------------------------------------------------------
+
+TEST(ApiIndex, FittedLadderRoundTripsAndMatchesInMemoryE2lsh) {
+  // The registry's SIFT at n = 3000 barely collides at R = 1, so the
+  // build starts its ladder at R = 2. The meta stores that ladder, and
+  // the in-memory reference fits the same one from the same params.
+  const data::DatasetSpec sift = *data::GetDatasetSpec("SIFT");
+  const data::GeneratedData gen = data::MakeDataset(sift, 3000, 30);
+  IndexSpec spec;
+  spec.lsh = sift.lsh;
+  spec.lsh.s_factor = 1000.0;  // no draining: answers must match exactly
+  auto built = Index::Build(spec, gen.base);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::vector<double> fitted = (*built)->params().radii;
+  EXPECT_EQ(fitted.front(), 2.0);
+
+  const std::string meta = ::testing::TempDir() + "/e2_api_fitted_meta.bin";
+  ASSERT_TRUE((*built)->Save(meta).ok());
+  built->reset();
+  auto opened = Index::Open(meta, OpenSpec{"mem:"}, gen.base);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ((*opened)->params().radii, fitted);
+
+  auto mem = e2lsh::InMemoryE2lsh::Build(gen.base, (*opened)->params());
+  ASSERT_TRUE(mem.ok());
+  EXPECT_EQ((*mem)->params().radii, fitted);
+  auto batch = (*opened)->SearchBatch(gen.queries, 5);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ExpectSameResults(batch->results, (*mem)->SearchBatch(gen.queries, 5).results,
+                    "reopened vs InMemoryE2lsh");
+  std::remove(meta.c_str());
+  std::remove((meta + ".image").c_str());
+}
 
 TEST(ApiIndex, RejectsDirectBuildAndEmptyDataset) {
   auto t = MakeData(400);

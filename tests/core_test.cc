@@ -173,9 +173,9 @@ TEST(Builder, FailsWhenDeviceTooSmall) {
 TEST(Builder, SizesAccounting) {
   auto f = MakeFixture();
   const IndexSizes sizes = f.index->sizes();
-  // Every object lands in L buckets per radius.
+  // Every object lands in L buckets per radius the index built.
   EXPECT_EQ(sizes.total_entries,
-            f.gen.base.n() * f.params.L * f.params.num_radii());
+            f.gen.base.n() * f.params.L * f.index->params().num_radii());
   EXPECT_EQ(sizes.storage_bytes,
             f.index->layout().bucket_base + sizes.bucket_bytes);
   EXPECT_GT(sizes.bucket_bytes, 0u);
@@ -317,6 +317,73 @@ TEST(QueryEngine, CandidateCapRespected) {
     QueryStats st;
     ASSERT_TRUE(engine.Search(f.gen.queries.Row(q), 1, &st).ok());
     EXPECT_LE(st.candidates, f.params.S * st.radii_searched);
+  }
+}
+
+TEST(QueryEngine, WasteCountersPartitionBlockReads) {
+  // On a healthy device every bucket-block read is empty (no entry
+  // carries the query's fingerprint), late (completed after its rung
+  // examined S candidates) or yields at least one fingerprint match.
+  auto f = MakeFixture(4000, 24, /*s_factor=*/2.0);  // the paper's S = 2L
+  storage::DeviceUriOpenOptions open;
+  open.capacity = 1ULL << 30;
+  auto dev = storage::OpenDeviceUri(*storage::ParseDeviceUri("sim:cssd*4"), open);
+  ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+  auto idx = IndexBuilder::Build(f.gen.base, f.params, dev->get());
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+
+  QueryEngine capped(idx->get(), &f.gen.base);
+  auto batch = capped.SearchBatch(f.gen.queries, 10);
+  ASSERT_TRUE(batch.ok());
+  uint64_t late = 0;
+  for (const QueryStats& st : batch->stats) {
+    ASSERT_EQ(st.io_errors + st.corrupt_blocks, 0u);
+    ASSERT_LE(st.empty_reads + st.late_reads, st.bucket_block_reads);
+    const uint64_t yielding =
+        st.bucket_block_reads - st.empty_reads - st.late_reads;
+    const uint64_t matches = st.candidates + st.dup_skips + st.tombstone_skips;
+    EXPECT_LE(yielding, matches);
+    EXPECT_EQ(yielding > 0, matches > 0);
+    late += st.late_reads;
+  }
+  // S binds while a rung's other reads are in flight on four stripes.
+  EXPECT_GT(late, 0u);
+
+  // Uncapped, no read is late, and the empty ones are exactly the blocks
+  // of the probed chains that hold no fingerprint match.
+  (*idx)->SetCandidateCapFactor(1000.0);
+  QueryEngine uncapped(idx->get(), &f.gen.base);
+  batch = uncapped.SearchBatch(f.gen.queries, 10);
+  ASSERT_TRUE(batch.ok());
+  const IndexLayout& layout = (*idx)->layout();
+  const ObjectInfoCodec codec =
+      *ObjectInfoCodec::MakeWithIdBits(layout.id_bits, layout.fp);
+  std::vector<uint8_t> block(layout.block_bytes);
+  for (uint64_t q = 0; q < f.gen.queries.n(); ++q) {
+    const QueryStats& st = batch->stats[q];
+    EXPECT_EQ(st.late_reads, 0u) << "query " << q;
+    uint64_t reads = 0, empty = 0;
+    for (uint32_t r = 0; r < st.radii_searched; ++r) {
+      for (uint32_t l = 0; l < layout.L; ++l) {
+        const uint32_t h = (*idx)->family().Get(r, l).Hash32(f.gen.queries.Row(q));
+        uint64_t addr = (*idx)->ChainHead(r, l, layout.fp.TableIndex(h));
+        while (addr != 0) {
+          ASSERT_TRUE((*dev)->ReadSync(addr, block.data(), layout.block_bytes).ok());
+          const BlockHeader hdr = BlockHeader::DecodeFrom(block.data());
+          bool matched = false;
+          for (uint16_t e = 0; e < hdr.count; ++e) {
+            const uint64_t v = codec.Read(block.data() + kBlockHeaderBytes +
+                                          e * kObjectInfoBytes);
+            matched |= codec.DecodeFingerprint(v) == layout.fp.Fingerprint(h);
+          }
+          ++reads;
+          empty += !matched;
+          addr = hdr.next;
+        }
+      }
+    }
+    EXPECT_EQ(st.bucket_block_reads, reads) << "query " << q;
+    EXPECT_EQ(st.empty_reads, empty) << "query " << q;
   }
 }
 

@@ -3,6 +3,7 @@
 // instrumentation driving the paper's Sec. 4 analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "data/generators.h"
@@ -91,7 +92,7 @@ TEST(InMemoryE2lsh, StatsAreConsistent) {
   SearchStats stats;
   f.index->Search(f.gen.queries.Row(0), 1, &stats);
   EXPECT_GE(stats.radii_searched, 1u);
-  EXPECT_LE(stats.radii_searched, f.params.num_radii());
+  EXPECT_LE(stats.radii_searched, f.index->params().num_radii());
   EXPECT_GE(stats.entries_scanned, stats.candidates);
   EXPECT_EQ(stats.IoCountInfiniteBlock(), 2 * stats.buckets_probed);
 }
@@ -124,16 +125,26 @@ TEST(InMemoryE2lsh, LargerGammaReducesCandidates) {
 
   // A more selective compound hash (larger m) thins the buckets at every
   // fixed rung of the radius ladder: the query's total bucket occupancy
-  // at a mid/deep radius must shrink.
-  const uint32_t r_fixed = lo.params.num_radii() - 2;
+  // at a mid/deep radius must shrink. Each index fits the bottom of its
+  // own ladder, so the rung is found by its radius in each.
+  const std::vector<double>& lo_radii = lo.index->params().radii;
+  const double radius = lo_radii[lo_radii.size() - 2];
+  const auto rung = [radius](const InMemoryE2lsh& index) {
+    const std::vector<double>& radii = index.params().radii;
+    return static_cast<uint32_t>(
+        std::find(radii.begin(), radii.end(), radius) - radii.begin());
+  };
+  const uint32_t r_lo = rung(*lo.index);
+  const uint32_t r_hi = rung(**hi);
+  ASSERT_LT(r_hi, (*hi)->params().num_radii());
   uint64_t occ_lo = 0, occ_hi = 0;
   for (uint64_t q = 0; q < 30; ++q) {
     const float* query = lo.gen.queries.Row(q);
     for (uint32_t l = 0; l < lo.params.L; ++l) {
-      occ_lo += lo.index->BucketSize(r_fixed, l,
-                                     lo.index->family().Get(r_fixed, l).Hash32(query));
-      occ_hi += (*hi)->BucketSize(r_fixed, l,
-                                  (*hi)->family().Get(r_fixed, l).Hash32(query));
+      occ_lo += lo.index->BucketSize(r_lo, l,
+                                     lo.index->family().Get(r_lo, l).Hash32(query));
+      occ_hi += (*hi)->BucketSize(r_hi, l,
+                                  (*hi)->family().Get(r_hi, l).Hash32(query));
     }
   }
   EXPECT_LT(occ_hi, occ_lo);

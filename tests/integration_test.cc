@@ -119,6 +119,18 @@ TEST_F(PipelineTest, IoCountInPaperBallpark) {
   const double n_io = batch.MeanIosInfiniteBlock();
   EXPECT_GT(n_io, 5.0);
   EXPECT_LT(n_io, 5000.0);
+
+  // The reads E2LSHoS issues for the same queries: one per non-empty
+  // slot it probes, plus overflow blocks.
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(4ULL << 30));
+  ASSERT_TRUE(dev.ok());
+  auto idx = core::IndexBuilder::Build(gen_->base, *params_, dev->get());
+  ASSERT_TRUE(idx.ok());
+  core::QueryEngine engine(idx->get(), &gen_->base);
+  auto os_batch = engine.SearchBatch(gen_->queries, 1);
+  ASSERT_TRUE(os_batch.ok());
+  EXPECT_GT(os_batch->MeanIos(), 5.0);
+  EXPECT_LT(os_batch->MeanIos(), 5000.0);
 }
 
 TEST_F(PipelineTest, E2lshosOnFileDeviceWorks) {

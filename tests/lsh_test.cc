@@ -2,11 +2,13 @@
 // parameter derivation, fingerprint splitting, hash family determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "data/registry.h"
 #include "lsh/fingerprint.h"
 #include "lsh/hash_family.h"
 #include "lsh/hash_function.h"
@@ -231,6 +233,91 @@ TEST(Params, RhoForWidthMatchesTheory) {
   EXPECT_LT(RhoForWidth(16.0, 2.0), RhoForWidth(1.0, 2.0));
 }
 
+// The registry's SIFT at perfbench's scale: n = 20000, x_max fixed to
+// the generator's value range (R = 1 .. 128, 8 rungs).
+struct SiftLadder {
+  data::Dataset base;
+  E2lshConfig cfg;
+};
+
+SiftLadder SiftAtPerfbenchScale() {
+  const data::DatasetSpec spec = *data::GetDatasetSpec("SIFT");
+  SiftLadder s;
+  s.base = data::MakeDataset(spec, 20000, 1).base;
+  s.cfg = spec.lsh;
+  s.cfg.x_max = spec.gen.center_spread + 4.0 * spec.gen.cluster_std;
+  return s;
+}
+
+// Rows of `base` whose compound value under `g` equals another row's.
+uint64_t CollidingRows(const CompoundHash& g, const data::Dataset& base) {
+  std::vector<uint32_t> v(base.n());
+  for (uint64_t i = 0; i < base.n(); ++i) v[i] = g.Hash32(base.Row(i));
+  std::sort(v.begin(), v.end());
+  uint64_t colliding = 0;
+  for (uint64_t i = 0; i < v.size(); ++i) {
+    colliding += (i > 0 && v[i] == v[i - 1]) ||
+                 (i + 1 < v.size() && v[i] == v[i + 1]);
+  }
+  return colliding;
+}
+
+TEST(LadderFit, SiftAtPerfbenchScaleDropsRadiusOne) {
+  const SiftLadder s = SiftAtPerfbenchScale();
+  auto params = ComputeParams(s.base.n(), s.base.dim(), s.cfg);
+  ASSERT_TRUE(params.ok());
+  ASSERT_EQ(params->num_radii(), 8u);
+  const E2lshParams full = *params;
+  FitLadderBottom(s.base.Row(0), s.base.n(), s.base.dim(), &*params);
+  ASSERT_EQ(params->num_radii(), 7u);
+  EXPECT_EQ(params->radii.front(), 2.0);
+  EXPECT_EQ(params->radii.back(), full.radii.back());
+
+  // The rule reads the bottom rung's l = 0 table, Get(0, 0) of each
+  // ladder's family: under 3 % of rows collide there on the full ladder,
+  // 3 % or more on the fitted one.
+  const uint64_t n = s.base.n();
+  EXPECT_LT(CollidingRows(HashFamily(128, full).Get(0, 0), s.base) * 100, 3 * n);
+  EXPECT_GE(CollidingRows(HashFamily(128, *params).Get(0, 0), s.base) * 100,
+            3 * n);
+
+  // Fitting the fitted ladder over the same rows keeps it.
+  const std::vector<double> fitted = params->radii;
+  FitLadderBottom(s.base.Row(0), s.base.n(), s.base.dim(), &*params);
+  EXPECT_EQ(params->radii, fitted);
+}
+
+TEST(LadderFit, ExactDuplicatesKeepRungZero) {
+  // The same rows with every 10th one doubled: about 18 % of rows share
+  // their value at R = 1.
+  const SiftLadder s = SiftAtPerfbenchScale();
+  data::Dataset doubled("doubled", s.base.dim());
+  for (uint64_t i = 0; i < s.base.n(); ++i) {
+    doubled.Append(s.base.Row(i));
+    if (i % 10 == 0) doubled.Append(s.base.Row(i));
+  }
+  auto params = ComputeParams(doubled.n(), doubled.dim(), s.cfg);
+  ASSERT_TRUE(params.ok());
+  const std::vector<double> full = params->radii;
+  FitLadderBottom(doubled.Row(0), doubled.n(), doubled.dim(), &*params);
+  EXPECT_EQ(params->radii, full);
+  EXPECT_EQ(params->radii.front(), 1.0);
+}
+
+TEST(LadderFit, KeepsTheTopRungWhenNoRungCollides) {
+  // Rows thousands apart under buckets at most w * R_max = 16 wide.
+  E2lshConfig cfg;
+  cfg.x_max = 1.0;  // R_max = 2 sqrt(4) = 4
+  auto params = ComputeParams(500, 4, cfg);
+  ASSERT_TRUE(params.ok());
+  ASSERT_EQ(params->radii, (std::vector<double>{1.0, 2.0, 4.0}));
+  util::Rng rng(5);
+  std::vector<float> rows(500 * 4);
+  for (float& v : rows) v = static_cast<float>(rng.Gaussian(0.0, 1000.0));
+  FitLadderBottom(rows.data(), 500, 4, &*params);
+  EXPECT_EQ(params->radii, std::vector<double>{4.0});
+}
+
 TEST(Fingerprint, SplitRoundTrips) {
   const FingerprintScheme fp{12};
   const uint32_t h = 0xdeadbeef;
@@ -261,6 +348,33 @@ TEST(HashFamily, DeterministicForSameSeed) {
     for (uint32_t l = 0; l < params->L; ++l) {
       EXPECT_EQ(fam1.Get(r, l).Hash32(p.data()), fam2.Get(r, l).Hash32(p.data()));
     }
+  }
+}
+
+TEST(HashFamily, FittedLadderKeepsEachRungsHashes) {
+  // A ladder fitted to start at R = c^2 draws, for each of its rungs,
+  // the hashes that rung has on the full ladder from R = 1.
+  E2lshConfig cfg;
+  cfg.rho = 0.25;
+  cfg.seed = 777;
+  auto full = ComputeParams(5000, 16, cfg);
+  ASSERT_TRUE(full.ok());
+  ASSERT_GT(full->num_radii(), 3u);
+  E2lshParams fitted = *full;
+  fitted.radii.erase(fitted.radii.begin(), fitted.radii.begin() + 2);
+  const HashFamily full_fam(16, *full), fitted_fam(16, fitted);
+  util::Rng rng(11);
+  const auto p = RandomPoint(16, rng);
+  for (uint32_t r = 0; r < fitted.num_radii(); ++r) {
+    for (uint32_t l = 0; l < fitted.L; ++l) {
+      EXPECT_EQ(fitted_fam.Get(r, l).Hash32(p.data()),
+                full_fam.Get(r + 2, l).Hash32(p.data()));
+    }
+  }
+  for (const E2lshParams* params : {&*full, &fitted}) {
+    const HashFamily fam(16, *params);
+    EXPECT_EQ(HashFamily::DrawFirst(16, *params).Hash32(p.data()),
+              fam.Get(0, 0).Hash32(p.data()));
   }
 }
 

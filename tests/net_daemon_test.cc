@@ -376,6 +376,42 @@ TEST(Daemon, StatsCarryEveryDeviceCounter) {
   daemon.Wait();
 }
 
+TEST(Daemon, UpdateAcksCarryConsecutiveEpochs) {
+  // Every applied Update publishes one epoch and its ack names it; the
+  // last one is the count the Stats RPC reports.
+  const TestData t = MakeData(800, 12, 8);
+  auto index = BuildIndex(t, "mem:");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const std::string sock = SockPath("epochs");
+  net::Daemon daemon(UnixOptions(sock));
+  ASSERT_TRUE(daemon.AddIndex("default", std::move(*index)).ok());
+  ASSERT_TRUE(daemon.Start().ok());
+  auto client = net::Client::Connect("unix:" + sock);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  std::vector<uint64_t> epochs;
+  for (uint64_t q = 0; q < t.gen.queries.n(); ++q) {
+    auto inserted = (*client)->Insert("default", t.gen.queries.Row(q), 1,
+                                      t.gen.queries.dim());
+    ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+    epochs.push_back(inserted->epoch);
+    const uint32_t id = inserted->first_id;
+    auto removed = (*client)->Remove("default", &id, 1);
+    ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+    epochs.push_back(removed->epoch);
+    auto restored = (*client)->Restore("default", &id, 1);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    epochs.push_back(restored->epoch);
+  }
+  for (size_t i = 0; i < epochs.size(); ++i) EXPECT_EQ(epochs[i], i + 1);
+  auto stats = (*client)->Stats("default");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->epochs_published, epochs.back());
+
+  daemon.RequestStop();
+  daemon.Wait();
+}
+
 TEST(Daemon, TcpEphemeralPortRoundTrip) {
   const TestData t = MakeData(800, 12, 8);
   const uint32_t k = 5;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 
 #include "core/builder.h"
@@ -235,6 +236,104 @@ TEST(Persistence, RejectsAllocationCursorInsideImage) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   EXPECT_NE(st.message().find("allocation cursor"), std::string::npos)
       << st.ToString();
+  std::remove(meta.c_str());
+}
+
+TEST(Persistence, RejectsLadderThatDisagreesWithLayout) {
+  // The family is drawn from the params' ladder and addressed through the
+  // layout's (radius, l) pairs. A meta whose counts disagree, or whose
+  // radii are no ladder the builder computes, is refused even under a
+  // valid file checksum.
+  auto t = MakeData(800);
+  auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
+  ASSERT_TRUE(dev.ok());
+  auto idx = IndexBuilder::Build(t.gen.base, t.params, dev->get());
+  ASSERT_TRUE(idx.ok());
+  const std::string meta = ::testing::TempDir() + "/e2_meta_ladder.bin";
+  ASSERT_TRUE(SaveIndexMeta(**idx, meta).ok());
+  std::vector<uint8_t> file;
+  {
+    std::ifstream in(meta, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), {});
+  }
+
+  // The params' L, S, radius count and radii follow each other.
+  const lsh::E2lshParams& p = (*idx)->params();
+  const uint32_t count = p.num_radii();
+  ASSERT_GE(count, 3u);
+  std::vector<uint8_t> pattern(16 + 8 * count);
+  std::memcpy(pattern.data(), &p.L, 4);
+  std::memcpy(pattern.data() + 4, &p.S, 8);
+  std::memcpy(pattern.data() + 12, &count, 4);
+  std::memcpy(pattern.data() + 16, p.radii.data(), 8 * count);
+  const auto at = std::search(file.begin(), file.end(), pattern.begin(),
+                              pattern.end());
+  ASSERT_NE(at, file.end());
+  const size_t l_at = static_cast<size_t>(at - file.begin());
+  const size_t count_at = l_at + 12;
+  const size_t radii_at = l_at + 16;
+
+  const auto put_u32 = [](std::vector<uint8_t>* f, size_t off, uint32_t v) {
+    std::memcpy(f->data() + off, &v, 4);
+  };
+  const auto put_radii = [&](std::vector<uint8_t>* f, double scale) {
+    for (uint32_t i = 0; i < count; ++i) {
+      const double r = p.radii[i] * scale;
+      std::memcpy(f->data() + radii_at + 8 * i, &r, 8);
+    }
+  };
+  struct Case {
+    const char* name;
+    std::function<void(std::vector<uint8_t>*)> edit;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"L + 1", [&](auto* f) { put_u32(f, l_at, p.L + 1); },
+       "compound hash count"},
+      {"one radius fewer",
+       [&](auto* f) {
+         put_u32(f, count_at, count - 1);
+         f->erase(f->begin() + radii_at + 8 * (count - 1),
+                  f->begin() + radii_at + 8 * count);
+       },
+       "radius schedule"},
+      {"one radius more",
+       [&](auto* f) {
+         put_u32(f, count_at, count + 1);
+         const double next = p.radii.back() * p.c;
+         const auto* b = reinterpret_cast<const uint8_t*>(&next);
+         f->insert(f->begin() + radii_at + 8 * count, b, b + 8);
+       },
+       "radius schedule"},
+      // 0 = 0 * c: only the first radius breaks a rule.
+      {"zero radii", [&](auto* f) { put_radii(f, 0.0); }, "radius schedule"},
+      {"negative radii", [&](auto* f) { put_radii(f, -1.0); },
+       "radius schedule"},
+      // Still radii[i] = radii[i-1] * c, but the bottom is no c^k.
+      {"ladder off the powers of c", [&](auto* f) { put_radii(f, 1.5); },
+       "radius schedule"},
+      {"broken ladder",
+       [&](auto* f) {
+         const double r = p.radii[count / 2] * 1.5;
+         std::memcpy(f->data() + radii_at + 8 * (count / 2), &r, 8);
+       },
+       "radius schedule"},
+  };
+  for (const Case& c : cases) {
+    std::vector<uint8_t> edited = file;
+    c.edit(&edited);
+    const size_t body = edited.size() - sizeof(uint32_t);
+    const uint32_t crc = util::Crc32c(edited.data(), body);
+    std::memcpy(edited.data() + body, &crc, sizeof(crc));
+    std::ofstream(meta, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(edited.data()),
+               static_cast<std::streamsize>(edited.size()));
+    const Status st = LoadIndexMeta(meta, dev->get()).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << c.name << ": " << st.ToString();
+    EXPECT_NE(st.message().find(c.message), std::string::npos)
+        << c.name << ": " << st.ToString();
+  }
   std::remove(meta.c_str());
 }
 

@@ -244,9 +244,10 @@ int CmdBuild(int argc, char** argv) {
   const uint64_t t0 = util::NowNs();
   auto index = Index::Build(spec, std::move(common.base));
   if (!index.ok()) return Fail(index.status());
-  std::printf("device: %s\nparams: m=%u L=%u radii=%u\n",
-              (*index)->device()->name().c_str(), (*index)->params().m,
-              (*index)->params().L, (*index)->params().num_radii());
+  const lsh::E2lshParams& params = (*index)->params();
+  std::printf("device: %s\nparams: m=%u L=%u radii=%u (R=%g..%g)\n",
+              (*index)->device()->name().c_str(), params.m, params.L,
+              params.num_radii(), params.radii.front(), params.radii.back());
   if (Status st = (*index)->Save(common.index_path); !st.ok()) return Fail(st);
   const auto sizes = (*index)->sizes();
   std::printf("built in %.1fs: %.1f MB on storage, %.1f MB DRAM metadata\n",
@@ -287,11 +288,18 @@ int CmdQuery(int argc, char** argv) {
     }
     std::printf("\n");
   }
+  double empty = 0, late = 0;
+  for (const core::QueryStats& s : batch->stats) {
+    empty += static_cast<double>(s.empty_reads);
+    late += static_cast<double>(s.late_reads);
+  }
+  const double nq = static_cast<double>(std::max<uint64_t>(queries->n(), 1));
   std::printf(
-      "%llu queries on %u shard(s), %.0f qps, %.1f I/Os per query, "
-      "%.1f radii per query\n",
+      "%llu queries on %u shard(s), %.0f qps, %.1f I/Os per query "
+      "(%.1f empty, %.1f late), %.1f radii per query\n",
       static_cast<unsigned long long>(queries->n()), (*index)->num_shards(),
-      batch->QueriesPerSecond(), batch->MeanIos(), batch->MeanRadii());
+      batch->QueriesPerSecond(), batch->MeanIos(), empty / nq, late / nq,
+      batch->MeanRadii());
   return 0;
 }
 
