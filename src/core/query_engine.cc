@@ -20,6 +20,8 @@ QueryEngine::QueryEngine(const StorageIndex* index, const data::Dataset* base,
   for (auto& ctx : contexts_) {
     ctx.hashes.resize(index_->layout().L);
   }
+  reached_.assign(index_->params().num_radii(), 0);
+  advanced_.assign(index_->params().num_radii(), 0);
   // The layout comes from a built or validated index; cannot fail.
   codec_ = *ObjectInfoCodec::MakeWithIdBits(index_->layout().id_bits,
                                             index_->layout().fp);
@@ -71,14 +73,36 @@ void QueryEngine::StartQuery(Context* ctx) {
 }
 
 void QueryEngine::BeginRadius(Context* ctx) {
-  const IndexLayout& layout = index_->layout();
-  const uint64_t t0 = util::NowNs();
-  index_->family().HashAll(ctx->radius_idx, ctx->q, ctx->hashes.data());
-  compute_ns_ += util::NowNs() - t0;
-
   ctx->checked_in_radius = 0;
   ctx->draining = false;
   ++ctx->stats.radii_searched;
+  Ahead& ahead = ctx->ahead;
+  if (!ahead.started) {
+    ctx->stats.buckets_probed +=
+        QueueProbes(ctx, ctx->radius_idx, &ctx->to_issue);
+    return;
+  }
+  // The rung was issued ahead: its queued probes and reads in flight
+  // become current, and the blocks that already arrived are examined now,
+  // in arrival order, before any later completion.
+  ctx->stats.buckets_probed += ahead.buckets;
+  ctx->stats.io_errors += ahead.errors;
+  ctx->to_issue.swap(ahead.to_issue);
+  ctx->pending_ios = ahead.pending_ios;
+  for (const uint32_t slot_idx : ahead.parked) {
+    Examine(ctx, slots_[slot_idx]);
+    free_slots_.push_back(slot_idx);
+  }
+  ahead.Reset();
+  if (ctx->draining) ctx->to_issue.clear();
+}
+
+uint64_t QueryEngine::QueueProbes(Context* ctx, uint32_t radius,
+                                  std::deque<PendingIssue>* out) {
+  const IndexLayout& layout = index_->layout();
+  const uint64_t t0 = util::NowNs();
+  index_->family().HashAll(radius, ctx->q, ctx->hashes.data());
+  compute_ns_ += util::NowNs() - t0;
 
   const EpochState* epoch = ctx->epoch.get();
   const std::unordered_map<uint64_t, uint64_t>* overlay =
@@ -86,6 +110,7 @@ void QueryEngine::BeginRadius(Context* ctx) {
        !epoch->overlay->empty())
           ? epoch->overlay.get()
           : nullptr;
+  uint64_t queued = 0;
   for (uint32_t l = 0; l < layout.L; ++l) {
     const uint32_t h = ctx->hashes[l];
     const uint32_t slot = layout.fp.TableIndex(h);
@@ -94,26 +119,45 @@ void QueryEngine::BeginRadius(Context* ctx) {
     // empty bucket costs no I/O at all.
     uint64_t head = 0;
     if (overlay != nullptr) {
-      const auto it =
-          overlay->find(index_->BucketKey(ctx->radius_idx, l, slot));
+      const auto it = overlay->find(index_->BucketKey(radius, l, slot));
       if (it != overlay->end()) head = it->second;
     }
-    if (head == 0) head = index_->ChainHead(ctx->radius_idx, l, slot);
+    if (head == 0) head = index_->ChainHead(radius, l, slot);
     if (head == 0) continue;
-    ++ctx->stats.buckets_probed;
+    ++queued;
     PendingIssue p;
     p.addr = head;
     p.expected_fp = layout.fp.Fingerprint(h);
     p.chain_budget = ctx->max_chain_blocks;
-    ctx->to_issue.push_back(p);
+    out->push_back(p);
   }
+  return queued;
 }
 
-bool QueryEngine::IssueFrom(Context* ctx) {
+bool QueryEngine::Climbs(uint32_t r) const {
+  return r + 1 < reached_.size() && 2 * advanced_[r] >= reached_[r];
+}
+
+bool QueryEngine::IssueFrom(Context* ctx, bool idle) {
+  const uint32_t r = ctx->radius_idx;
+  const bool issued = Submit(ctx, &ctx->to_issue, r, 0);
+  if (!idle || !ctx->to_issue.empty() || !Climbs(r)) return issued;
+  Ahead& ahead = ctx->ahead;
+  if (!ahead.started) {
+    ahead.started = true;
+    ahead.buckets = QueueProbes(ctx, r + 1, &ahead.to_issue);
+  }
+  // Keep a free slot for every busy context, so none waits on a read it
+  // may never examine.
+  return Submit(ctx, &ahead.to_issue, r + 1, busy_) || issued;
+}
+
+bool QueryEngine::Submit(Context* ctx, std::deque<PendingIssue>* queue,
+                         uint32_t radius, size_t reserve) {
+  const bool ahead = radius != ctx->radius_idx;
   bool issued = false;
-  while (!ctx->to_issue.empty() && inflight_ < options_.max_inflight_ios &&
-         !free_slots_.empty()) {
-    const PendingIssue p = ctx->to_issue.front();
+  while (!queue->empty() && free_slots_.size() > reserve) {
+    const PendingIssue p = queue->front();
     const uint32_t slot_idx = free_slots_.back();
     IoSlot& slot = slots_[slot_idx];
 
@@ -145,21 +189,30 @@ bool QueryEngine::IssueFrom(Context* ctx) {
       }
       // Hard submit error (I/O failure, bad address from a corrupted
       // chain pointer): drop the probe and carry on — a lost bucket
-      // costs candidates, never progress.
-      ctx->to_issue.pop_front();
-      ++ctx->stats.io_errors;
+      // costs candidates, never progress. An ahead probe's loss counts
+      // only if its rung is examined.
+      queue->pop_front();
+      ++(ahead ? ctx->ahead.errors : ctx->stats.io_errors);
       continue;
     }
-    ctx->to_issue.pop_front();
+    queue->pop_front();
     free_slots_.pop_back();
     slot.ctx = static_cast<uint32_t>(ctx - contexts_.data());
+    slot.gen = ctx->gen;
+    slot.radius = radius;
     slot.expected_fp = p.expected_fp;
     slot.chain_budget = p.chain_budget;
     slot.buf_offset = buf_offset;
-    ++ctx->pending_ios;
     ++inflight_;
     ++ctx->stats.ios;
     ++ctx->stats.bucket_block_reads;
+    if (ahead) {
+      ++ctx->ahead.pending_ios;
+      ++ctx->ahead.reads;
+      ++ctx->stats.ahead_reads;
+    } else {
+      ++ctx->pending_ios;
+    }
     issued = true;
   }
   return issued;
@@ -251,22 +304,38 @@ void QueryEngine::HandleCompletion(const storage::IoCompletion& comp,
   IoSlot& slot = slots_[slot_idx];
   Context* ctx = &contexts_[slot.ctx];
 
-  --ctx->pending_ios;
   --inflight_;
-  if (ctx->draining) {
-    // The rung has examined S candidates: this block can add nothing,
-    // whatever it holds or however its read ended.
-    ++ctx->stats.late_reads;
-  } else if (comp.code == StatusCode::kOk) {
-    ProcessBucketBlock(ctx, slot);
-  } else {
-    ++ctx->stats.io_errors;
+  if (slot.gen != ctx->gen) {
+    // Issued ahead by a query that has since finished.
+    free_slots_.push_back(slot_idx);
+    return;
   }
+  slot.code = comp.code;
+  if (slot.radius != ctx->radius_idx) {
+    // The next rung's block: parked, unverified, until the query climbs.
+    --ctx->ahead.pending_ios;
+    ctx->ahead.parked.push_back(slot_idx);
+    return;
+  }
+  --ctx->pending_ios;
+  Examine(ctx, slot);
   free_slots_.push_back(slot_idx);
 
   // When draining, queued probes for this radius are abandoned.
   if (ctx->draining) ctx->to_issue.clear();
   MaybeAdvance(ctx, source);
+}
+
+void QueryEngine::Examine(Context* ctx, const IoSlot& slot) {
+  if (ctx->draining) {
+    // The rung has examined S candidates: this block can add nothing,
+    // whatever it holds or however its read ended.
+    ++ctx->stats.late_reads;
+  } else if (slot.code == StatusCode::kOk) {
+    ProcessBucketBlock(ctx, slot);
+  } else {
+    ++ctx->stats.io_errors;
+  }
 }
 
 void QueryEngine::MaybeAdvance(Context* ctx, QuerySource* source) {
@@ -275,10 +344,15 @@ void QueryEngine::MaybeAdvance(Context* ctx, QuerySource* source) {
     // Radius drained: terminal test of the (R,c)-NN ladder. A query is
     // answered once the k-th best distance is within c*R, or the ladder
     // is exhausted.
-    const double radius = params.radii[ctx->radius_idx];
-    const bool satisfied =
-        ctx->topk->full() && ctx->topk->WorstDist() <= params.c * radius;
-    if (satisfied || ctx->radius_idx + 1 >= params.num_radii()) {
+    const uint32_t r = ctx->radius_idx;
+    const bool satisfied = ctx->topk->full() &&
+                           ctx->topk->WorstDist() <= params.c * params.radii[r];
+    const bool last = r + 1 >= params.num_radii();
+    if (!last) {  // the climb history that Climbs reads
+      ++reached_[r];
+      advanced_[r] += satisfied ? 0 : 1;
+    }
+    if (satisfied || last) {
       FinishQuery(ctx, source);
       return;
     }
@@ -289,6 +363,14 @@ void QueryEngine::MaybeAdvance(Context* ctx, QuerySource* source) {
 }
 
 void QueryEngine::FinishQuery(Context* ctx, QuerySource* source) {
+  // A rung issued ahead and never reached: its parked blocks go back
+  // unexamined, and its reads still in flight find a newer generation.
+  Ahead& ahead = ctx->ahead;
+  ctx->stats.ahead_unused += ahead.reads;
+  free_slots_.insert(free_slots_.end(), ahead.parked.begin(),
+                     ahead.parked.end());
+  ahead.Reset();
+  ++ctx->gen;
   ctx->stats.wall_ns = util::NowNs() - ctx->start_ns;
   ctx->stats.partial =
       ctx->stats.corrupt_blocks > 0 || ctx->stats.io_errors > 0;
@@ -304,18 +386,22 @@ void QueryEngine::Run(QuerySource* source) {
   uint32_t idle_spins = 0;
   for (;;) {
     bool progressed = false;
+    // Idle round: a free context found the stream open and empty, so the
+    // device has room for next rungs issued ahead.
+    bool idle = false;
     for (auto& ctx : contexts_) {
       if (!open) break;
       if (ctx.busy) continue;
       const StreamPull pull = source->Pull(&ctx.query, &ctx.q);
       if (pull != StreamPull::kReady) {
-        open = pull == StreamPull::kPending;
+        open = pull != StreamPull::kClosed;
+        idle = pull == StreamPull::kPending;
         break;
       }
       StartQuery(&ctx);
       progressed = true;
     }
-    if (busy_ == 0) {
+    if (busy_ == 0 && inflight_ == 0) {
       source->EndPoll();
       if (!open) return;
       // Idle: nothing in flight and nothing queued. Sleep briefly so an
@@ -326,7 +412,7 @@ void QueryEngine::Run(QuerySource* source) {
 
     for (auto& ctx : contexts_) {
       if (!ctx.busy) continue;
-      progressed |= IssueFrom(&ctx);
+      progressed |= IssueFrom(&ctx, idle);
       // If every probe of the radius was dropped at submission (hard I/O
       // errors), or the radius had none, no completion will arrive to
       // advance this context — do it here. No-op while I/Os are pending

@@ -13,10 +13,22 @@
 //
 // To keep the device queue deep (the asynchronous regime of Fig. 1(B)),
 // the engine interleaves many query contexts: while one query waits for
-// data, others hash, issue, and distance-check. A context moves to the
-// next radius only when all its probes for the current radius have
-// drained; a query completes when the k-th best distance is within c*R
-// (the (R,c)-NN ladder guarantee) or the ladder is exhausted.
+// data, others hash, issue, and distance-check. A query examines one
+// rung of the radius ladder at a time and takes the terminal test of the
+// (R,c)-NN ladder once every read of that rung has drained: it completes
+// when the k-th best distance is within c*R or the ladder is exhausted,
+// and climbs to the next rung otherwise.
+//
+// The order of examination is fixed; the order of issue is not. While
+// the stream is idle (a free context found nothing to pull), a query
+// also issues the next rung's probes once all of its current rung's are
+// out, when at least half of the queries that reached its rung went on
+// past it. Those blocks are parked as they arrive and examined, in
+// arrival order, only if the query climbs, so the answer is the one the
+// rung-by-rung order gives on a device that completes a query's reads
+// in submission order; a query that stops drops them unexamined. Under a
+// backlog nothing is issued ahead, and an ahead read leaves a free slot
+// for every busy context, so each can always issue its current rung.
 //
 // One loop (Run) serves every caller: between device polls it pulls from
 // a QuerySource into every free context, so a query starts as soon as a
@@ -25,7 +37,8 @@
 // streaming server runs it over its SubmissionQueue.
 //
 // One context and one in-flight I/O (num_contexts = max_inflight_ios = 1)
-// is the synchronous mode: the Fig. 1(A) baseline of Sec. 6.5.
+// is the synchronous mode: the Fig. 1(A) baseline of Sec. 6.5. It never
+// issues ahead.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +67,8 @@ struct EngineOptions {
 
 /// \brief Per-query instrumentation (drives the Sec. 4 analysis benches).
 struct QueryStats {
-  uint32_t radii_searched = 0;
-  uint64_t ios = 0;                ///< Bucket block reads.
+  uint32_t radii_searched = 0;     ///< Rungs examined.
+  uint64_t ios = 0;                ///< Bucket block reads, ahead ones included.
   /// Always 0: format v4 reads no hash-table entries. Kept until the
   /// benchmark stops reporting it.
   uint64_t table_reads = 0;
@@ -65,6 +78,10 @@ struct QueryStats {
   /// Blocks that completed after their rung had examined S candidates;
   /// their bytes are never used, so they are neither verified nor decoded.
   uint64_t late_reads = 0;
+  /// Reads issued for the next rung before the query reached it.
+  uint64_t ahead_reads = 0;
+  /// Ahead reads whose rung the query never examined (it stopped first).
+  uint64_t ahead_unused = 0;
   uint64_t buckets_probed = 0;     ///< Non-empty buckets visited.
   uint64_t candidates = 0;         ///< Distinct candidates distance-checked.
   uint64_t fp_rejects = 0;         ///< Fingerprint mismatches discarded.
@@ -111,7 +128,8 @@ class QuerySource {
   virtual ~QuerySource() = default;
   /// Admit the next query: set q->id and q->k (> 0) and point *vec at
   /// its floats, valid until Finish(*q) (move them into q->vec to hand
-  /// them over). kPending: nothing now; kClosed: nothing ever again.
+  /// them over). kPending: the stream is open and empty; kBacklog:
+  /// nothing this round though queries wait; kClosed: nothing ever again.
   virtual StreamPull Pull(StreamQuery* q, const float** vec) = 0;
   virtual void Finish(const StreamQuery& q,
                       std::vector<util::Neighbor>&& neighbors,
@@ -138,9 +156,12 @@ class QueryEngine {
                                  uint64_t end, uint32_t k);
 
   /// Serve `source` until it reports kClosed and every admitted query is
-  /// answered; idle (no query in flight, kPending) costs a 20 us sleep.
-  /// A query pins the current epoch (core/epoch.h) from admission to
-  /// answer, so every query admitted after an Insert returned sees it.
+  /// answered; idle (no read in flight, kPending) costs a 20 us sleep.
+  /// A poll round in which a free context pulled kPending issues next
+  /// rungs ahead (see the file comment); a source that never reports
+  /// kPending, as SearchBatch's does not, runs rung by rung. A query
+  /// pins the current epoch (core/epoch.h) from admission to answer, so
+  /// every query admitted after an Insert returned sees it.
   void Run(QuerySource* source);
 
   /// Convenience: single query.
@@ -158,8 +179,31 @@ class QueryEngine {
     uint32_t chain_budget = 0;  ///< Remaining blocks this chain may span.
   };
 
+  /// The rung after the current one, issued ahead of the terminal test.
+  struct Ahead {
+    bool started = false;  ///< Its probes were queued.
+    std::deque<PendingIssue> to_issue;
+    uint32_t pending_ios = 0;
+    /// Slots holding its blocks that arrived, in arrival order.
+    std::vector<uint32_t> parked;
+    uint64_t buckets = 0;  ///< Its non-empty buckets.
+    uint64_t reads = 0;    ///< Reads issued for it.
+    uint64_t errors = 0;   ///< Probes dropped at submission.
+
+    void Reset() {
+      started = false;
+      to_issue.clear();
+      pending_ios = 0;
+      parked.clear();
+      buckets = reads = errors = 0;
+    }
+  };
+
   struct Context {
     bool busy = false;
+    /// Bumped when a query finishes: its reads still in flight then
+    /// complete into slots of an older generation and touch nothing.
+    uint32_t gen = 0;
     StreamQuery query;  ///< Id, k, and (for stream queries) the vector.
     const float* q = nullptr;
     /// Pinned from StartQuery to FinishQuery; null when nothing was
@@ -172,8 +216,9 @@ class QueryEngine {
     uint32_t radius_idx = 0;
     uint64_t checked_in_radius = 0;
     bool draining = false;  // candidate cap S reached for this radius
-    uint32_t pending_ios = 0;
+    uint32_t pending_ios = 0;  // this rung's reads in flight
     std::deque<PendingIssue> to_issue;
+    Ahead ahead;
     uint64_t start_ns = 0;
     QueryStats stats;
     std::vector<uint32_t> hashes;  // query hash32 per l at current radius
@@ -185,6 +230,9 @@ class QueryEngine {
     /// buffer, instead of per-slot allocations.
     uint8_t* buf = nullptr;
     uint32_t ctx = 0;
+    uint32_t gen = 0;     ///< The context's generation at issue.
+    uint32_t radius = 0;  ///< The rung the read was issued for.
+    StatusCode code = StatusCode::kOk;  ///< How the read ended.
     uint32_t expected_fp = 0;
     uint32_t chain_budget = 0;
     /// Offset of the block inside `buf`: a read widened to the device's
@@ -194,10 +242,26 @@ class QueryEngine {
 
   /// ctx->query and ctx->q hold the admitted query.
   void StartQuery(Context* ctx);
+  /// Make ctx->radius_idx the examined rung: queue its probes, or take
+  /// over the reads issued ahead for it and examine its parked blocks.
   void BeginRadius(Context* ctx);
-  /// Try to submit queued probes; returns true if anything was submitted.
-  bool IssueFrom(Context* ctx);
+  /// Hash the query at `radius` and queue one probe per non-empty
+  /// bucket; returns how many were queued.
+  uint64_t QueueProbes(Context* ctx, uint32_t radius,
+                       std::deque<PendingIssue>* out);
+  /// Submit queued probes, the next rung's too when `idle`; returns true
+  /// if anything was submitted.
+  bool IssueFrom(Context* ctx, bool idle);
+  /// Submit from `queue` (rung `radius`) while more than `reserve` slots
+  /// are free.
+  bool Submit(Context* ctx, std::deque<PendingIssue>* queue, uint32_t radius,
+              size_t reserve);
+  /// True while at least half the queries that took rung r's terminal
+  /// test climbed past it (an empty history counts as climbing).
+  bool Climbs(uint32_t r) const;
   void HandleCompletion(const storage::IoCompletion& comp, QuerySource* source);
+  /// Examine one completed read of the current rung.
+  void Examine(Context* ctx, const IoSlot& slot);
   void ProcessBucketBlock(Context* ctx, const IoSlot& slot);
   /// Radius drained: advance the ladder or finish the query.
   void MaybeAdvance(Context* ctx, QuerySource* source);
@@ -215,6 +279,9 @@ class QueryEngine {
   std::vector<uint32_t> free_slots_;
   uint32_t inflight_ = 0;
   uint32_t busy_ = 0;  ///< Contexts holding a query.
+  /// Per rung: queries that took its terminal test, and those that
+  /// climbed past it (the history Climbs reads).
+  std::vector<uint64_t> reached_, advanced_;
   uint64_t compute_ns_ = 0;
   ObjectInfoCodec codec_;
   /// Read granularity: the device-advertised direct-I/O alignment (4096

@@ -32,7 +32,8 @@ struct StreamQuery {
 
 enum class StreamPull {
   kReady,    ///< A query was written to *out.
-  kPending,  ///< Nothing available now, but the stream is still open.
+  kPending,  ///< The stream is open and empty.
+  kBacklog,  ///< Queries wait, but none is handed out now.
   kClosed,   ///< Drained and closed: no query will ever arrive again.
 };
 

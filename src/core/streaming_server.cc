@@ -22,7 +22,7 @@ class StreamingServer::ShardSource : public QuerySource {
       // Under sustained overload the stream may hold nothing but expired
       // queries: deliver a poll's worth of rejections (and keep polling
       // the device) before pulling more.
-      if (shed_ >= kShedPerPoll) return StreamPull::kPending;
+      if (shed_ >= kShedPerPoll) return StreamPull::kBacklog;
       const StreamPull pull = server_->queue_->TryPull(q);
       if (pull != StreamPull::kReady) return pull;
       // A query that aged past the deadline while queued is shed, not
@@ -72,6 +72,8 @@ class StreamingServer::ShardSource : public QuerySource {
         // histogram: the percentiles describe served traffic.
         if (out.status.ok()) {
           state_->recorder.Record(out.latency_ns, now);
+          state_->ahead_reads += out.stats.ahead_reads;
+          state_->ahead_unused += out.stats.ahead_unused;
         } else {
           ++state_->rejected;
         }
@@ -128,6 +130,8 @@ Status StreamingServer::Start(SubmissionQueue* queue) {
     shard->rejected = 0;
     shard->admitting_polls = 0;
     shard->admitted = 0;
+    shard->ahead_reads = 0;
+    shard->ahead_unused = 0;
   }
   start_ns_ = util::NowNs();
   live_workers_.store(engine_->num_shards(), std::memory_order_relaxed);
@@ -186,6 +190,8 @@ StreamingSnapshot StreamingServer::stats() const {
     snap.rejected += shard->rejected;
     snap.batches += shard->admitting_polls;
     admitted += shard->admitted;
+    snap.ahead_reads += shard->ahead_reads;
+    snap.ahead_unused += shard->ahead_unused;
   }
   if (snap.batches > 0) {
     snap.mean_batch_size =

@@ -10,7 +10,7 @@
 // free — it never waits for company, and never waits behind a batch
 // that is already running (iteration-level scheduling, as in Orca,
 // applied to the paper's interleaved query contexts). A worker idles
-// only when its shard has no query in flight and the stream is empty.
+// only when its shard has no read in flight and the stream is empty.
 //
 // Results are delivered per query through a completion callback (invoked
 // from shard worker threads) and/or pollable future handles (FutureSink),
@@ -80,6 +80,9 @@ struct StreamingSnapshot {
   uint64_t max_ns = 0;
   double sustained_qps = 0.0;  ///< Completions/sec over a sliding window.
   double overall_qps = 0.0;    ///< Completions / time since Start.
+  /// QueryStats::ahead_reads and ahead_unused, summed over the answers.
+  uint64_t ahead_reads = 0;
+  uint64_t ahead_unused = 0;
 
   /// The serving-figure list: calls fn(name, member) once per field
   /// above, in this order. The Stats RPC (net/wire.h) and the CLI
@@ -97,6 +100,8 @@ struct StreamingSnapshot {
     fn("max_ns", &StreamingSnapshot::max_ns);
     fn("sustained_qps", &StreamingSnapshot::sustained_qps);
     fn("overall_qps", &StreamingSnapshot::overall_qps);
+    fn("ahead_reads", &StreamingSnapshot::ahead_reads);
+    fn("ahead_unused", &StreamingSnapshot::ahead_unused);
   }
 };
 
@@ -146,6 +151,8 @@ class StreamingServer {
     uint64_t rejected = 0;
     uint64_t admitting_polls = 0;
     uint64_t admitted = 0;
+    uint64_t ahead_reads = 0;
+    uint64_t ahead_unused = 0;
   };
   /// A shard's view of the queue as a QuerySource (defined in the .cc).
   class ShardSource;

@@ -467,9 +467,10 @@ Status Daemon::HandleSearchRequest(Reader* r, const FrameHeader& hdr,
       out.status = qr.status;
       out.latency_ns = qr.latency_ns;
       out.neighbors = std::move(qr.neighbors);
+      out.partial = qr.stats.partial;
       // A partial result (I/O errors or corrupt blocks absorbed
-      // best-effort) still ships OK to the client, but it IS a device
-      // failure — exactly the signal the breaker watches.
+      // best-effort) ships OK and flagged to the client, but it IS a
+      // device failure — exactly the signal the breaker watches.
       failed = !qr.status.ok() || qr.stats.partial;
     } else {
       out.status = admit[i];

@@ -257,6 +257,7 @@ Status DecodeUpdateAck(Reader* r, WireUpdateAck* out) {
 
 void EncodeQueryResult(Writer* w, const WireQueryResult& result) {
   w->U8(static_cast<uint8_t>(WireCodeFromStatus(result.status)));
+  w->U8(result.partial ? kResultPartial : 0);
   w->U64(result.latency_ns);
   w->U32(static_cast<uint32_t>(result.neighbors.size()));
   for (const util::Neighbor& nb : result.neighbors) {
@@ -269,6 +270,12 @@ Status DecodeQueryResult(Reader* r, WireQueryResult* out) {
   uint8_t code;
   E2_RETURN_NOT_OK(r->U8(&code));
   out->status = StatusFromWire(static_cast<WireCode>(code), std::string());
+  uint8_t flags;
+  E2_RETURN_NOT_OK(r->U8(&flags));
+  if ((flags & ~kResultPartial) != 0) {
+    return Status::InvalidArgument("unknown query result flags");
+  }
+  out->partial = (flags & kResultPartial) != 0;
   E2_RETURN_NOT_OK(r->U64(&out->latency_ns));
   uint32_t nk;
   E2_RETURN_NOT_OK(r->U32(&nk));

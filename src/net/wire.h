@@ -33,8 +33,9 @@
 // Response bodies all start with `u8 code, str message` (code 0 = OK,
 // empty message). On OK:
 //   Pong        | (empty)
-//   Search*     | u32 count; per query: u8 qcode, u64 latency_ns,
-//               |   u32 nk, nk x (u32 id, f32 dist)
+//   Search*     | u32 count; per query: u8 qcode, u8 flags (bit 0:
+//               |   partial), u64 latency_ns, u32 nk,
+//               |   nk x (u32 id, f32 dist)
 //   Configure   | (empty)
 //   Stats       | WireStats::ForEachField in order: the serving figures,
 //               |   u64 queue_depth, every DeviceStats counter (u64 for
@@ -61,11 +62,12 @@
 namespace e2lshos::net {
 
 inline constexpr uint16_t kWireMagic = 0x4C45;  // "EL"
-/// v3: the Stats block is WireStats::ForEachField, every DeviceStats
-/// counter included. The check is strict equality, so peers of different
-/// versions do not interoperate — client and daemon ship from the same
-/// tree.
-inline constexpr uint8_t kWireVersion = 3;
+/// v4: each query result carries a flags byte, and the Stats block
+/// (WireStats::ForEachField, every DeviceStats counter included) the
+/// ahead-read counters. The check is strict equality, so peers of
+/// different versions do not interoperate — client and daemon ship from
+/// the same tree.
+inline constexpr uint8_t kWireVersion = 4;
 /// Frame-payload bytes before the body: magic + version + type + id.
 inline constexpr uint32_t kHeaderBytes = 12;
 /// Default cap on the length prefix. A frame larger than this is a
@@ -95,6 +97,10 @@ enum class UpdateOp : uint8_t {
 
 /// Search/SearchBatch request flags.
 inline constexpr uint32_t kFlagNoWait = 1u << 0;
+
+/// Query result flags: the answer is best-effort over the candidates
+/// that survived dropped reads (core::QueryStats::partial).
+inline constexpr uint8_t kResultPartial = 1u << 0;
 
 /// \brief Wire error codes. Values 0..10 mirror e2lshos::StatusCode
 /// one-to-one so engine statuses survive the wire unchanged;
@@ -167,6 +173,7 @@ struct WireQueryResult {
   Status status = Status::OK();
   uint64_t latency_ns = 0;
   std::vector<util::Neighbor> neighbors;
+  bool partial = false;  ///< kResultPartial.
 };
 
 // ---------------------------------------------------------------------------
@@ -251,7 +258,7 @@ Status DecodeHealth(Reader* r, WireHealth* out);
 void EncodeUpdateAck(Writer* w, const WireUpdateAck& ack);
 Status DecodeUpdateAck(Reader* r, WireUpdateAck* out);
 
-/// Append one per-query result entry (qcode, latency, neighbors).
+/// Append one per-query result entry (qcode, flags, latency, neighbors).
 void EncodeQueryResult(Writer* w, const WireQueryResult& result);
 Status DecodeQueryResult(Reader* r, WireQueryResult* out);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <queue>
+#include <tuple>
 
 #include "util/clock.h"
 
@@ -13,11 +14,15 @@ namespace e2lshos::storage {
 /// submit takes the device lock once (unit allocation — the modeled
 /// hardware contention point); a poll that has completions due holds the
 /// backing lock shared while it copies them; everything else is
-/// queue-private.
+/// queue-private. Reads due at the same time complete in submission
+/// order, and the memory model's reads, due at submission, read no
+/// clock: they complete first in, first out.
 class SimulatedDevice::Queue : public BlockDevice {
  public:
   Queue(SimulatedDevice* parent, uint32_t queue_capacity)
-      : parent_(parent), queue_capacity_(std::max(1u, queue_capacity)) {
+      : parent_(parent),
+        timed_(parent->model_.service_time_ns != 0),
+        queue_capacity_(std::max(1u, queue_capacity)) {
     id_ = parent_->queues_.Attach(this);
   }
   ~Queue() override { parent_->queues_.Retire(this); }
@@ -29,7 +34,7 @@ class SimulatedDevice::Queue : public BlockDevice {
     if (!RangeInCapacity(req.offset, req.length, parent_->backing_.capacity())) {
       return Status::OutOfRange("read beyond device capacity");
     }
-    const uint64_t now = util::NowNs();
+    const uint64_t now = Now();
     std::lock_guard<std::mutex> lock(mu_);
     if (pending_.size() >= queue_capacity_) {
       return Status::ResourceExhausted("queue full");
@@ -37,10 +42,9 @@ class SimulatedDevice::Queue : public BlockDevice {
     Pending p;
     // A zero-service-time (DRAM) read is due at submission and occupies
     // no flash unit.
-    p.complete_at_ns = parent_->model_.service_time_ns == 0
-                           ? now
-                           : parent_->ScheduleOnUnit(now);
+    p.complete_at_ns = timed_ ? parent_->ScheduleOnUnit(now) : 0;
     p.submit_ns = now;
+    p.seq = next_seq_++;
     p.user_data = req.user_data;
     p.offset = req.offset;
     p.length = req.length;
@@ -51,7 +55,7 @@ class SimulatedDevice::Queue : public BlockDevice {
   }
 
   size_t PollCompletions(IoCompletion* out, size_t max) override {
-    const uint64_t now = util::NowNs();
+    const uint64_t now = Now();
     std::lock_guard<std::mutex> lock(mu_);
     if (pending_.empty() || pending_.top().complete_at_ns > now) return 0;
     // Data transfer happens at completion time, ordered against Write.
@@ -99,17 +103,26 @@ class SimulatedDevice::Queue : public BlockDevice {
  private:
   struct Pending {
     uint64_t complete_at_ns;
+    uint64_t seq;  ///< Submission order on this queue.
     uint64_t submit_ns;
     uint64_t user_data;
     uint64_t offset;
     uint32_t length;
     void* buf;
-    bool operator>(const Pending& o) const { return complete_at_ns > o.complete_at_ns; }
+    bool operator>(const Pending& o) const {
+      return std::tie(complete_at_ns, seq) > std::tie(o.complete_at_ns, o.seq);
+    }
   };
 
+  /// The wall clock on a timed model; 0 on the memory model, whose
+  /// reads are all due at 0.
+  uint64_t Now() const { return timed_ ? util::NowNs() : 0; }
+
   SimulatedDevice* parent_;
+  const bool timed_;
   uint32_t queue_capacity_;
   uint64_t id_ = 0;
+  uint64_t next_seq_ = 0;  ///< Guarded by mu_.
   mutable std::mutex mu_;
   std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>> pending_;
   DeviceStats stats_;

@@ -165,8 +165,46 @@ TEST(Wire, QueryResultRejectsLyingNeighborCount) {
   net::Writer w;
   w.Begin(net::kResponseBit, 1);
   w.U8(0);           // qcode OK
+  w.U8(0);           // flags
   w.U64(123);        // latency
   w.U32(1u << 30);   // nk far beyond the frame
+  const auto frame = w.Finish();
+  net::Reader r(frame.data() + 4, frame.size() - 4);
+  net::FrameHeader hdr;
+  ASSERT_TRUE(r.Header(&hdr).ok());
+  net::WireQueryResult out;
+  EXPECT_FALSE(net::DecodeQueryResult(&r, &out).ok());
+}
+
+TEST(Wire, QueryResultCarriesThePartialFlag) {
+  for (const bool partial : {false, true}) {
+    net::WireQueryResult sent;
+    sent.latency_ns = 77;
+    sent.neighbors = {{3, 1.5f}};
+    sent.partial = partial;
+    net::Writer w;
+    w.Begin(net::kResponseBit, 1);
+    net::EncodeQueryResult(&w, sent);
+    const auto frame = w.Finish();
+    net::Reader r(frame.data() + 4, frame.size() - 4);
+    net::FrameHeader hdr;
+    ASSERT_TRUE(r.Header(&hdr).ok());
+    net::WireQueryResult got;
+    ASSERT_TRUE(net::DecodeQueryResult(&r, &got).ok());
+    EXPECT_TRUE(r.ExpectEnd().ok());
+    EXPECT_EQ(got.partial, partial);
+    EXPECT_EQ(got.latency_ns, 77u);
+    ASSERT_EQ(got.neighbors.size(), 1u);
+    EXPECT_EQ(got.neighbors[0].id, 3u);
+  }
+
+  // A flag bit this version does not define is a malformed entry.
+  net::Writer w;
+  w.Begin(net::kResponseBit, 1);
+  w.U8(0);       // qcode OK
+  w.U8(1u << 1);  // undefined flag
+  w.U64(0);
+  w.U32(0);
   const auto frame = w.Finish();
   net::Reader r(frame.data() + 4, frame.size() - 4);
   net::FrameHeader hdr;
@@ -359,8 +397,11 @@ TEST(Daemon, StatsCarryEveryDeviceCounter) {
   auto ack = (*client)->Insert("default", t.gen.queries.Row(0), 1, dim);
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
 
-  // The daemon is idle: a query is answered only once its reads have
-  // completed, so the counters hold still between the two snapshots.
+  // The daemon is idle: a query is answered once the reads of every rung
+  // it examined have completed, and the reads it issued ahead for a rung
+  // it never reached complete a device round trip later, long before the
+  // Insert round trip ends. So the counters hold still between the two
+  // snapshots.
   auto stats = (*client)->Stats("default");
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   const storage::DeviceStats local = raw->device_stats();
@@ -374,6 +415,39 @@ TEST(Daemon, StatsCarryEveryDeviceCounter) {
 
   daemon.RequestStop();
   daemon.Wait();
+}
+
+// A partial answer (reads dropped, best-effort over what survived) ships
+// OK and flagged; one whose failed reads the retry layer recovered is not.
+TEST(Daemon, PartialAnswersAreFlagged) {
+  const TestData t = MakeData();
+  struct Case {
+    const char* uri;
+    bool partial;
+  };
+  for (const Case& c : {Case{"sim:cssd?fault=complete:1.0,seed:7", true},
+                        Case{"sim:cssd?fault=complete:0.05,seed:7&retry=6",
+                             false}}) {
+    auto index = BuildIndex(t, c.uri);
+    ASSERT_TRUE(index.ok()) << c.uri << ": " << index.status().ToString();
+    const std::string sock = SockPath("partial");
+    net::Daemon daemon(UnixOptions(sock));
+    ASSERT_TRUE(daemon.AddIndex("default", std::move(*index)).ok());
+    ASSERT_TRUE(daemon.Start().ok()) << c.uri;
+    auto client = net::Client::Connect("unix:" + sock);
+    ASSERT_TRUE(client.ok()) << c.uri << ": " << client.status().ToString();
+    const uint32_t count = static_cast<uint32_t>(t.gen.queries.n());
+    auto results = (*client)->SearchBatch("default", t.gen.queries.Row(0),
+                                          count, t.gen.queries.dim(), 10);
+    ASSERT_TRUE(results.ok()) << c.uri << ": " << results.status().ToString();
+    ASSERT_EQ(results->size(), count);
+    for (uint32_t q = 0; q < count; ++q) {
+      EXPECT_TRUE((*results)[q].status.ok()) << c.uri << " query " << q;
+      EXPECT_EQ((*results)[q].partial, c.partial) << c.uri << " query " << q;
+    }
+    daemon.RequestStop();
+    daemon.Wait();
+  }
 }
 
 TEST(Daemon, UpdateAcksCarryConsecutiveEpochs) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "core/builder.h"
@@ -18,6 +19,7 @@
 #include "core/query_stream.h"
 #include "core/sharded_engine.h"
 #include "core/streaming_server.h"
+#include "storage/device_registry.h"
 #include "storage/simulated_device.h"
 #include "streaming_test_util.h"
 #include "util/clock.h"
@@ -58,10 +60,16 @@ struct GateControl {
   bool closed = false;    ///< Reads submitted now are held.
   bool released = false;  ///< Held completions flow again.
   uint64_t held = 0;      ///< Completions held back so far.
+  /// When non-empty, a closed gate holds only reads at these offsets.
+  std::set<uint64_t> offsets;
+  /// The reads a closed gate would hold fail at once instead, without
+  /// reaching the device.
+  bool fail = false;
 
   void Close() {
     std::lock_guard<std::mutex> lock(mu);
     closed = true;
+    released = false;
   }
   void Open() {
     std::lock_guard<std::mutex> lock(mu);
@@ -93,7 +101,14 @@ class ReadGate : public storage::BlockDevice {
     storage::IoRequest tagged = req;
     {
       std::lock_guard<std::mutex> lock(control_->mu);
-      if (control_->closed) tagged.user_data |= kHeldTag;
+      if (control_->closed && (control_->offsets.empty() ||
+                               control_->offsets.count(req.offset) > 0)) {
+        if (control_->fail) {
+          failed_.push_back({req.user_data, StatusCode::kIoError, 0});
+          return Status::OK();
+        }
+        tagged.user_data |= kHeldTag;
+      }
     }
     return inner_->SubmitRead(tagged);
   }
@@ -101,6 +116,10 @@ class ReadGate : public storage::BlockDevice {
   size_t PollCompletions(storage::IoCompletion* out, size_t max) override {
     std::lock_guard<std::mutex> lock(control_->mu);
     size_t n = 0;
+    while (!failed_.empty() && n < max) {
+      out[n++] = failed_.back();
+      failed_.pop_back();
+    }
     while (control_->released && !held_.empty() && n < max) {
       out[n++] = held_.back();
       held_.pop_back();
@@ -136,6 +155,7 @@ class ReadGate : public storage::BlockDevice {
   std::unique_ptr<storage::BlockDevice> inner_;
   std::shared_ptr<GateControl> control_;
   std::vector<storage::IoCompletion> held_;
+  std::vector<storage::IoCompletion> failed_;  ///< Guarded by control_->mu.
 };
 
 /// One shard whose device queue runs through a ReadGate.
@@ -901,6 +921,400 @@ TEST(StreamingServer, QueryAdmittedAfterInsertSeesItWhileAnOlderQueryRuns) {
   ASSERT_EQ(collector.deliveries[*a], 1);
   EXPECT_TRUE(collector.results[*a].status.ok());
 }
+
+// ---------------------------------------------------------------------------
+// The next rung issued ahead while the stream is idle
+// ---------------------------------------------------------------------------
+
+/// The suites' clustered workload at the default candidate cap: about
+/// three queries in four climb past the bottom rung of the fitted ladder,
+/// and the rest stop there.
+const data::GeneratedData& LadderData() {
+  static const data::GeneratedData* gen =
+      new data::GeneratedData(MakeStreamingTestData(31, 3000, 64));
+  return *gen;
+}
+
+storage::DeviceModel CssdModel() {
+  storage::DeviceModel model = storage::GetDeviceModel(storage::DeviceKind::kCssd);
+  model.capacity_bytes = 1ULL << 30;
+  return model;
+}
+
+struct LadderIndex {
+  std::unique_ptr<storage::SimulatedDevice> dev;
+  std::unique_ptr<StorageIndex> index;
+};
+
+/// LadderData's rows indexed on `model`; `s_factor` 0 keeps the default
+/// candidate cap S.
+LadderIndex BuildLadder(const storage::DeviceModel& model,
+                        double s_factor = 0) {
+  const data::GeneratedData& gen = LadderData();
+  lsh::E2lshConfig cfg;
+  cfg.rho = 0.25;
+  cfg.x_max = gen.base.XMax();
+  if (s_factor > 0) cfg.s_factor = s_factor;
+  auto params = lsh::ComputeParams(gen.base.n(), gen.base.dim(), cfg);
+  EXPECT_TRUE(params.ok());
+  LadderIndex out;
+  auto dev = storage::SimulatedDevice::Create(model);
+  EXPECT_TRUE(dev.ok());
+  out.dev = std::move(dev).value();
+  auto index = IndexBuilder::Build(gen.base, *params, out.dev.get());
+  EXPECT_TRUE(index.ok());
+  out.index = std::move(index).value();
+  return out;
+}
+
+/// Serve `queries` one at a time on an open queue: each is submitted once
+/// the previous answer is back, so every query meets an idle stream.
+std::vector<QueryResult> ServeOneAtATime(ShardedQueryEngine* engine,
+                                         const data::Dataset& queries,
+                                         uint32_t k,
+                                         StreamingSnapshot* snap = nullptr) {
+  FutureSink sink;
+  ServerOptions opts;
+  opts.k = k;
+  opts.on_result = sink.Callback();
+  StreamingServer server(engine, opts);
+  SubmissionQueue queue(queries.dim(), 1);
+  std::vector<QueryResult> out;
+  EXPECT_TRUE(server.Start(&queue).ok());
+  for (uint64_t q = 0; q < queries.n(); ++q) {
+    auto id = queue.Submit(queries.Row(q));
+    EXPECT_TRUE(id.ok());
+    if (!id.ok()) break;
+    out.push_back(sink.Register(*id).Take());
+  }
+  queue.Close();
+  server.Wait();
+  if (snap != nullptr) *snap = server.stats();
+  return out;
+}
+
+// A device that completes a query's reads in submission order (every
+// simulated model) gives a query its blocks in the rung-by-rung order
+// even when the next rung was issued ahead: the same answer at the cap S
+// that binds, with the same rungs examined.
+TEST(AheadIssue, IdleServerAnswersAsSearchBatch) {
+  const data::GeneratedData& gen = LadderData();
+  const uint32_t k = 10;
+  for (const storage::DeviceModel& model :
+       {CssdModel(), storage::MemoryModel(1ULL << 30)}) {
+    for (const double s_factor : {0.0, 1000.0}) {
+      SCOPED_TRACE(model.name + " s_factor " + std::to_string(s_factor));
+      LadderIndex ladder = BuildLadder(model, s_factor);
+      ShardOptions sopts;
+      sopts.num_shards = 2;
+      ShardedQueryEngine engine(ladder.index.get(), &gen.base, sopts);
+      auto ref = engine.SearchBatch(gen.queries, k);
+      ASSERT_TRUE(ref.ok());
+      StreamingSnapshot snap;
+      const std::vector<QueryResult> served =
+          ServeOneAtATime(&engine, gen.queries, k, &snap);
+      ASSERT_EQ(served.size(), gen.queries.n());
+
+      uint64_t ahead = 0, unused = 0, stopped = 0;
+      for (uint64_t q = 0; q < gen.queries.n(); ++q) {
+        ExpectResultMatchesReference(served[q], ref->results[q], q);
+        const QueryStats& got = served[q].stats;
+        EXPECT_EQ(got.radii_searched, ref->stats[q].radii_searched) << q;
+        EXPECT_EQ(ref->stats[q].ahead_reads, 0u) << q;  // a closed source
+        EXPECT_LE(got.ahead_unused, got.ahead_reads) << q;
+        if (got.radii_searched == 1) {
+          // Stopped at the bottom rung: the rung above was read unused.
+          ++stopped;
+          EXPECT_GT(got.ahead_unused, 0u) << q;
+        }
+        ahead += got.ahead_reads;
+        unused += got.ahead_unused;
+      }
+      EXPECT_GT(stopped, 0u);
+      EXPECT_GT(ahead, unused);
+      EXPECT_EQ(snap.ahead_reads, ahead);
+      EXPECT_EQ(snap.ahead_unused, unused);
+    }
+  }
+}
+
+/// The heads of the non-empty buckets `query` probes at rung `radius`.
+std::set<uint64_t> RungHeads(const StorageIndex& index, const float* query,
+                             uint32_t radius) {
+  std::vector<uint32_t> hashes(index.layout().L);
+  index.family().HashAll(radius, query, hashes.data());
+  std::set<uint64_t> heads;
+  for (uint32_t l = 0; l < index.layout().L; ++l) {
+    const uint64_t head =
+        index.ChainHead(radius, l, index.layout().fp.TableIndex(hashes[l]));
+    if (head != 0) heads.insert(head);
+  }
+  return heads;
+}
+
+// A query that stops at the bottom rung is answered while the reads it
+// issued ahead are still held at the device; they complete while a
+// climbing query runs in the same context, and touch nothing of it.
+TEST(AheadIssue, StaleAheadReadsNeverReachTheNextQuery) {
+  const data::GeneratedData& gen = LadderData();
+  const uint32_t k = 10;
+  LadderIndex ladder = BuildLadder(CssdModel());
+  const StorageIndex& index = *ladder.index;
+  auto gate = std::make_shared<GateControl>();
+  ShardOptions sopts = GatedShard(gate);
+  sopts.total_contexts = 2;  // one busy context and one that finds the stream idle
+  ShardedQueryEngine engine(ladder.index.get(), &gen.base, sopts);
+  auto ref = engine.SearchBatch(gen.queries, k);
+  ASSERT_TRUE(ref.ok());
+  uint64_t a = gen.queries.n(), b = gen.queries.n();
+  for (uint64_t q = gen.queries.n(); q-- > 0;) {
+    (ref->stats[q].radii_searched == 1 ? a : b) = q;
+  }
+  ASSERT_LT(a, gen.queries.n()) << "no query stops at the bottom rung";
+  ASSERT_LT(b, gen.queries.n()) << "no query climbs";
+
+  // Hold the reads of A's second rung.
+  gate->offsets = RungHeads(index, gen.queries.Row(a), 1);
+  ASSERT_FALSE(gate->offsets.empty());
+
+  FutureSink sink;
+  ServerOptions opts;
+  opts.k = k;
+  opts.on_result = sink.Callback();
+  SubmissionQueue queue(gen.queries.dim(), 4);
+  StreamingServer server(&engine, opts);
+  ASSERT_TRUE(server.Start(&queue).ok());
+  struct ReleaseOnExit {
+    GateControl* gate;
+    ~ReleaseOnExit() { gate->Release(); }
+  } release_on_exit{gate.get()};
+
+  gate->Close();
+  auto id_a = queue.Submit(gen.queries.Row(a));
+  ASSERT_TRUE(id_a.ok());
+  QueryFuture fut_a = sink.Register(*id_a);
+  ASSERT_TRUE(WaitFor([&] { return fut_a.Ready(); }))
+      << "query A waited for reads of a rung it never examines";
+  const QueryResult got_a = fut_a.Take();
+  ExpectResultMatchesReference(got_a, ref->results[a], a);
+  EXPECT_EQ(got_a.stats.radii_searched, 1u);
+  EXPECT_GT(got_a.stats.ahead_unused, 0u);
+  EXPECT_FALSE(got_a.stats.partial);
+  // Its second rung's reads reach the gate, and stay there.
+  EXPECT_TRUE(WaitFor([&] { return gate->Held() > 0; }));
+
+  // B enters the context A left, and A's reads complete under it.
+  gate->Open();
+  auto id_b = queue.Submit(gen.queries.Row(b));
+  ASSERT_TRUE(id_b.ok());
+  gate->Release();
+  QueryFuture fut_b = sink.Register(*id_b);
+  ASSERT_TRUE(WaitFor([&] { return fut_b.Ready(); })) << "query B never answered";
+  const QueryResult got_b = fut_b.Take();
+  ExpectResultMatchesReference(got_b, ref->results[b], b);
+  EXPECT_EQ(got_b.stats.radii_searched, ref->stats[b].radii_searched);
+  EXPECT_EQ(got_b.stats.candidates, ref->stats[b].candidates);
+  EXPECT_FALSE(got_b.stats.partial);
+
+  queue.Close();
+  server.Wait();
+}
+
+// A read that failed is an I/O error of the answer only if its rung was
+// examined: a query that stops below the failed rung is whole, one that
+// climbs into it is partial.
+TEST(AheadIssue, FailedReadsCountOnlyOnExaminedRungs) {
+  const data::GeneratedData& gen = LadderData();
+  const uint32_t k = 10;
+  LadderIndex ladder = BuildLadder(CssdModel());
+  auto gate = std::make_shared<GateControl>();
+  gate->fail = true;
+  ShardOptions sopts = GatedShard(gate);
+  sopts.total_contexts = 2;  // one busy context and one that finds the stream idle
+  // Few slots: one kept by a finished query's parked block would soon
+  // leave the shard none to read with.
+  sopts.total_inflight_ios = 32;
+  ShardedQueryEngine engine(ladder.index.get(), &gen.base, sopts);
+  auto ref = engine.SearchBatch(gen.queries, k);
+  ASSERT_TRUE(ref.ok());
+
+  FutureSink sink;
+  ServerOptions opts;
+  opts.k = k;
+  opts.on_result = sink.Callback();
+  SubmissionQueue queue(gen.queries.dim(), 4);
+  StreamingServer server(&engine, opts);
+  ASSERT_TRUE(server.Start(&queue).ok());
+  uint64_t stopped = 0, climbed = 0;
+  for (uint64_t q = 0; q < gen.queries.n(); ++q) {
+    {
+      std::lock_guard<std::mutex> lock(gate->mu);
+      gate->offsets = RungHeads(*ladder.index, gen.queries.Row(q), 1);
+    }
+    gate->Close();
+    auto id = queue.Submit(gen.queries.Row(q));
+    ASSERT_TRUE(id.ok());
+    QueryFuture fut = sink.Register(*id);
+    ASSERT_TRUE(WaitFor([&] { return fut.Ready(); })) << q;
+    const QueryResult got = fut.Take();
+    ASSERT_TRUE(got.status.ok()) << q;
+    if (ref->stats[q].radii_searched == 1) {
+      ++stopped;
+      ExpectSameNeighbors(got.neighbors, ref->results[q], q);
+      EXPECT_GT(got.stats.ahead_unused, 0u) << q;
+      EXPECT_EQ(got.stats.io_errors, 0u) << q;
+      EXPECT_FALSE(got.stats.partial) << q;
+    } else {
+      ++climbed;
+      EXPECT_GT(got.stats.io_errors, 0u) << q;
+      EXPECT_TRUE(got.stats.partial) << q;
+    }
+  }
+  EXPECT_GT(stopped, 0u);
+  EXPECT_GT(climbed, 0u);
+  gate->Open();
+  queue.Close();
+  server.Wait();
+}
+
+// Blocks of the next rung that arrive before the current rung drains are
+// parked, then examined in arrival order once the query climbs: with the
+// bottom rung's reads held at the device, every climbing query's second
+// rung arrives first, and the answer is still the one the rung-by-rung
+// order gives at the cap S that binds.
+TEST(AheadIssue, ParkedBlocksAreExaminedInArrivalOrder) {
+  const data::GeneratedData& gen = LadderData();
+  const uint32_t k = 10;
+  LadderIndex ladder = BuildLadder(CssdModel());
+  auto gate = std::make_shared<GateControl>();
+  ShardOptions sopts = GatedShard(gate);
+  sopts.total_contexts = 2;  // one busy context and one that finds the stream idle
+  ShardedQueryEngine engine(ladder.index.get(), &gen.base, sopts);
+  auto ref = engine.SearchBatch(gen.queries, k);
+  ASSERT_TRUE(ref.ok());
+
+  FutureSink sink;
+  ServerOptions opts;
+  opts.k = k;
+  opts.on_result = sink.Callback();
+  SubmissionQueue queue(gen.queries.dim(), 4);
+  StreamingServer server(&engine, opts);
+  ASSERT_TRUE(server.Start(&queue).ok());
+  struct ReleaseOnExit {
+    GateControl* gate;
+    ~ReleaseOnExit() { gate->Release(); }
+  } release_on_exit{gate.get()};
+
+  uint64_t climbed = 0, drained = 0;
+  for (uint64_t q = 0; q < gen.queries.n(); ++q) {
+    if (ref->stats[q].radii_searched < 2) continue;
+    ++climbed;
+    drained += ref->stats[q].late_reads > 0 ? 1 : 0;
+    const std::set<uint64_t> bottom =
+        RungHeads(*ladder.index, gen.queries.Row(q), 0);
+    {
+      std::lock_guard<std::mutex> lock(gate->mu);
+      gate->offsets = bottom;
+      gate->held = 0;
+    }
+    gate->Close();
+    auto id = queue.Submit(gen.queries.Row(q));
+    ASSERT_TRUE(id.ok());
+    QueryFuture fut = sink.Register(*id);
+    ASSERT_TRUE(WaitFor([&] { return gate->Held() == bottom.size(); })) << q;
+    // The second rung's reads are due a cSSD read time (about 140 us)
+    // after the held ones; give them ample time to arrive and park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_FALSE(fut.Ready()) << q;
+    gate->Release();
+    ASSERT_TRUE(WaitFor([&] { return fut.Ready(); })) << q;
+    const QueryResult got = fut.Take();
+    ExpectResultMatchesReference(got, ref->results[q], q);
+    EXPECT_EQ(got.stats.radii_searched, ref->stats[q].radii_searched) << q;
+    EXPECT_EQ(got.stats.candidates, ref->stats[q].candidates) << q;
+    EXPECT_GT(got.stats.ahead_reads, 0u) << q;
+    EXPECT_EQ(got.stats.ahead_unused, 0u) << q;
+  }
+  EXPECT_GT(climbed, 0u);
+  EXPECT_GT(drained, 0u) << "the cap S never binds: order cannot show";
+  queue.Close();
+  server.Wait();
+}
+
+// Under a backlog a free context always finds a query to pull, so the
+// stream is never idle and nothing is issued ahead.
+TEST(AheadIssue, BacklogIssuesNothingAhead) {
+  const data::GeneratedData& gen = LadderData();
+  const uint32_t k = 10;
+  LadderIndex ladder = BuildLadder(CssdModel());
+  ShardOptions sopts;
+  sopts.num_shards = 1;
+  sopts.total_contexts = 4;
+  ShardedQueryEngine engine(ladder.index.get(), &gen.base, sopts);
+  auto ref = engine.SearchBatch(gen.queries, k);
+  ASSERT_TRUE(ref.ok());
+
+  Collector collector;
+  ServerOptions opts;
+  opts.k = k;
+  opts.on_result = collector.Callback();
+  StreamingServer server(&engine, opts);
+  SubmissionQueue queue(gen.queries.dim(), gen.queries.n());
+  for (uint64_t q = 0; q < gen.queries.n(); ++q) {
+    ASSERT_TRUE(queue.TrySubmit(gen.queries.Row(q)).ok());
+  }
+  ASSERT_TRUE(server.Start(&queue).ok());
+  ASSERT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lock(collector.mu);
+    return collector.results.size() == gen.queries.n();
+  }));
+  queue.Close();
+  server.Wait();
+
+  std::lock_guard<std::mutex> lock(collector.mu);
+  for (uint64_t q = 0; q < gen.queries.n(); ++q) {
+    ExpectResultMatchesReference(collector.results[q], ref->results[q], q);
+    // The first half finish long before the queue runs dry.
+    if (q < gen.queries.n() / 2) {
+      EXPECT_EQ(collector.results[q].stats.ahead_reads, 0u) << q;
+    }
+  }
+}
+
+/// One shard with `contexts` contexts and `slots` reads in flight, fed
+/// one query at a time: answers as SearchBatch does, and issues nothing
+/// ahead.
+void ExpectNothingAhead(uint32_t contexts, uint32_t slots) {
+  const data::GeneratedData& gen = LadderData();
+  const uint32_t k = 10;
+  LadderIndex ladder = BuildLadder(CssdModel());
+  ShardOptions sopts;
+  sopts.num_shards = 1;
+  sopts.total_contexts = contexts;
+  sopts.total_inflight_ios = slots;
+  ShardedQueryEngine engine(ladder.index.get(), &gen.base, sopts);
+  auto ref = engine.SearchBatch(gen.queries, k);
+  ASSERT_TRUE(ref.ok());
+  StreamingSnapshot snap;
+  const std::vector<QueryResult> served =
+      ServeOneAtATime(&engine, gen.queries, k, &snap);
+  ASSERT_EQ(served.size(), gen.queries.n());
+  for (uint64_t q = 0; q < gen.queries.n(); ++q) {
+    ExpectResultMatchesReference(served[q], ref->results[q], q);
+    EXPECT_EQ(served[q].stats.ahead_reads, 0u) << q;
+  }
+  EXPECT_EQ(snap.ahead_reads, 0u);
+}
+
+// The synchronous mode (one context, one read in flight, Fig. 1(A)) never
+// has a free context beside a busy one: it climbs rung by rung.
+TEST(AheadIssue, SynchronousModeIssuesNothingAhead) { ExpectNothingAhead(1, 1); }
+
+// An ahead read needs more free slots than busy contexts. With two slots
+// and one query in flight, a free slot is always the busy query's (every
+// query of this workload has a non-empty bucket at the bottom rung, so
+// none starts with both slots free and nothing of its own to issue).
+TEST(AheadIssue, LeavesAFreeSlotForEveryBusyContext) { ExpectNothingAhead(2, 2); }
 
 }  // namespace
 }  // namespace e2lshos::core

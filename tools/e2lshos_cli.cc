@@ -620,20 +620,22 @@ int CmdQueryRemote(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  uint64_t ok_count = 0, rejected = 0, failed = 0;
+  uint64_t ok_count = 0, rejected = 0, failed = 0, partial = 0;
   for (const auto& r : results) {
     if (r.status.ok()) {
       ++ok_count;
+      partial += r.partial ? 1 : 0;
     } else if (r.status.code() == StatusCode::kResourceExhausted) {
       ++rejected;
     } else {
       ++failed;
     }
   }
-  std::printf("%llu remote queries against '%s' at %s: %llu ok, %llu "
-              "rejected, %llu failed, %.0f qps end-to-end\n",
+  std::printf("%llu remote queries against '%s' at %s: %llu ok (%llu "
+              "partial), %llu rejected, %llu failed, %.0f qps end-to-end\n",
               static_cast<unsigned long long>(results.size()), name.c_str(),
               to.c_str(), static_cast<unsigned long long>(ok_count),
+              static_cast<unsigned long long>(partial),
               static_cast<unsigned long long>(rejected),
               static_cast<unsigned long long>(failed),
               secs > 0 ? static_cast<double>(results.size()) / secs : 0.0);
