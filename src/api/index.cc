@@ -51,12 +51,13 @@ Server::~Server() {
   if (owner_ != nullptr) owner_->serving_ = nullptr;
 }
 
-Result<uint64_t> Server::Submit(const float* query, uint32_t k) {
-  return queue_->Submit(query, k);
+Result<uint64_t> Server::Submit(const float* query, uint32_t k, uint64_t tag) {
+  return queue_->Submit(query, k, tag);
 }
 
-Result<uint64_t> Server::TrySubmit(const float* query, uint32_t k) {
-  return queue_->TrySubmit(query, k);
+Result<uint64_t> Server::TrySubmit(const float* query, uint32_t k,
+                                   uint64_t tag) {
+  return queue_->TrySubmit(query, k, tag);
 }
 
 void Server::Close() { queue_->Close(); }

@@ -90,8 +90,9 @@ struct ServeSpec {
   uint64_t max_wait_us = 200;     ///< Ignored, as max_batch_size.
   uint64_t deadline_us = 0;       ///< Load shedding; 0 = off.
   /// Per-query completion callback (worker threads; must be
-  /// thread-safe). Optional — poll Server::stats() for a stats-only run,
-  /// or wire a core::FutureSink for pollable handles.
+  /// thread-safe), the one way a result comes back: each carries the
+  /// tag its query was submitted with. Optional — poll Server::stats()
+  /// for a stats-only run.
   std::function<void(core::QueryResult&&)> on_result;
   SearchSpec search;              ///< Engine shape behind the server.
   size_t queue_capacity = 1024;   ///< Submission-queue bound (backpressure).
@@ -116,10 +117,13 @@ class Server {
 
   /// Enqueue one query of Index::dim() floats; blocks while the queue is
   /// full (backpressure). Returns the id echoed in its QueryResult. `k`
-  /// overrides ServeSpec::k for this query (0 = that default).
-  Result<uint64_t> Submit(const float* query, uint32_t k = 0);
+  /// overrides ServeSpec::k for this query (0 = that default); `tag` is
+  /// returned untouched in its QueryResult, whether served or shed.
+  Result<uint64_t> Submit(const float* query, uint32_t k = 0,
+                          uint64_t tag = 0);
   /// Non-blocking variant; ResourceExhausted when full.
-  Result<uint64_t> TrySubmit(const float* query, uint32_t k = 0);
+  Result<uint64_t> TrySubmit(const float* query, uint32_t k = 0,
+                             uint64_t tag = 0);
 
   /// Close the queue: queued queries drain, further submissions fail.
   void Close();

@@ -4,9 +4,11 @@
 
 namespace e2lshos::core {
 
-Result<uint64_t> SubmissionQueue::Enqueue(const float* vec, uint32_t k) {
+Result<uint64_t> SubmissionQueue::Enqueue(const float* vec, uint32_t k,
+                                          uint64_t tag) {
   StreamQuery q;
   q.id = next_id_++;
+  q.tag = tag;
   q.enqueue_ns = util::NowNs();
   q.k = k;
   q.vec.assign(vec, vec + dim_);
@@ -16,20 +18,22 @@ Result<uint64_t> SubmissionQueue::Enqueue(const float* vec, uint32_t k) {
   return id;
 }
 
-Result<uint64_t> SubmissionQueue::Submit(const float* vec, uint32_t k) {
+Result<uint64_t> SubmissionQueue::Submit(const float* vec, uint32_t k,
+                                         uint64_t tag) {
   std::unique_lock<std::mutex> lock(mu_);
   not_full_.wait(lock, [this] { return closed_ || queue_.size() < capacity_; });
   if (closed_) return ClosedStatus();
-  return Enqueue(vec, k);
+  return Enqueue(vec, k, tag);
 }
 
-Result<uint64_t> SubmissionQueue::TrySubmit(const float* vec, uint32_t k) {
+Result<uint64_t> SubmissionQueue::TrySubmit(const float* vec, uint32_t k,
+                                            uint64_t tag) {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return ClosedStatus();
   if (queue_.size() >= capacity_) {
     return Status::ResourceExhausted("submission queue full");
   }
-  return Enqueue(vec, k);
+  return Enqueue(vec, k, tag);
 }
 
 Status SubmissionQueue::ClosedStatus() const {

@@ -21,6 +21,9 @@ namespace e2lshos::core {
 /// \brief One query travelling through the serving pipeline.
 struct StreamQuery {
   uint64_t id = 0;          ///< Stream-assigned, echoed in the result.
+  /// Caller-chosen at submission and returned untouched in the result,
+  /// as IoRequest::user_data is by a device queue. Never read here.
+  uint64_t tag = 0;
   uint64_t enqueue_ns = 0;  ///< When the query entered the stream.
   /// Per-query neighbor count; 0 = the server's ServerOptions::k. The
   /// network daemon sets this from the request frame so a remote k is
@@ -49,12 +52,14 @@ class SubmissionQueue {
       : dim_(dim), capacity_(capacity == 0 ? 1 : capacity) {}
 
   /// Copy `dim()` floats from `vec` into the queue; blocks while full.
-  /// Returns the assigned query id. `k` overrides the server's
-  /// per-session neighbor count for this query (0 = server default).
-  Result<uint64_t> Submit(const float* vec, uint32_t k = 0);
+  /// Returns the assigned query id. `k` overrides the server's neighbor
+  /// count (ServerOptions::k) for this query (0 = server default); `tag`
+  /// comes back in the query's result (StreamQuery::tag).
+  Result<uint64_t> Submit(const float* vec, uint32_t k = 0, uint64_t tag = 0);
 
   /// Non-blocking submit; ResourceExhausted when full.
-  Result<uint64_t> TrySubmit(const float* vec, uint32_t k = 0);
+  Result<uint64_t> TrySubmit(const float* vec, uint32_t k = 0,
+                             uint64_t tag = 0);
 
   void Close();
   bool closed() const;
@@ -73,8 +78,9 @@ class SubmissionQueue {
   void ConsumerStopped();
 
  private:
-  Result<uint64_t> Enqueue(const float* vec, uint32_t k);  ///< mu_ held.
-  Status ClosedStatus() const;                             ///< mu_ held.
+  /// mu_ held.
+  Result<uint64_t> Enqueue(const float* vec, uint32_t k, uint64_t tag);
+  Status ClosedStatus() const;  ///< mu_ held.
 
   const uint32_t dim_;
   const size_t capacity_;

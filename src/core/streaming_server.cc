@@ -32,6 +32,7 @@ class StreamingServer::ShardSource : public QuerySource {
       if (deadline_ns == 0 || now - q->enqueue_ns <= deadline_ns) break;
       QueryResult out;
       out.id = q->id;
+      out.tag = q->tag;
       out.status = Status::ResourceExhausted(
           "deadline exceeded in submission queue (load shed)");
       out.latency_ns = now - q->enqueue_ns;
@@ -49,6 +50,7 @@ class StreamingServer::ShardSource : public QuerySource {
     const uint64_t now = util::NowNs();
     QueryResult out;
     out.id = q.id;
+    out.tag = q.tag;
     out.neighbors = std::move(neighbors);
     out.stats = stats;
     out.latency_ns = now > q.enqueue_ns ? now - q.enqueue_ns : 0;
@@ -215,95 +217,6 @@ StreamingSnapshot StreamingServer::stats() const {
                        static_cast<double>(now - start);
   }
   return snap;
-}
-
-bool QueryFuture::Ready() const {
-  if (!state_) return false;
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->ready;
-}
-
-QueryResult QueryFuture::Take() {
-  if (!state_) {
-    QueryResult unbound;
-    unbound.status = Status::FailedPrecondition("future not bound to a query");
-    return unbound;
-  }
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [this] { return state_->ready; });
-  return std::move(state_->result);
-}
-
-QueryFuture FutureSink::Register(uint64_t id) {
-  QueryFuture fut;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = unclaimed_.find(id);
-  if (it != unclaimed_.end()) {
-    fut.state_ = std::make_shared<QueryFuture::State>();
-    fut.state_->result = std::move(it->second);
-    fut.state_->ready = true;
-    unclaimed_.erase(it);
-    return fut;
-  }
-  // Registering the same pending id twice hands out futures sharing one
-  // state (overwriting the first entry would orphan its future: Take()
-  // would block forever with no delivery or FailPending able to reach
-  // it). Note Take() moves the result out — one taker per id.
-  auto entry =
-      waiting_.try_emplace(id, std::make_shared<QueryFuture::State>()).first;
-  fut.state_ = entry->second;
-  return fut;
-}
-
-void FutureSink::Deliver(QueryResult&& result) {
-  std::shared_ptr<QueryFuture::State> state;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = waiting_.find(result.id);
-    if (it == waiting_.end()) {
-      if (unclaimed_.size() >= max_unclaimed_) {
-        ++dropped_;
-      } else {
-        unclaimed_.emplace(result.id, std::move(result));
-      }
-      return;
-    }
-    state = std::move(it->second);
-    waiting_.erase(it);
-  }
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->result = std::move(result);
-    state->ready = true;
-  }
-  state->cv.notify_all();
-}
-
-void FutureSink::FailPending(const Status& status) {
-  std::unordered_map<uint64_t, std::shared_ptr<QueryFuture::State>> waiting;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    waiting.swap(waiting_);
-  }
-  for (auto& [id, state] : waiting) {
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->result.id = id;
-      state->result.status = status;
-      state->ready = true;
-    }
-    state->cv.notify_all();
-  }
-}
-
-size_t FutureSink::unclaimed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unclaimed_.size();
-}
-
-uint64_t FutureSink::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
 }
 
 }  // namespace e2lshos::core

@@ -12,21 +12,21 @@
 // applied to the paper's interleaved query contexts). A worker idles
 // only when its shard has no read in flight and the stream is empty.
 //
-// Results are delivered per query through a completion callback (invoked
-// from shard worker threads) and/or pollable future handles (FutureSink),
-// as soon as the poll round that finished them ends. Per-query
+// Results are delivered per query through one completion callback
+// (ServerOptions::on_result, invoked from shard worker threads) as soon
+// as the poll round that finished them ends. Each result carries the tag
+// its query was submitted with, so a caller routes it home without a
+// lookup, as a device completion carries IoRequest::user_data. Per-query
 // enqueue→completion latency and sustained QPS are recorded in
 // per-shard util::LatencyRecorders, merged on stats().
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/query_stream.h"
@@ -41,6 +41,7 @@ namespace e2lshos::core {
 /// `stats.partial` (same contract as the batch API).
 struct QueryResult {
   uint64_t id = 0;
+  uint64_t tag = 0;  ///< StreamQuery::tag, served or shed.
   Status status = Status::OK();
   std::vector<util::Neighbor> neighbors;
   QueryStats stats;
@@ -61,9 +62,9 @@ struct ServerOptions {
   /// shedding keeps the p99 of *served* queries bounded and turns
   /// overload into an explicit, countable signal. 0 = off.
   uint64_t deadline_us = 0;
-  /// Invoked once per query from shard worker threads; must be
-  /// thread-safe. May be empty when a FutureSink (or stats-only soak)
-  /// is the consumer.
+  /// Invoked once per pulled query, served or shed, from shard worker
+  /// threads; must be thread-safe. The one way a result comes back:
+  /// route it by QueryResult::tag. May be empty for a stats-only run.
   std::function<void(QueryResult&&)> on_result;
 };
 
@@ -173,75 +174,6 @@ class StreamingServer {
   bool running_ = false;
   uint64_t start_ns_ = 0;
   mutable std::mutex mu_;  ///< Guards running_ / workers_ lifecycle.
-};
-
-/// \brief Turns per-query callbacks into pollable handles.
-///
-/// Typical flow with a SubmissionQueue:
-///   FutureSink sink;
-///   ServerOptions opts; opts.on_result = sink.Callback();
-///   ... server.Start(&queue) ...
-///   auto id = queue.Submit(vec);
-///   QueryFuture fut = sink.Register(*id);
-///   ... fut.Ready() / fut.Take() ...
-/// Registration and delivery may race in either order; a result that
-/// arrives before Register is held until claimed.
-class QueryFuture {
- public:
-  QueryFuture() = default;
-
-  /// Non-blocking readiness poll.
-  bool Ready() const;
-
-  /// Block until delivered, then move the result out. Call at most once.
-  /// A default-constructed (unbound) future returns FailedPrecondition.
-  QueryResult Take();
-
- private:
-  friend class FutureSink;
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool ready = false;
-    QueryResult result;
-  };
-  std::shared_ptr<State> state_;
-};
-
-class FutureSink {
- public:
-  /// `max_unclaimed` bounds the stash of results delivered before their
-  /// Register() call. The stash only needs to cover the race window
-  /// between Submit() returning an id and Register(id); results beyond
-  /// the cap are dropped (counted in dropped()) rather than accumulated
-  /// forever — a fire-and-forget producer would otherwise leak one
-  /// QueryResult per unregistered query.
-  explicit FutureSink(size_t max_unclaimed = 65536)
-      : max_unclaimed_(max_unclaimed) {}
-
-  QueryFuture Register(uint64_t id);
-  void Deliver(QueryResult&& result);
-  std::function<void(QueryResult&&)> Callback() {
-    return [this](QueryResult&& r) { Deliver(std::move(r)); };
-  }
-
-  /// Fail every future still waiting with `status` (each becomes ready;
-  /// Take() returns the error). Call after StreamingServer::Stop()+Wait()
-  /// — queries the server never pulled are never delivered, so their
-  /// futures would otherwise block forever.
-  void FailPending(const Status& status);
-
-  /// Results delivered but never Register()ed and still stashed.
-  size_t unclaimed() const;
-  /// Unregistered results dropped because the stash was at capacity.
-  uint64_t dropped() const;
-
- private:
-  const size_t max_unclaimed_;
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<QueryFuture::State>> waiting_;
-  std::unordered_map<uint64_t, QueryResult> unclaimed_;
-  uint64_t dropped_ = 0;
 };
 
 }  // namespace e2lshos::core

@@ -8,6 +8,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <condition_variable>
+#include <cstdint>
 #include <cstring>
 
 #include "net/socket.h"
@@ -27,6 +29,54 @@ std::vector<uint8_t> ProtocolErrorFrame(uint64_t request_id,
   w.U8(static_cast<uint8_t>(WireCode::kProtocolError));
   w.Str(message);
   return w.Finish();
+}
+
+/// One Search/SearchBatch frame's answers, on the connection thread for
+/// the frame's lifetime: a slot per query, in frame order, and a count
+/// of the slots still empty. A query is submitted with its slot's
+/// address as its tag, so every index's on_result (DeliverToSlot) fills
+/// the slot without a lookup. The connection thread fills the slots of
+/// queries refused at admission itself, then waits once.
+struct FrameReply {
+  struct Slot {
+    FrameReply* frame = nullptr;
+    core::QueryResult result;
+  };
+
+  explicit FrameReply(uint32_t count)
+      : slots(count, Slot{this, {}}), pending(count) {}
+
+  uint64_t Tag(uint32_t i) {
+    return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(&slots[i]));
+  }
+
+  /// Block until every slot is filled.
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    filled.wait(lock, [this] { return pending == 0; });
+  }
+
+  std::vector<Slot> slots;
+  std::mutex mu;
+  std::condition_variable filled;
+  uint32_t pending;  ///< Slots still empty; guarded by mu.
+};
+
+/// Move `result` into `slot` and count its frame down. The last fill
+/// notifies while it holds the frame's mutex, so the waiter cannot
+/// return, and destroy the frame, before that mutex is released.
+void Fill(FrameReply::Slot* slot, core::QueryResult&& result) {
+  FrameReply* frame = slot->frame;
+  slot->result = std::move(result);
+  std::lock_guard<std::mutex> lock(frame->mu);
+  if (--frame->pending == 0) frame->filled.notify_one();
+}
+
+/// Every index's on_result: a query's tag is the address of its slot.
+void DeliverToSlot(core::QueryResult&& result) {
+  Fill(reinterpret_cast<FrameReply::Slot*>(
+           static_cast<uintptr_t>(result.tag)),
+       std::move(result));
 }
 
 }  // namespace
@@ -98,8 +148,7 @@ Status Daemon::Start() {
     ServeSpec spec = options_.serve;
     if (spec.k == 0) spec.k = 10;
     entry->default_k.store(spec.k, std::memory_order_relaxed);
-    entry->sink.FailPending(Status::Internal("restart"));  // paranoia
-    spec.on_result = entry->sink.Callback();
+    spec.on_result = DeliverToSlot;
     auto server = entry->index->Serve(spec);
     if (!server.ok()) return abort_start(server.status());
     entry->server = std::move(*server);
@@ -183,15 +232,14 @@ void Daemon::Wait() {
   }
 
   // 3. Only now stop the per-index servers: every submitted query was
-  // already delivered (handlers joined), so Close() + Wait() is a
-  // no-op drain, and no engine worker disappeared under a live query.
+  // already delivered (handlers joined, and a handler returns only once
+  // its frame is answered), so Close() + Wait() is a no-op drain, and no
+  // engine worker disappeared under a live query.
   for (auto& [name, entry] : indexes_) {
     if (entry->server != nullptr) {
       entry->server->Close();
       entry->server->Wait();
     }
-    entry->sink.FailPending(
-        Status::FailedPrecondition("daemon stopped"));
     entry->server.reset();
   }
   joined_ = true;
@@ -404,11 +452,13 @@ Status Daemon::HandleSearchRequest(Reader* r, const FrameHeader& hdr,
   if (k == 0) {
     return respond_error(Status::InvalidArgument("k is 0"));
   }
-  // The response must fit the same frame cap the request obeyed: 13
-  // bytes of per-query framing plus 8 per neighbor, plus the preamble.
+  // The response must fit the same frame cap the request obeyed: the
+  // header and preamble, then per query its entry with up to k
+  // neighbors.
   const uint64_t worst_response =
-      kHeaderBytes + 8 + 4 +
-      static_cast<uint64_t>(count) * (13 + static_cast<uint64_t>(k) * 8);
+      kHeaderBytes + kSearchPreambleBytes +
+      static_cast<uint64_t>(count) *
+          (kQueryResultFixedBytes + static_cast<uint64_t>(k) * kNeighborBytes);
   if (worst_response > options_.max_frame_bytes) {
     return respond_error(Status::InvalidArgument(
         "response for " + std::to_string(count) + " queries x k=" +
@@ -438,46 +488,38 @@ Status Daemon::HandleSearchRequest(Reader* r, const FrameHeader& hdr,
   std::vector<float> vals(static_cast<size_t>(count) * dim);
   if (vec_bytes > 0) std::memcpy(vals.data(), raw, vec_bytes);
 
+  // Every slot exists before its query is submitted, so no result can
+  // arrive ahead of the place it goes to.
+  FrameReply reply(count);
   const bool nowait = (flags & kFlagNoWait) != 0;
-  std::vector<core::QueryFuture> futures(count);
-  std::vector<Status> admit(count, Status::OK());
   for (uint32_t i = 0; i < count; ++i) {
     const float* vec = vals.data() + static_cast<size_t>(i) * dim;
     // Blocking Submit is the backpressure path: a full queue stalls
     // only this connection. kFlagNoWait turns it into admission
     // control: full -> per-query ResourceExhausted on the wire.
-    auto id = nowait ? entry->server->TrySubmit(vec, k)
-                     : entry->server->Submit(vec, k);
-    if (id.ok()) {
-      futures[i] = entry->sink.Register(*id);
-    } else {
-      admit[i] = id.status();
+    auto id = nowait ? entry->server->TrySubmit(vec, k, reply.Tag(i))
+                     : entry->server->Submit(vec, k, reply.Tag(i));
+    if (!id.ok()) {
+      core::QueryResult refused;
+      refused.status = id.status();
+      Fill(&reply.slots[i], std::move(refused));
     }
   }
+  reply.Wait();
 
   w->Begin(hdr.type | kResponseBit, hdr.request_id);
   EncodeStatus(w, Status::OK());
   w->U32(count);
   uint32_t failures = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    WireQueryResult out;
-    bool failed = false;
-    if (admit[i].ok()) {
-      core::QueryResult qr = futures[i].Take();
-      out.status = qr.status;
-      out.latency_ns = qr.latency_ns;
-      out.neighbors = std::move(qr.neighbors);
-      out.partial = qr.stats.partial;
-      // A partial result (I/O errors or corrupt blocks absorbed
-      // best-effort) ships OK and flagged to the client, but it IS a
-      // device failure — exactly the signal the breaker watches.
-      failed = !qr.status.ok() || qr.stats.partial;
-    } else {
-      out.status = admit[i];
-      failed = true;
-    }
-    if (failed) ++failures;
-    EncodeQueryResult(w, out);
+  for (FrameReply::Slot& slot : reply.slots) {
+    core::QueryResult& qr = slot.result;
+    // A partial result (I/O errors or corrupt blocks absorbed
+    // best-effort) ships OK and flagged to the client, but it IS a
+    // device failure — exactly the signal the breaker watches.
+    if (!qr.status.ok() || qr.stats.partial) ++failures;
+    EncodeQueryResult(w, WireQueryResult{qr.status, qr.latency_ns,
+                                         std::move(qr.neighbors),
+                                         qr.stats.partial});
   }
   RecordOutcomes(count, failures);
   return Status::OK();

@@ -2,25 +2,27 @@
 //
 // One process serves N indexes: each registered index gets its own
 // api-level Server (bounded MPMC SubmissionQueue feeding the
-// StreamingServer's per-shard workers) plus a FutureSink, and requests
-// are routed to it by the index name carried in every Search /
-// SearchBatch / Configure / Stats frame (see net/wire.h for the
-// protocol). The daemon listens on a UNIX socket, a TCP socket, or
-// both, with one handler thread per connection:
+// StreamingServer's per-shard workers), and requests are routed to it
+// by the index name carried in every Search / SearchBatch / Configure /
+// Stats frame (see net/wire.h for the protocol). The daemon listens on
+// a UNIX socket, a TCP socket, or both, with one handler thread per
+// connection:
 //
-//   read frame -> decode -> Submit each query -> Take() futures ->
-//   encode response -> write frame
+//   read frame -> decode -> Submit each query, tagged with its reply
+//   slot -> wait once for the frame -> encode response -> write frame
 //
 // Backpressure is real admission control: a blocking Submit stalls only
 // that connection while the submission queue is full, and a kFlagNoWait
 // request maps a full queue to a per-query kResourceExhausted on the
 // wire — the same code the deadline shedder (ServeSpec::deadline_us)
 // delivers for queries that aged out while queued. Shard workers never
-// block on a connection: results are delivered into the per-index
-// FutureSink and the connection thread collects them, so a client that
-// disconnected with queries in flight just means the collected results
-// are dropped when the response write fails (SIGPIPE is suppressed;
-// the IoError closes the handler).
+// block on a connection: each frame has one reply object with a slot
+// per query, a query's tag is its slot's address, and every index's
+// on_result moves a result into its slot and counts the frame down; the
+// connection thread wakes once, when the count reaches zero. A client
+// that disconnected with queries in flight just means the collected
+// results are dropped when the response write fails (SIGPIPE is
+// suppressed; the IoError closes the handler).
 //
 // Shutdown (RequestStop is async-signal-safe — call it from a SIGTERM
 // handler) drains cleanly: listeners close first, every connection gets
@@ -131,7 +133,6 @@ class Daemon {
     std::string name;
     std::unique_ptr<Index> index;
     std::unique_ptr<Server> server;
-    core::FutureSink sink;
     /// Applied when a Search frame carries k == 0; Configure sets it.
     std::atomic<uint32_t> default_k{10};
   };

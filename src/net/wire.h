@@ -70,6 +70,14 @@ inline constexpr uint16_t kWireMagic = 0x4C45;  // "EL"
 inline constexpr uint8_t kWireVersion = 4;
 /// Frame-payload bytes before the body: magic + version + type + id.
 inline constexpr uint32_t kHeaderBytes = 12;
+/// Fixed sizes of an OK Search* response body (layout above), so a
+/// response can be bounded before it is built: the preamble (u8 code,
+/// empty str, u32 count), then per query an entry of
+/// kQueryResultFixedBytes (u8 qcode, u8 flags, u64 latency_ns, u32 nk)
+/// plus kNeighborBytes (u32 id, f32 dist) per neighbor.
+inline constexpr uint32_t kSearchPreambleBytes = 1 + 2 + 4;
+inline constexpr uint32_t kQueryResultFixedBytes = 1 + 1 + 8 + 4;
+inline constexpr uint32_t kNeighborBytes = 4 + 4;
 /// Default cap on the length prefix. A frame larger than this is a
 /// protocol error; the daemon closes the connection without reading
 /// (or allocating) the payload.

@@ -23,6 +23,7 @@
 #include "e2lsh/in_memory.h"
 #include "storage/device_registry.h"
 #include "storage/simulated_device.h"
+#include "streaming_test_util.h"
 
 namespace e2lshos {
 namespace {
@@ -417,11 +418,11 @@ TEST(ApiIndex, ServeDeliversEveryQueryAndGuardsTheEngine) {
   auto batch = (*idx)->SearchBatch(t.gen.queries, 5);
   ASSERT_TRUE(batch.ok());
 
-  core::FutureSink sink;
+  core::Collector collector;
   ServeSpec serve;
   serve.k = 5;
   serve.search.shards = 2;
-  serve.on_result = sink.Callback();
+  serve.on_result = collector.Callback();
   auto server = (*idx)->Serve(serve);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -434,16 +435,17 @@ TEST(ApiIndex, ServeDeliversEveryQueryAndGuardsTheEngine) {
   EXPECT_EQ((*idx)->Save(::testing::TempDir() + "/e2_api_live.bin").code(),
             StatusCode::kFailedPrecondition);
 
-  std::vector<std::pair<uint64_t, core::QueryFuture>> futures;
+  std::vector<std::pair<uint64_t, uint64_t>> ids;  // (query row, id)
   for (uint64_t q = 0; q < t.gen.queries.n(); ++q) {
     auto id = (*server)->Submit(t.gen.queries.Row(q));
     ASSERT_TRUE(id.ok());
-    futures.emplace_back(q, sink.Register(*id));
+    ids.emplace_back(q, *id);
   }
   (*server)->Close();
   (*server)->Wait();
-  for (auto& [q, fut] : futures) {
-    auto result = fut.Take();
+  for (const auto& [q, id] : ids) {
+    core::QueryResult result;
+    ASSERT_TRUE(collector.Await(id, &result)) << "query " << q;
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
     ExpectSameResults({result.neighbors}, {batch->results[q]},
                       "served query " + std::to_string(q));

@@ -26,9 +26,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -619,11 +623,24 @@ TEST_P(LiveUpdateSoak, MixedReadWriteSoakKeepsEveryOracle) {
   constexpr uint32_t kStable = 200;
   const auto extras = MakeExtraRows(150);
 
-  core::FutureSink sink;
+  // One answer slot per reader: a reader submits with its slot's index
+  // as the tag and waits on that slot, so the answers are routed by tag
+  // from the shard workers to the two reader threads.
+  struct ReaderSlot {
+    std::mutex mu;
+    std::condition_variable filled;
+    std::optional<core::QueryResult> result;
+  };
+  std::array<ReaderSlot, 2> slots;
   ServeSpec serve;
   serve.k = 3;
   serve.search.shards = shards;
-  serve.on_result = sink.Callback();
+  serve.on_result = [&slots](core::QueryResult&& r) {
+    ReaderSlot& slot = slots.at(r.tag);
+    std::lock_guard<std::mutex> lock(slot.mu);
+    slot.result = std::move(r);
+    slot.filled.notify_one();
+  };
   auto server = (*idx)->Serve(serve);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -657,7 +674,8 @@ TEST_P(LiveUpdateSoak, MixedReadWriteSoakKeepsEveryOracle) {
     writer_done.store(true, std::memory_order_release);
   });
 
-  auto reader = [&](uint64_t seed) {
+  auto reader = [&](uint64_t tag, uint64_t seed) {
+    ReaderSlot& slot = slots[tag];
     uint64_t state = seed;
     auto next = [&state] {
       state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -677,15 +695,22 @@ TEST_P(LiveUpdateSoak, MixedReadWriteSoakKeepsEveryOracle) {
         vec = t.gen.base.Row(want);
       }
       const bool check_doomed = doomed_done.load(std::memory_order_acquire);
-      auto id = (*server)->Submit(vec, 3);
+      auto id = (*server)->Submit(vec, 3, tag);
       if (!id.ok()) {
         ++reader_failures;
         continue;
       }
-      core::QueryResult qr = sink.Register(*id).Take();
-      if (!qr.status.ok() || qr.stats.partial || qr.stats.corrupt_blocks > 0 ||
-          qr.stats.io_errors > 0 || qr.neighbors.empty() ||
-          qr.neighbors[0].id != want || qr.neighbors[0].dist != 0.f) {
+      core::QueryResult qr;
+      {
+        std::unique_lock<std::mutex> lock(slot.mu);
+        slot.filled.wait(lock, [&] { return slot.result.has_value(); });
+        qr = std::move(*slot.result);
+        slot.result.reset();
+      }
+      if (qr.id != *id || !qr.status.ok() || qr.stats.partial ||
+          qr.stats.corrupt_blocks > 0 || qr.stats.io_errors > 0 ||
+          qr.neighbors.empty() || qr.neighbors[0].id != want ||
+          qr.neighbors[0].dist != 0.f) {
         ++reader_failures;
         continue;
       }
@@ -698,8 +723,8 @@ TEST_P(LiveUpdateSoak, MixedReadWriteSoakKeepsEveryOracle) {
       }
     }
   };
-  std::thread r1(reader, 0x9e3779b97f4a7c15ULL);
-  std::thread r2(reader, 0xd1b54a32d192ed03ULL);
+  std::thread r1(reader, 0, 0x9e3779b97f4a7c15ULL);
+  std::thread r2(reader, 1, 0xd1b54a32d192ed03ULL);
 
   writer.join();
   r1.join();

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <random>
 #include <set>
 #include <string>
@@ -211,6 +212,33 @@ TEST(Wire, QueryResultCarriesThePartialFlag) {
   ASSERT_TRUE(r.Header(&hdr).ok());
   net::WireQueryResult out;
   EXPECT_FALSE(net::DecodeQueryResult(&r, &out).ok());
+}
+
+TEST(Wire, SearchResponseSizesAreTheNamedConstants) {
+  // The daemon bounds a response with these constants before it builds
+  // it, so the encoder must write exactly what they say.
+  auto body_bytes = [](const std::function<void(net::Writer*)>& encode) {
+    net::Writer w;
+    w.Begin(net::kResponseBit, 1);
+    encode(&w);
+    return w.Finish().size() - 4 - net::kHeaderBytes;
+  };
+  EXPECT_EQ(body_bytes([](net::Writer* w) {
+              net::EncodeStatus(w, Status::OK());
+              w->U32(7);
+            }),
+            net::kSearchPreambleBytes);
+  for (const uint32_t nk : {0u, 1u, 10u}) {
+    net::WireQueryResult result;
+    result.latency_ns = 123456789;
+    result.partial = nk == 1;
+    for (uint32_t i = 0; i < nk; ++i) result.neighbors.push_back({i, 0.5f});
+    EXPECT_EQ(body_bytes([&](net::Writer* w) {
+                net::EncodeQueryResult(w, result);
+              }),
+              net::kQueryResultFixedBytes + nk * net::kNeighborBytes)
+        << "nk " << nk;
+  }
 }
 
 TEST(Wire, StatsRoundTripCarriesEveryListedField) {
@@ -448,6 +476,111 @@ TEST(Daemon, PartialAnswersAreFlagged) {
     daemon.RequestStop();
     daemon.Wait();
   }
+}
+
+// The daemon refuses a batch exactly when its response, every query
+// answered with k neighbors, would exceed the frame cap. The refusal is
+// an answer on a connection that stays open, and a response as large as
+// the cap is served.
+TEST(Daemon, FrameCapRefusesExactlyTheResponsesAboveIt) {
+  const TestData t = MakeData();
+  const uint32_t k = 10;
+  const uint32_t count = static_cast<uint32_t>(t.gen.queries.n());
+  const uint32_t response_bytes =
+      net::kHeaderBytes + net::kSearchPreambleBytes +
+      count * (net::kQueryResultFixedBytes + k * net::kNeighborBytes);
+  for (const uint32_t cap : {response_bytes - 1, response_bytes}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    auto index = BuildIndex(t, "mem:");
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    auto local = (*index)->SearchBatch(t.gen.queries, k);
+    ASSERT_TRUE(local.ok());
+    // Every answer holds k neighbors, so response_bytes is exact.
+    for (const auto& answer : local->results) ASSERT_EQ(answer.size(), k);
+
+    const std::string sock = SockPath("framecap");
+    net::DaemonOptions opts = UnixOptions(sock);
+    opts.max_frame_bytes = cap;
+    net::Daemon daemon(opts);
+    ASSERT_TRUE(daemon.AddIndex("default", std::move(*index)).ok());
+    ASSERT_TRUE(daemon.Start().ok());
+    auto client = net::Client::Connect("unix:" + sock, cap);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto remote = (*client)->SearchBatch("default", t.gen.queries.Row(0),
+                                         count, t.gen.queries.dim(), k);
+    if (cap < response_bytes) {
+      ASSERT_FALSE(remote.ok());
+      EXPECT_EQ(remote.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(remote.status().message().find("split the batch"),
+                std::string::npos)
+          << remote.status().ToString();
+      auto one = (*client)->Search("default", t.gen.queries.Row(0),
+                                   t.gen.queries.dim(), k);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      ExpectParity({*one}, {local->results[0]}, "after the refusal");
+      EXPECT_EQ((*client)->reconnects(), 0u);
+    } else {
+      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+      ExpectParity(*remote, local->results, "at the cap");
+    }
+    daemon.RequestStop();
+    daemon.Wait();
+  }
+}
+
+// A kFlagNoWait batch against a one-slot queue on a hard disk: while the
+// first queries are served, the rest of the frame is refused at
+// admission. Every query still answers, in frame order, and the
+// connection serves on. A frame that waited on its refused queries would
+// hang here.
+TEST(Daemon, NoWaitBatchAnswersEveryQueryInOrder) {
+  const TestData t = MakeData(1500, 16, 8);
+  const uint32_t k = 5;
+  auto index = BuildIndex(t, "sim:hdd");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  auto local = (*index)->SearchBatch(t.gen.queries, k);
+  ASSERT_TRUE(local.ok());
+
+  const std::string sock = SockPath("nowait");
+  net::DaemonOptions opts = UnixOptions(sock);
+  opts.serve.search.shards = 1;
+  opts.serve.search.contexts_per_shard = 1;
+  opts.serve.queue_capacity = 1;
+  net::Daemon daemon(opts);
+  ASSERT_TRUE(daemon.AddIndex("default", std::move(*index)).ok());
+  ASSERT_TRUE(daemon.Start().ok());
+  auto client = net::Client::Connect("unix:" + sock);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const uint32_t count = static_cast<uint32_t>(t.gen.queries.n());
+  auto remote = (*client)->SearchBatch("default", t.gen.queries.Row(0), count,
+                                       t.gen.queries.dim(), k,
+                                       /*nowait=*/true);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  ASSERT_EQ(remote->size(), count);
+  uint32_t refused = 0, served = 0;
+  for (uint32_t q = 0; q < count; ++q) {
+    const net::WireQueryResult& r = (*remote)[q];
+    if (r.status.code() == StatusCode::kResourceExhausted) {
+      ++refused;
+      EXPECT_TRUE(r.neighbors.empty()) << "query " << q;
+    } else {
+      ++served;
+      ExpectParity({r}, {local->results[q]}, "query " + std::to_string(q));
+    }
+  }
+  // The first query finds the queue empty, and a query on the disk takes
+  // far longer than submitting the rest of the frame.
+  EXPECT_GT(served, 0u);
+  EXPECT_GT(refused, 0u);
+
+  auto next = (*client)->SearchBatch("default", t.gen.queries.Row(0), 2,
+                                     t.gen.queries.dim(), k);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ExpectParity(*next, {local->results[0], local->results[1]}, "next frame");
+
+  daemon.RequestStop();
+  daemon.Wait();
 }
 
 TEST(Daemon, UpdateAcksCarryConsecutiveEpochs) {

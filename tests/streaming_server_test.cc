@@ -271,37 +271,44 @@ TEST(StreamingServer, ServesQueriesOnAnOpenQueueWithoutWaitingForCompany) {
   EXPECT_EQ(snap.completed, 3u);
 }
 
-TEST(StreamingServer, PollableFutureHandles) {
+TEST(StreamingServer, ServedResultsCarryTheirSubmissionTag) {
   Fixture* f = GetFixture();
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, {});
+  ShardOptions sopts;
+  sopts.num_shards = 2;
+  ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
   auto ref = engine.SearchBatch(f->gen.queries, 10);
   ASSERT_TRUE(ref.ok());
 
-  FutureSink sink;
+  Collector collector;
   ServerOptions opts;
   opts.k = 10;
-  opts.on_result = sink.Callback();
+  opts.on_result = collector.Callback();
   StreamingServer server(&engine, opts);
 
   SubmissionQueue queue(f->gen.queries.dim(), 64);
   ASSERT_TRUE(server.Start(&queue).ok());
 
-  std::vector<std::pair<uint64_t, QueryFuture>> futures;
+  // Tags the server could not make up: far from the ids, one per query,
+  // and one of them 0 (the default).
+  auto tag_of = [](uint64_t q) { return q == 0 ? 0 : (q << 40) | 0xA5; };
+  std::vector<std::pair<uint64_t, uint64_t>> submitted;  // (query row, id)
   for (uint64_t q = 0; q < 10; ++q) {
-    auto id = queue.Submit(f->gen.queries.Row(q));
+    auto id = queue.Submit(f->gen.queries.Row(q), 0, tag_of(q));
     ASSERT_TRUE(id.ok());
-    futures.emplace_back(q, sink.Register(*id));
+    submitted.emplace_back(q, *id);
   }
   queue.Close();
   server.Wait();
 
-  for (auto& [q, fut] : futures) {
-    EXPECT_TRUE(fut.Ready());  // server drained: all must be ready
-    QueryResult r = fut.Take();
+  std::lock_guard<std::mutex> lock(collector.mu);
+  ASSERT_EQ(collector.results.size(), submitted.size());
+  for (const auto& [q, id] : submitted) {
+    const QueryResult& r = collector.results[id];
+    EXPECT_EQ(collector.deliveries[id], 1) << "query " << q;
+    EXPECT_EQ(r.tag, tag_of(q)) << "query " << q;
     ExpectResultMatchesReference(r, ref->results[q], q);
     EXPECT_GT(r.latency_ns, 0u);
   }
-  EXPECT_EQ(sink.unclaimed(), 0u);
 }
 
 TEST(StreamingServer, CleanShutdownWithQueriesInFlight) {
@@ -455,61 +462,6 @@ TEST(StreamingServer, RestartReportsOnlyTheCurrentRun) {
   EXPECT_LE(snap.batches, 3u);
 }
 
-TEST(QueryFuture, UnboundFutureIsSafe) {
-  QueryFuture fut;
-  EXPECT_FALSE(fut.Ready());
-  QueryResult r = fut.Take();  // must not crash
-  EXPECT_EQ(r.status.code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(FutureSink, FailPendingUnblocksUndeliveredFutures) {
-  // After an early Stop() the server never delivers queries it never
-  // pulled; FailPending is the escape hatch that keeps their futures
-  // from blocking forever.
-  FutureSink sink;
-  QueryFuture delivered = sink.Register(1);
-  QueryFuture orphaned = sink.Register(2);
-
-  QueryResult r;
-  r.id = 1;
-  sink.Deliver(std::move(r));
-  sink.FailPending(Status::IoError("server stopped"));
-
-  ASSERT_TRUE(delivered.Ready());
-  EXPECT_TRUE(delivered.Take().status.ok());
-  ASSERT_TRUE(orphaned.Ready());
-  QueryResult failed = orphaned.Take();
-  EXPECT_EQ(failed.status.code(), StatusCode::kIoError);
-  EXPECT_EQ(failed.id, 2u);
-}
-
-TEST(FutureSink, DuplicateRegistrationsShareOneState) {
-  // Registering an id twice must not orphan the first future: both
-  // become ready on delivery (Take moves, so one taker per id).
-  FutureSink sink;
-  QueryFuture first = sink.Register(9);
-  QueryFuture second = sink.Register(9);
-  QueryResult r;
-  r.id = 9;
-  sink.Deliver(std::move(r));
-  EXPECT_TRUE(first.Ready());
-  EXPECT_TRUE(second.Ready());
-  EXPECT_TRUE(first.Take().status.ok());
-}
-
-TEST(FutureSink, UnclaimedStashIsBounded) {
-  FutureSink sink(/*max_unclaimed=*/2);
-  for (uint64_t id = 0; id < 5; ++id) {
-    QueryResult r;
-    r.id = id;
-    sink.Deliver(std::move(r));  // nothing registered: all go unclaimed
-  }
-  EXPECT_EQ(sink.unclaimed(), 2u);
-  EXPECT_EQ(sink.dropped(), 3u);
-  // Stashed ids are still claimable; dropped ones are gone.
-  EXPECT_TRUE(sink.Register(0).Ready());
-}
-
 TEST(SubmissionQueue, BackpressureAndClose) {
   SubmissionQueue queue(4, 2);
   const float vec[4] = {1, 2, 3, 4};
@@ -576,9 +528,10 @@ TEST(StreamingServer, DeadlineShedsStaleQueriesAndCountsRejected) {
   // it, so all must be shed — delivered exactly once as rejections,
   // counted in rejected, absent from completed and the percentiles.
   const uint64_t kStale = 12;
+  const uint64_t kStaleTag = 1000;  // query i is submitted with tag 1000 + i
   SubmissionQueue queue(f->gen.base.dim(), 256);
   for (uint64_t i = 0; i < kStale; ++i) {
-    ASSERT_TRUE(queue.Submit(f->gen.queries.Row(i)).ok());
+    ASSERT_TRUE(queue.Submit(f->gen.queries.Row(i), 0, kStaleTag + i).ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
@@ -596,9 +549,10 @@ TEST(StreamingServer, DeadlineShedsStaleQueriesAndCountsRejected) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const uint64_t kFresh = 8;
+  const uint64_t kFreshTag = 2000;
   std::vector<uint64_t> fresh_ids;
   for (uint64_t i = 0; i < kFresh; ++i) {
-    auto id = queue.Submit(f->gen.queries.Row(i));
+    auto id = queue.Submit(f->gen.queries.Row(i), 0, kFreshTag + i);
     ASSERT_TRUE(id.ok());
     fresh_ids.push_back(*id);
   }
@@ -617,11 +571,16 @@ TEST(StreamingServer, DeadlineShedsStaleQueriesAndCountsRejected) {
               StatusCode::kResourceExhausted)
         << "stale id " << id;
     EXPECT_TRUE(collector.results[id].neighbors.empty());
+    // The shed path returns the tag too: a caller routing by tag would
+    // otherwise lose the rejection.
+    EXPECT_EQ(collector.results[id].tag, kStaleTag + id) << "stale id " << id;
   }
-  for (const uint64_t id : fresh_ids) {
+  for (uint64_t i = 0; i < kFresh; ++i) {
+    const uint64_t id = fresh_ids[i];
     ASSERT_EQ(collector.deliveries[id], 1) << "fresh id " << id;
     EXPECT_TRUE(collector.results[id].status.ok()) << "fresh id " << id;
     EXPECT_EQ(collector.results[id].neighbors.size(), k);
+    EXPECT_EQ(collector.results[id].tag, kFreshTag + i) << "fresh id " << id;
   }
 }
 
@@ -973,10 +932,10 @@ std::vector<QueryResult> ServeOneAtATime(ShardedQueryEngine* engine,
                                          const data::Dataset& queries,
                                          uint32_t k,
                                          StreamingSnapshot* snap = nullptr) {
-  FutureSink sink;
+  Collector collector;
   ServerOptions opts;
   opts.k = k;
-  opts.on_result = sink.Callback();
+  opts.on_result = collector.Callback();
   StreamingServer server(engine, opts);
   SubmissionQueue queue(queries.dim(), 1);
   std::vector<QueryResult> out;
@@ -985,7 +944,9 @@ std::vector<QueryResult> ServeOneAtATime(ShardedQueryEngine* engine,
     auto id = queue.Submit(queries.Row(q));
     EXPECT_TRUE(id.ok());
     if (!id.ok()) break;
-    out.push_back(sink.Register(*id).Take());
+    QueryResult r;
+    EXPECT_TRUE(collector.Await(*id, &r)) << "query " << q;
+    out.push_back(std::move(r));
   }
   queue.Close();
   server.Wait();
@@ -1077,10 +1038,10 @@ TEST(AheadIssue, StaleAheadReadsNeverReachTheNextQuery) {
   gate->offsets = RungHeads(index, gen.queries.Row(a), 1);
   ASSERT_FALSE(gate->offsets.empty());
 
-  FutureSink sink;
+  Collector collector;
   ServerOptions opts;
   opts.k = k;
-  opts.on_result = sink.Callback();
+  opts.on_result = collector.Callback();
   SubmissionQueue queue(gen.queries.dim(), 4);
   StreamingServer server(&engine, opts);
   ASSERT_TRUE(server.Start(&queue).ok());
@@ -1092,10 +1053,9 @@ TEST(AheadIssue, StaleAheadReadsNeverReachTheNextQuery) {
   gate->Close();
   auto id_a = queue.Submit(gen.queries.Row(a));
   ASSERT_TRUE(id_a.ok());
-  QueryFuture fut_a = sink.Register(*id_a);
-  ASSERT_TRUE(WaitFor([&] { return fut_a.Ready(); }))
+  QueryResult got_a;
+  ASSERT_TRUE(collector.Await(*id_a, &got_a))
       << "query A waited for reads of a rung it never examines";
-  const QueryResult got_a = fut_a.Take();
   ExpectResultMatchesReference(got_a, ref->results[a], a);
   EXPECT_EQ(got_a.stats.radii_searched, 1u);
   EXPECT_GT(got_a.stats.ahead_unused, 0u);
@@ -1108,9 +1068,8 @@ TEST(AheadIssue, StaleAheadReadsNeverReachTheNextQuery) {
   auto id_b = queue.Submit(gen.queries.Row(b));
   ASSERT_TRUE(id_b.ok());
   gate->Release();
-  QueryFuture fut_b = sink.Register(*id_b);
-  ASSERT_TRUE(WaitFor([&] { return fut_b.Ready(); })) << "query B never answered";
-  const QueryResult got_b = fut_b.Take();
+  QueryResult got_b;
+  ASSERT_TRUE(collector.Await(*id_b, &got_b)) << "query B never answered";
   ExpectResultMatchesReference(got_b, ref->results[b], b);
   EXPECT_EQ(got_b.stats.radii_searched, ref->stats[b].radii_searched);
   EXPECT_EQ(got_b.stats.candidates, ref->stats[b].candidates);
@@ -1138,10 +1097,10 @@ TEST(AheadIssue, FailedReadsCountOnlyOnExaminedRungs) {
   auto ref = engine.SearchBatch(gen.queries, k);
   ASSERT_TRUE(ref.ok());
 
-  FutureSink sink;
+  Collector collector;
   ServerOptions opts;
   opts.k = k;
-  opts.on_result = sink.Callback();
+  opts.on_result = collector.Callback();
   SubmissionQueue queue(gen.queries.dim(), 4);
   StreamingServer server(&engine, opts);
   ASSERT_TRUE(server.Start(&queue).ok());
@@ -1154,9 +1113,8 @@ TEST(AheadIssue, FailedReadsCountOnlyOnExaminedRungs) {
     gate->Close();
     auto id = queue.Submit(gen.queries.Row(q));
     ASSERT_TRUE(id.ok());
-    QueryFuture fut = sink.Register(*id);
-    ASSERT_TRUE(WaitFor([&] { return fut.Ready(); })) << q;
-    const QueryResult got = fut.Take();
+    QueryResult got;
+    ASSERT_TRUE(collector.Await(*id, &got)) << q;
     ASSERT_TRUE(got.status.ok()) << q;
     if (ref->stats[q].radii_searched == 1) {
       ++stopped;
@@ -1193,10 +1151,10 @@ TEST(AheadIssue, ParkedBlocksAreExaminedInArrivalOrder) {
   auto ref = engine.SearchBatch(gen.queries, k);
   ASSERT_TRUE(ref.ok());
 
-  FutureSink sink;
+  Collector collector;
   ServerOptions opts;
   opts.k = k;
-  opts.on_result = sink.Callback();
+  opts.on_result = collector.Callback();
   SubmissionQueue queue(gen.queries.dim(), 4);
   StreamingServer server(&engine, opts);
   ASSERT_TRUE(server.Start(&queue).ok());
@@ -1220,15 +1178,14 @@ TEST(AheadIssue, ParkedBlocksAreExaminedInArrivalOrder) {
     gate->Close();
     auto id = queue.Submit(gen.queries.Row(q));
     ASSERT_TRUE(id.ok());
-    QueryFuture fut = sink.Register(*id);
     ASSERT_TRUE(WaitFor([&] { return gate->Held() == bottom.size(); })) << q;
     // The second rung's reads are due a cSSD read time (about 140 us)
     // after the held ones; give them ample time to arrive and park.
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_FALSE(fut.Ready()) << q;
+    EXPECT_FALSE(collector.Has(*id)) << q;
     gate->Release();
-    ASSERT_TRUE(WaitFor([&] { return fut.Ready(); })) << q;
-    const QueryResult got = fut.Take();
+    QueryResult got;
+    ASSERT_TRUE(collector.Await(*id, &got)) << q;
     ExpectResultMatchesReference(got, ref->results[q], q);
     EXPECT_EQ(got.stats.radii_searched, ref->stats[q].radii_searched) << q;
     EXPECT_EQ(got.stats.candidates, ref->stats[q].candidates) << q;

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -66,6 +68,7 @@ inline std::unique_ptr<SubmissionQueue> FilledQueue(const data::Dataset& queries
 /// Thread-safe completion collector: id -> result, deliveries per id.
 struct Collector {
   std::mutex mu;
+  std::condition_variable delivered;
   std::map<uint64_t, QueryResult> results;
   std::map<uint64_t, int> deliveries;
 
@@ -74,7 +77,27 @@ struct Collector {
       std::lock_guard<std::mutex> lock(mu);
       ++deliveries[r.id];
       results[r.id] = std::move(r);
+      delivered.notify_all();
     };
+  }
+
+  /// True once the result for `id` was delivered.
+  bool Has(uint64_t id) {
+    std::lock_guard<std::mutex> lock(mu);
+    return results.count(id) > 0;
+  }
+
+  /// Block until the result for `id` is delivered, then copy it to *out;
+  /// false if `timeout` passes first.
+  bool Await(uint64_t id, QueryResult* out,
+             std::chrono::seconds timeout = std::chrono::seconds(30)) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!delivered.wait_for(lock, timeout,
+                            [&] { return results.count(id) > 0; })) {
+      return false;
+    }
+    *out = results[id];
+    return true;
   }
 };
 
