@@ -4,8 +4,9 @@
 // E2LSHoS runs on the library's ShardedQueryEngine: one engine shard per
 // thread, each on its own NVMe-style queue pair over the shared drives,
 // each paying its own per-core interface submission cost (ChargedDevice).
-// The query set is replicated once per shard so every shard processes the
-// full set — the same per-thread workload the paper measures.
+// The query set is replicated once per shard, so the batch carries the
+// same per-thread workload the paper measures; the shards pull its rows
+// from one shared cursor, so each answers as many as its speed allows.
 //
 // Host caveat: the reproduction machine exposes a single core, so
 // measured thread scaling flattens immediately (all shards time-share
@@ -49,8 +50,8 @@ int main(int argc, char** argv) {
     double iops_total = 0;
   };
   // One sharded run: QPS plus the per-shard read counts from the
-  // per-queue device counters — the balance evidence behind the
-  // one-queue-pair-per-thread claim.
+  // per-queue device counters. Shards take rows as they free up, so the
+  // counts follow each shard's speed, not an even n/N split.
   struct ShardedRun {
     double qps = 0;
     uint64_t shard_reads_min = 0;
@@ -69,8 +70,8 @@ int main(int argc, char** argv) {
     sopts.wrap_shard_device = bench::ChargeWrapper(s.iface);
     core::ShardedQueryEngine engine(s.index.get(), &w->gen.base, sopts);
 
-    // Replicate the query set per shard: every shard processes the full
-    // set, matching the per-thread workload of the paper's measurement.
+    // Replicate the query set per shard: t full sets, the per-thread
+    // workload of the paper's measurement, shared from one row cursor.
     data::Dataset replicated("rep", w->gen.queries.dim());
     replicated.Reserve(w->gen.queries.n() * t);
     for (uint32_t rep = 0; rep < t; ++rep) {

@@ -171,9 +171,9 @@ Result<std::unique_ptr<Index>> Index::Open(const std::string& path,
 }
 
 Status Index::Save(const std::string& path) const {
-  // The volatile-device branch reads the image through the device-level
-  // path, which a 1-shard serving run polls directly and would lose
-  // completions to — same single-owner rule as the query entry points.
+  // Flush needs quiescence, so Save takes the query entry points'
+  // single-owner rule. The image dump reads through the device-level
+  // path, which no engine shard polls: each reads through its own queue.
   E2_RETURN_NOT_OK(FailIfServing("Save"));
   {
     // Sync staged live mutations into the index and the device (the
@@ -250,8 +250,7 @@ Result<std::vector<util::Neighbor>> Index::Search(const float* query,
                                                   core::QueryStats* stats) {
   E2_RETURN_NOT_OK(FailIfServing("Search"));
   E2_RETURN_NOT_OK(EnsureEngine());
-  // A single query runs on shard 0's engine; with one shard that is the
-  // degenerate (plain QueryEngine) path.
+  // A single query runs on shard 0's engine, over shard 0's queue.
   return engine_->shard_engine(0)->Search(query, k, stats);
 }
 

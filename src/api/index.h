@@ -23,9 +23,10 @@
 // engine, device must outlive the index) cannot be reassembled through
 // this door. Devices are selected by URI (storage::ParseDeviceUri):
 // mem:, sim:cssd|essd|xlfdd|hdd[*N][?iface=...], file:PATH?direct=1&
-// threads=N, uring:PATH?direct=1&sqpoll=1. Sharded serving takes one
-// device queue per shard; `fixed=1` (uring:) registers engine arenas
-// for READ_FIXED I/O.
+// threads=N, uring:PATH?direct=1&sqpoll=1. Every engine shard, a lone
+// one included, reads through its own device queue (file: gives each
+// queue `threads` pread workers); `fixed=1` (uring:) registers engine
+// arenas for READ_FIXED I/O.
 // `cache=SIZE` (any scheme) layers a transparent DRAM read cache over
 // the device so hot buckets serve at memory speed (storage/cache_device.h).
 #pragma once
@@ -73,8 +74,8 @@ struct OpenSpec {
   std::string device_uri;
 };
 
-/// \brief Query-engine shape; Index picks the plain single-engine path
-/// or the sharded multi-core path from `shards`.
+/// \brief Query-engine shape: `shards` engines, each on its own device
+/// queue, with these per-shard budgets.
 struct SearchSpec {
   uint32_t shards = 1;              ///< Engine shards; 0 = one per hw thread.
   uint32_t contexts_per_shard = 32; ///< Interleaved query contexts per shard.

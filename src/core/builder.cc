@@ -64,7 +64,6 @@ Result<std::unique_ptr<StorageIndex>> IndexBuilder::Build(
   const uint32_t per_block = layout.objects_per_block();
   std::vector<Entry> entries(base.n());
   std::vector<uint8_t> block(layout.block_bytes, 0);
-  index->checksums_enabled_ = options.checksums;
   IndexSizes& sizes = index->sizes_;
 
   // Block 0 is reserved (address 0 means "no block"): keep it zero so the
@@ -128,9 +127,7 @@ Result<std::unique_ptr<StorageIndex>> IndexBuilder::Build(
           std::memset(dst, 0,
                       layout.block_bytes - kBlockHeaderBytes -
                           static_cast<size_t>(in_block) * kObjectInfoBytes);
-          if (options.checksums) {
-            StampBlockCrc(block.data(), layout.block_bytes);
-          }
+          StampBlockCrc(block.data(), layout.block_bytes);
           E2_RETURN_NOT_OK(device->Write(addr, block.data(), layout.block_bytes));
           remaining -= in_block;
           if (hdr.next != 0) {

@@ -22,10 +22,6 @@ struct BuildOptions {
   /// Table index bits; 0 = choose from n (log2(n) - 1, the paper's
   /// "slightly smaller than log2 n").
   uint32_t table_bits = 0;
-  /// Stamp a CRC32C into every bucket block header (layout.h): the
-  /// query engine then detects silent bit-rot and drops the affected
-  /// candidates instead of returning garbage neighbors.
-  bool checksums = true;
 };
 
 class IndexBuilder {

@@ -107,9 +107,8 @@ inline void StampBlockCrc(uint8_t* block, uint32_t block_bytes) {
   std::memcpy(block + kBlockCrcOffset, &crc, 4);
 }
 
-/// True when the stored stamp matches the block's contents. Only
-/// meaningful on images built with checksums (the caller gates on the
-/// index metadata; a checksum-less build stores zeros here).
+/// True when the stored stamp matches the block's contents. Every block
+/// the builder and the live updater write is stamped.
 inline bool VerifyBlockCrc(const uint8_t* block, uint32_t block_bytes) {
   uint32_t stored = 0;
   std::memcpy(&stored, block + kBlockCrcOffset, 4);

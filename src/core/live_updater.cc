@@ -311,8 +311,7 @@ Status LiveUpdater::StageInsertLocked(const float* row, uint32_t* id_out) {
       E2_RETURN_NOT_OK(io.Read(head, block.data(), block_bytes));
       // Appending re-stamps the block: a corrupt head must fail the row
       // here, before its bad bytes are stamped as valid.
-      if (index_->checksums_enabled_ &&
-          !VerifyBlockCrc(block.data(), block_bytes)) {
+      if (!VerifyBlockCrc(block.data(), block_bytes)) {
         return Status::IoError("corrupt chain head block at address " +
                                std::to_string(head));
       }
@@ -324,9 +323,7 @@ Status LiveUpdater::StageInsertLocked(const float* row, uint32_t* id_out) {
                      id, fp);
         hdr.count = static_cast<uint16_t>(count + 1);
         hdr.EncodeTo(block.data());
-        if (index_->checksums_enabled_) {
-          StampBlockCrc(block.data(), block_bytes);
-        }
+        StampBlockCrc(block.data(), block_bytes);
         const uint64_t head_idx = (head - layout.bucket_base) / block_bytes;
         if (head_idx >= private_floor_) {
           // Writer-private head: append in place.
@@ -359,9 +356,7 @@ Status LiveUpdater::StageInsertLocked(const float* row, uint32_t* id_out) {
       codec_.Write(block.data() + kBlockHeaderBytes, id, fp);
       std::memset(block.data() + kBlockHeaderBytes + kObjectInfoBytes, 0,
                   block_bytes - kBlockHeaderBytes - kObjectInfoBytes);
-      if (index_->checksums_enabled_) {
-        StampBlockCrc(block.data(), block_bytes);
-      }
+      StampBlockCrc(block.data(), block_bytes);
       E2_RETURN_NOT_OK(io.Write(new_addr, block.data(), block_bytes));
       delta[key] = new_addr;
       if (head == 0) ++new_slots;

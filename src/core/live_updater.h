@@ -12,11 +12,12 @@
 //
 //   * The StorageIndex itself is frozen. n, tombstones, the non-empty
 //     bitmap, the born-live map and every saved chain-head block keep
-//     their built/loaded values while serving — with one shard the query
-//     engine reads the primary StorageIndex directly, so any in-place
-//     field mutation would race. All live state (effective n, the
-//     tombstone set, the chain-head overlay, inserted coordinates) lives
-//     here and reaches readers only inside published EpochStates.
+//     their built/loaded values while serving — a plain QueryEngine reads
+//     the primary StorageIndex directly, and every shard view shares its
+//     born-live map, so any in-place field mutation would race. All live
+//     state (effective n, the tombstone set, the chain-head overlay,
+//     inserted coordinates) lives here and reaches readers only inside
+//     published EpochStates.
 //
 //   * Device blocks are copy-on-write against the published boundary.
 //     Blocks allocated since the last publish are writer-private and may
@@ -44,9 +45,9 @@
 //     born-live map), reads every head block in one burst on the
 //     updater's private queue, and writes the blocks it allocates
 //     without reading them. Flush() stages its reads in a burst the same
-//     way. With checksums on, every staged head's CRC is verified before
-//     the row uses it: a corrupt head fails the row with IoError and
-//     nothing is written, so a flipped byte is never re-stamped as valid.
+//     way. Every staged head's CRC is verified before the row uses it: a
+//     corrupt head fails the row with IoError and nothing is written, so
+//     a flipped byte is never re-stamped as valid.
 //
 // Thread safety: any number of mutator threads may call
 // Insert/Remove/Restore concurrently (an internal mutex serializes

@@ -126,7 +126,7 @@ Status SaveIndexMeta(const StorageIndex& index, const std::string& path) {
   w.Pod(tombstones);
   for (const uint32_t id : index.tombstones_) w.Pod(id);
 
-  const uint8_t checksums = index.checksums_enabled_ ? 1 : 0;
+  const uint8_t checksums = 1;  // every image carries block CRCs
   w.Pod(checksums);
   w.Bytes(index.pair_base_.data(), index.pair_base_.size() * sizeof(uint64_t));
   const std::vector<BornLiveHead>& born = index.born_live();
@@ -265,7 +265,11 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
   uint8_t checksums = 0;
   r.Pod(&checksums);
   if (!r.ok() || checksums > 1) return corrupt("checksum flag");
-  index->checksums_enabled_ = checksums != 0;
+  if (checksums == 0) {
+    return Status::FailedPrecondition(
+        path + " describes an index image without block checksums; "
+        "rebuild it with Index::Build or `e2lshos_cli build`");
+  }
 
   // Every address must name a whole block inside the stored image.
   const auto block_in_image = [&layout, image_end](uint64_t addr) {

@@ -27,7 +27,8 @@ Status SaveIndexMeta(const StorageIndex& index, const std::string& path);
 /// from `device` (which must hold the same byte image the index was
 /// built into). The referenced dataset must be supplied to the engine at
 /// query time exactly as at build time. A corrupt or checksum-mismatched
-/// file is InvalidArgument; a v2/v3 file is FailedPrecondition.
+/// file is InvalidArgument; a v2/v3 file, or one recording an image
+/// without block checksums, is FailedPrecondition.
 Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
                                                     storage::BlockDevice* device);
 

@@ -229,8 +229,7 @@ void QueryEngine::ProcessBucketBlock(Context* ctx, const IoSlot& slot) {
   // per_block when a large block layout holds > 65535 entries.
   const uint32_t count = std::min<uint32_t>(hdr.count, per_block);
 
-  if (index_->checksums_enabled() &&
-      !VerifyBlockCrc(block, layout.block_bytes)) {
+  if (!VerifyBlockCrc(block, layout.block_bytes)) {
     // Bit-rot (or an in-flight scramble) detected: never surface entries
     // from this block, and never trust its next pointer — the chain is
     // truncated here. The clamped count is the best available estimate
@@ -443,61 +442,21 @@ void QueryEngine::Run(QuerySource* source) {
   }
 }
 
-namespace {
-
-/// Rows [begin, end) of a dataset, answered into `out` (row begin + i
-/// is result i).
-class RowSource : public QuerySource {
- public:
-  RowSource(const data::Dataset& queries, uint64_t begin, uint64_t end,
-            uint32_t k, BatchResult* out)
-      : queries_(queries), begin_(begin), next_(begin), end_(end), k_(k),
-        out_(out) {}
-
-  StreamPull Pull(StreamQuery* q, const float** vec) override {
-    if (next_ == end_) return StreamPull::kClosed;
-    q->id = next_ - begin_;
-    q->k = k_;
-    *vec = queries_.Row(next_++);
-    return StreamPull::kReady;
-  }
-
-  void Finish(const StreamQuery& q, std::vector<util::Neighbor>&& neighbors,
-              const QueryStats& stats) override {
-    out_->results[q.id] = std::move(neighbors);
-    out_->stats[q.id] = stats;
-  }
-
- private:
-  const data::Dataset& queries_;
-  const uint64_t begin_;
-  uint64_t next_;
-  const uint64_t end_;
-  const uint32_t k_;
-  BatchResult* out_;
-};
-
-}  // namespace
-
-Result<BatchResult> QueryEngine::SearchRows(const data::Dataset& queries,
-                                            uint64_t begin, uint64_t end,
-                                            uint32_t k) {
+Result<BatchResult> QueryEngine::SearchBatch(const data::Dataset& queries,
+                                             uint32_t k) {
   if (queries.dim() != base_->dim()) {
     return Status::InvalidArgument("query dimension mismatch");
   }
   if (k == 0) return Status::InvalidArgument("k must be > 0");
-  if (begin > end || end > queries.n()) {
-    return Status::OutOfRange("query rows outside the dataset");
-  }
   BatchResult out;
-  out.results.resize(end - begin);
-  out.stats.resize(end - begin);
-  RowSource source(queries, begin, end, k, &out);
-  compute_ns_ = 0;
+  out.results.resize(queries.n());
+  out.stats.resize(queries.n());
+  RowSource rows(queries, k, &out);
+  const uint64_t compute_before = compute_ns_;
   const uint64_t start = util::NowNs();
-  Run(&source);
+  Run(&rows);
   out.wall_ns = util::NowNs() - start;
-  out.compute_ns = compute_ns_;
+  out.compute_ns = compute_ns_ - compute_before;
   return out;
 }
 

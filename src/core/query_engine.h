@@ -33,14 +33,17 @@
 // One loop (Run) serves every caller: between device polls it pulls from
 // a QuerySource into every free context, so a query starts as soon as a
 // context is free, never at a batch boundary (iteration-level
-// scheduling). SearchBatch runs the loop over a dataset's rows; the
-// streaming server runs it over its SubmissionQueue.
+// scheduling). SearchBatch runs the loop over a RowSource of a dataset's
+// rows; the streaming server runs it over its SubmissionQueue. Several
+// engines may share one source, each on its own thread: the sharded
+// engine's shards share a RowSource as the server's share the queue.
 //
 // One context and one in-flight I/O (num_contexts = max_inflight_ios = 1)
 // is the synchronous mode: the Fig. 1(A) baseline of Sec. 6.5. It never
 // issues ahead.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -122,7 +125,8 @@ struct BatchResult {
 };
 
 /// \brief Where QueryEngine::Run takes queries from and hands answers
-/// to; called from the engine's thread only.
+/// to. Each engine calls its source from its own thread; a source that
+/// several engines share must take calls from all of their threads.
 class QuerySource {
  public:
   virtual ~QuerySource() = default;
@@ -138,6 +142,37 @@ class QuerySource {
   virtual void EndPoll() {}
 };
 
+/// \brief Every row of a dataset as a QuerySource: each Pull takes the
+/// next row from one atomic cursor, and Finish writes the answer at that
+/// row's index of a BatchResult presized to one entry per row. Rows are
+/// answered into distinct elements, so engines sharing it need no lock.
+class RowSource : public QuerySource {
+ public:
+  RowSource(const data::Dataset& queries, uint32_t k, BatchResult* out)
+      : queries_(queries), k_(k), out_(out) {}
+
+  StreamPull Pull(StreamQuery* q, const float** vec) override {
+    const uint64_t row = next_.fetch_add(1);
+    if (row >= queries_.n()) return StreamPull::kClosed;
+    q->id = row;
+    q->k = k_;
+    *vec = queries_.Row(row);
+    return StreamPull::kReady;
+  }
+
+  void Finish(const StreamQuery& q, std::vector<util::Neighbor>&& neighbors,
+              const QueryStats& stats) override {
+    out_->results[q.id] = std::move(neighbors);
+    out_->stats[q.id] = stats;
+  }
+
+ private:
+  const data::Dataset& queries_;
+  const uint32_t k_;
+  BatchResult* out_;
+  std::atomic<uint64_t> next_{0};
+};
+
 class QueryEngine {
  public:
   /// The index and base dataset must outlive the engine. The device used
@@ -145,21 +180,15 @@ class QueryEngine {
   QueryEngine(const StorageIndex* index, const data::Dataset* base,
               const EngineOptions& options = {});
 
-  /// Run top-k ANNS for every query in `queries`.
-  Result<BatchResult> SearchBatch(const data::Dataset& queries, uint32_t k) {
-    return SearchRows(queries, 0, queries.n(), k);
-  }
-
-  /// Rows [begin, end) of `queries` only, read in place: result i
-  /// answers row begin + i.
-  Result<BatchResult> SearchRows(const data::Dataset& queries, uint64_t begin,
-                                 uint64_t end, uint32_t k);
+  /// Run top-k ANNS for every query in `queries`: Run over a RowSource
+  /// of all its rows.
+  Result<BatchResult> SearchBatch(const data::Dataset& queries, uint32_t k);
 
   /// Serve `source` until it reports kClosed and every admitted query is
   /// answered; idle (no read in flight, kPending) costs a 20 us sleep.
   /// A poll round in which a free context pulled kPending issues next
   /// rungs ahead (see the file comment); a source that never reports
-  /// kPending, as SearchBatch's does not, runs rung by rung. A query
+  /// kPending, as a RowSource does not, runs rung by rung. A query
   /// pins the current epoch (core/epoch.h) from admission to answer, so
   /// every query admitted after an Insert returned sees it.
   void Run(QuerySource* source);
@@ -171,6 +200,10 @@ class QueryEngine {
   /// True when the I/O arena was successfully registered with the device
   /// (EngineOptions::register_fixed_buffers accepted by the backend).
   bool fixed_buffers_active() const { return fixed_buffers_active_; }
+
+  /// CPU time spent hashing and distance checking since construction;
+  /// read it before and after a run for that run's share.
+  uint64_t compute_ns() const { return compute_ns_; }
 
  private:
   struct PendingIssue {

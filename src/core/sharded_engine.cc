@@ -8,49 +8,6 @@
 
 namespace e2lshos::core {
 
-std::vector<ShardRange> PartitionBatch(uint64_t n, uint32_t num_shards) {
-  if (num_shards == 0) num_shards = 1;
-  std::vector<ShardRange> ranges(num_shards);
-  const uint64_t base = n / num_shards;
-  const uint64_t extra = n % num_shards;
-  uint64_t cursor = 0;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    ranges[s].begin = cursor;
-    cursor += base + (s < extra ? 1 : 0);
-    ranges[s].end = cursor;
-  }
-  return ranges;
-}
-
-BatchResult MergeShardResults(std::vector<BatchResult>&& shard_results,
-                              const std::vector<ShardRange>& ranges,
-                              uint64_t batch_wall_ns) {
-  BatchResult out;
-  uint64_t total = 0;
-  for (const auto& r : ranges) total = std::max(total, r.end);
-  out.results.resize(total);
-  out.stats.resize(total);
-  for (size_t s = 0; s < ranges.size() && s < shard_results.size(); ++s) {
-    BatchResult& shard = shard_results[s];
-    // Results and stats are bounded independently: a caller-built shard
-    // result may carry fewer (or no) stats entries.
-    const uint64_t nr = std::min<uint64_t>(ranges[s].size(), shard.results.size());
-    for (uint64_t i = 0; i < nr; ++i) {
-      out.results[ranges[s].begin + i] = std::move(shard.results[i]);
-    }
-    const uint64_t ns = std::min<uint64_t>(ranges[s].size(), shard.stats.size());
-    for (uint64_t i = 0; i < ns; ++i) {
-      out.stats[ranges[s].begin + i] = shard.stats[i];
-    }
-    out.compute_ns += shard.compute_ns;
-  }
-  // Whole-batch wall time from one clock, NOT the sum of per-shard wall
-  // times: shards run in parallel, so the sum can exceed the true batch
-  // latency by up to the shard count.
-  out.wall_ns = batch_wall_ns;
-  return out;
-}
-
 uint32_t ResolveShardCount(uint32_t requested) {
   if (requested == 0) {
     requested = std::max(1u, std::thread::hardware_concurrency());
@@ -73,13 +30,6 @@ ShardedQueryEngine::ShardedQueryEngine(const StorageIndex* index,
   shard_opts_.num_contexts = std::max(1u, options.total_contexts / shards);
   shard_opts_.max_inflight_ios = std::max(1u, options.total_inflight_ios / shards);
   shard_opts_.register_fixed_buffers = options.register_fixed_buffers;
-
-  if (shards == 1 && !options.wrap_shard_device) {
-    // Degenerate case: one engine straight on the index's device — no
-    // queue indirection, no worker thread.
-    engines_.push_back(std::make_unique<QueryEngine>(index_, base_, shard_opts_));
-    return;
-  }
 
   storage::QueueOptions queue_options;
   queue_options.queue_capacity = shard_opts_.max_inflight_ios;
@@ -104,7 +54,7 @@ ShardedQueryEngine::ShardedQueryEngine(const StorageIndex* index,
     engines_.push_back(std::make_unique<QueryEngine>(views_.back().get(), base_,
                                                      shard_opts_));
   }
-  pool_ = std::make_unique<util::ThreadPool>(shards);
+  if (shards > 1) pool_ = std::make_unique<util::ThreadPool>(shards - 1);
 }
 
 Result<BatchResult> ShardedQueryEngine::SearchBatch(const data::Dataset& queries,
@@ -115,42 +65,29 @@ Result<BatchResult> ShardedQueryEngine::SearchBatch(const data::Dataset& queries
   if (k == 0) return Status::InvalidArgument("k must be > 0");
   E2_RETURN_NOT_OK(status_);
 
-  if (pool_ == nullptr) {
-    // Single-shard fast path: run inline on the caller's thread.
-    return engines_[0]->SearchBatch(queries, k);
+  BatchResult out;
+  out.results.resize(queries.n());
+  out.stats.resize(queries.n());
+  RowSource rows(queries, k, &out);
+  std::vector<uint64_t> compute_before(engines_.size());
+  for (size_t s = 0; s < engines_.size(); ++s) {
+    compute_before[s] = engines_[s]->compute_ns();
   }
-
-  const std::vector<ShardRange> ranges = PartitionBatch(queries.n(), num_shards());
-
-  // Each shard reads its range of the caller's rows in place.
-  std::vector<std::future<Result<BatchResult>>> futures(ranges.size());
-  const uint64_t batch_start = util::NowNs();
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    if (ranges[s].size() == 0) continue;
+  const uint64_t start = util::NowNs();
+  std::vector<std::future<void>> others;
+  others.reserve(engines_.size() - 1);
+  for (size_t s = 1; s < engines_.size(); ++s) {
     QueryEngine* engine = engines_[s].get();
-    const ShardRange range = ranges[s];
-    futures[s] = pool_->SubmitWithResult([engine, &queries, range, k] {
-      return engine->SearchRows(queries, range.begin, range.end, k);
-    });
+    others.push_back(
+        pool_->SubmitWithResult([engine, &rows] { engine->Run(&rows); }));
   }
-
-  // Collect every shard before acting on errors: outstanding futures
-  // reference the caller's queries.
-  std::vector<BatchResult> shard_results(ranges.size());
-  Status first_error = Status::OK();
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    if (!futures[s].valid()) continue;
-    Result<BatchResult> r = futures[s].get();
-    if (!r.ok()) {
-      if (first_error.ok()) first_error = r.status();
-      continue;
-    }
-    shard_results[s] = std::move(r).value();
+  engines_[0]->Run(&rows);
+  for (auto& shard : others) shard.get();
+  out.wall_ns = util::NowNs() - start;
+  for (size_t s = 0; s < engines_.size(); ++s) {
+    out.compute_ns += engines_[s]->compute_ns() - compute_before[s];
   }
-  const uint64_t batch_wall_ns = util::NowNs() - batch_start;
-  if (!first_error.ok()) return first_error;
-
-  return MergeShardResults(std::move(shard_results), ranges, batch_wall_ns);
+  return out;
 }
 
 }  // namespace e2lshos::core

@@ -1,5 +1,5 @@
-// Multi-core E2LSHoS serving: shard one query batch across N per-core
-// QueryEngines over a single shared device.
+// Multi-core E2LSHoS serving: N per-core QueryEngines over a single
+// shared device.
 //
 // A QueryEngine is one thread interleaving contexts — it can keep a
 // device queue deep (Fig. 1(B)) but it cannot use more than one core.
@@ -7,19 +7,20 @@
 // running one engine per thread; ShardedQueryEngine makes that a
 // first-class API:
 //
-//   * the batch is split into contiguous, near-equal ranges, one per
-//     shard, so the merged results preserve query order;
-//   * every shard owns an independent queue over the shared device
-//     (NVMe multi-queue semantics: a shard never consumes another
-//     shard's completions) — its own io_uring ring / pread slice /
-//     completion inbox, made by BlockDevice::CreateQueue — so the
-//     per-shard submit/poll hot path crosses no shared lock;
+//   * every shard, a lone one included, owns an independent queue over
+//     the shared device (NVMe multi-queue semantics: a shard never
+//     consumes another shard's completions) — its own io_uring ring /
+//     pread pool / completion inbox, made by BlockDevice::CreateQueue —
+//     so the per-shard submit/poll hot path crosses no shared lock;
 //   * per-shard context / inflight budgets are derived from global
 //     budgets, so the device-visible queue depth stays at the configured
 //     cap no matter how many shards poll it;
-//   * per-shard BatchResults are merged back into query order, stats and
-//     compute_ns aggregated, and wall_ns taken from one clock around the
-//     whole parallel section (never the sum of per-shard times).
+//   * SearchBatch runs every shard's QueryEngine::Run loop over one
+//     shared RowSource, as StreamingServer runs them over its
+//     SubmissionQueue: a shard pulls the next row whenever it has a free
+//     context, so a slow shard never holds rows a fast one could answer.
+//     Each answer lands at its row's index, compute_ns sums the shards'
+//     compute time, and wall_ns is one clock around all of them.
 #pragma once
 
 #include <functional>
@@ -66,37 +67,14 @@ inline constexpr uint32_t kMaxShards = 255;
 /// one would overshoot the device-visible queue-depth cap.
 uint32_t ResolveShardCount(uint32_t requested);
 
-/// \brief Contiguous slice of a batch assigned to one shard.
-struct ShardRange {
-  uint64_t begin = 0;
-  uint64_t end = 0;  ///< One past the last query of the slice.
-  uint64_t size() const { return end - begin; }
-};
-
-/// Split `n` queries into `num_shards` contiguous near-equal ranges (the
-/// first n % num_shards ranges are one longer). Ranges may be empty when
-/// the batch is smaller than the shard count.
-std::vector<ShardRange> PartitionBatch(uint64_t n, uint32_t num_shards);
-
-/// Merge per-shard batch results back into query order. `shard_results[s]`
-/// holds the results for `ranges[s]`; `batch_wall_ns` must be the
-/// whole-batch wall time measured from one clock around all shards —
-/// summing per-shard wall times would overstate latency by up to the
-/// shard count under parallel execution.
-BatchResult MergeShardResults(std::vector<BatchResult>&& shard_results,
-                              const std::vector<ShardRange>& ranges,
-                              uint64_t batch_wall_ns);
-
 class ShardedQueryEngine {
  public:
   /// The index and base dataset must outlive the engine; the shared
-  /// device is the one the index was built on. Each shard gets its own
-  /// StorageIndex view (DRAM metadata is duplicated per shard, as in the
-  /// Fig. 16 per-thread setup). A 1-shard engine with no device wrapper
-  /// degenerates to a plain QueryEngine on the index's device: no queue
-  /// pair, no worker thread. Otherwise every shard takes
-  /// a queue from BlockDevice::CreateQueue; when one cannot be created,
-  /// the engine has no shards and status() (returned by SearchBatch and
+  /// device is the one the index was built on. Every shard takes a queue
+  /// from BlockDevice::CreateQueue and its own StorageIndex view over it
+  /// (DRAM metadata is duplicated per shard, as in the Fig. 16
+  /// per-thread setup). When a queue cannot be created, the engine has
+  /// no shards and status() (returned by SearchBatch and
   /// StreamingServer::Start) carries the device's error.
   ShardedQueryEngine(const StorageIndex* index, const data::Dataset* base,
                      const ShardOptions& options = {});
@@ -104,12 +82,14 @@ class ShardedQueryEngine {
   /// OK, or why the per-shard device queues could not be created.
   const Status& status() const { return status_; }
 
-  /// Run top-k ANNS for every query in `queries` across all shards.
-  /// Results are in query order. As long as the per-radius candidate cap
-  /// S never triggers draining, results are bit-identical to a single
-  /// QueryEngine run over the same index; once S binds, the examined
-  /// candidate subset depends on I/O completion order, so results may
-  /// vary across shard counts (and across runs of a single engine).
+  /// Run top-k ANNS for every query in `queries` across all shards:
+  /// shard 0 on the calling thread, the others on the pool, all pulling
+  /// rows from one RowSource. Results are in query order. As long as
+  /// the per-radius candidate cap S never triggers draining, results are
+  /// bit-identical to a single QueryEngine run over the same index; once
+  /// S binds, the examined candidate subset depends on I/O completion
+  /// order, so results may vary across shard counts (and across runs of
+  /// a single engine).
   Result<BatchResult> SearchBatch(const data::Dataset& queries, uint32_t k);
 
   uint32_t num_shards() const { return static_cast<uint32_t>(engines_.size()); }
@@ -129,7 +109,6 @@ class ShardedQueryEngine {
   /// The device shard `s` actually submits to (its queue, after any
   /// wrap_shard_device decoration) — per-shard stats come from here.
   storage::BlockDevice* shard_device(uint32_t s) {
-    if (pool_ == nullptr) return index_->device();
     return shard_devices_[s].get();
   }
 
@@ -141,6 +120,7 @@ class ShardedQueryEngine {
   std::vector<std::unique_ptr<storage::BlockDevice>> shard_devices_;
   std::vector<std::unique_ptr<StorageIndex>> views_;
   std::vector<std::unique_ptr<QueryEngine>> engines_;
+  /// Runs shards 1..N-1 during SearchBatch; null with one shard.
   std::unique_ptr<util::ThreadPool> pool_;
 };
 

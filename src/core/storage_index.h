@@ -115,11 +115,6 @@ class StorageIndex {
 
   IndexSizes sizes() const { return sizes_; }
 
-  /// True when the on-device image carries per-block CRC32C stamps
-  /// (BuildOptions::checksums); the query engine then verifies every
-  /// block it reads.
-  bool checksums_enabled() const { return checksums_enabled_; }
-
   /// Re-tune the per-radius candidate cap S = s_factor * L without
   /// rebuilding (the paper's query-time accuracy knob, Sec. 3.3).
   void SetCandidateCapFactor(double s_factor) {
@@ -193,7 +188,6 @@ class StorageIndex {
   IndexSizes sizes_;
   uint64_t next_block_idx_ = 0;  ///< Bump allocator over the bucket region.
   std::unordered_set<uint32_t> tombstones_;
-  bool checksums_enabled_ = false;
   /// Shared (not deep-copied) by WithDevice clones — one publication
   /// stream per logical index, whatever device a view reads from.
   std::shared_ptr<EpochPublisher> epoch_publisher_ =

@@ -102,7 +102,15 @@ Status Client::RoundTripOnce(const std::vector<uint8_t>& frame,
                        (static_cast<uint32_t>(lenbuf[1]) << 8) |
                        (static_cast<uint32_t>(lenbuf[2]) << 16) |
                        (static_cast<uint32_t>(lenbuf[3]) << 24);
-  E2_RETURN_NOT_OK(ValidateFrameLength(len, options_.max_frame_bytes));
+  const Status fits = ValidateFrameLength(len, options_.max_frame_bytes);
+  if (!fits.ok()) {
+    // The refused payload stays unread in the stream, so the connection
+    // is out of step: drop it and let the next call reconnect. No
+    // resend: the daemon would answer the same way.
+    CloseFd(fd_);
+    fd_ = -1;
+    return fits;
+  }
   payload->resize(len);
   E2_RETURN_NOT_OK(ReadFull(fd_, payload->data(), len));
 

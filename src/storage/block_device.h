@@ -147,9 +147,6 @@ static_assert(sizeof(DeviceStats) ==
 struct QueueOptions {
   /// Max submitted-but-unharvested reads on this queue.
   uint32_t queue_capacity = 256;
-  /// FileDevice queues only: width of the queue's private pread-thread
-  /// slice (its share of the per-queue "hardware" parallelism).
-  uint32_t io_threads = 2;
 };
 
 class BlockDevice;

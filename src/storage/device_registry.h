@@ -45,7 +45,7 @@ std::vector<StorageConfig> Table5Configs();
 //                                 zero latency (tests, the T_read = 0 limit)
 //   sim:cssd                      one simulated Table-2 device
 //   sim:essd*8?iface=spdk        eSSD x 8 stripe behind the SPDK cost model
-//   file:/path/img?direct=1&threads=8   real file, pread thread pool
+//   file:/path/img?direct=1&threads=8   real file, 8 pread threads per queue
 //   uring:/path/img?direct=1&sqpoll=1   real file, io_uring backend
 //   uring:/path/img?fixed=1             per-shard rings + READ_FIXED
 //   sim:cssd?cache=64m                  DRAM read cache over any stack
@@ -73,8 +73,11 @@ struct DeviceUri {
   std::string path;         ///< file:/uring: backing file.
   bool direct_io = false;   ///< file:/uring: `direct=1` -> O_DIRECT.
   bool sqpoll = false;      ///< uring: `sqpoll=1` -> kernel SQ polling.
-  uint32_t io_threads = 4;  ///< file: `threads=N` pread pool width.
-  uint32_t queue_capacity = 0;  ///< `queue=N`; 0 = backend default.
+  uint32_t io_threads = 4;  ///< file: `threads=N` pread threads per queue.
+  /// `queue=N`; 0 = backend default. Bounds device-level reads only
+  /// (Save's image dump, raw-device bench loops): engine shards size
+  /// their own queues from their in-flight budget.
+  uint32_t queue_capacity = 0;
   uint64_t capacity = 0;        ///< `capacity=SIZE`; 0 = caller decides.
   /// `fixed=1` (uring: only): engines register their I/O arenas at
   /// startup so reads go out as READ_FIXED (no per-I/O page pinning).

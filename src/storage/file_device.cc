@@ -73,15 +73,14 @@ static StatusCode PreadFully(int fd, const IoRequest& r) {
   return StatusCode::kOk;
 }
 
-/// \brief One queue: its own pread-thread slice, inflight cap,
+/// \brief One queue: its own pread-thread pool, inflight cap,
 /// completion deque, and counters, over the parent's shared fd.
 class FileDevice::Queue : public BlockDevice {
  public:
   Queue(FileDevice* parent, const QueueOptions& options)
       : parent_(parent),
         queue_capacity_(std::max(1u, options.queue_capacity)),
-        pool_(std::make_unique<util::ThreadPool>(
-            std::max(1u, options.io_threads))) {
+        pool_(std::make_unique<util::ThreadPool>(parent->io_threads_)) {
     id_ = parent_->queues_.Attach(this);
   }
 
@@ -171,11 +170,11 @@ FileDevice::FileDevice(std::string path, int fd, const Options& options)
     : path_(std::move(path)),
       fd_(fd),
       capacity_(options.capacity),
-      direct_io_(options.direct_io) {
+      direct_io_(options.direct_io),
+      io_threads_(std::max(1u, options.io_threads)) {
   if (direct_io_) align_ = EffectiveDioAlignment(ProbeDioAlignment(fd_));
   QueueOptions queue;
   queue.queue_capacity = options.queue_capacity;
-  queue.io_threads = options.io_threads;
   default_queue_ = std::make_unique<Queue>(this, queue);
 }
 

@@ -15,7 +15,9 @@ class FileDevice : public BlockDevice {
  public:
   struct Options {
     uint64_t capacity = 0;     ///< File is sized to this on creation.
-    uint32_t io_threads = 4;   ///< Worker threads servicing preads.
+    /// Worker threads servicing preads, per queue: the default queue
+    /// and every queue from CreateQueue get this many.
+    uint32_t io_threads = 4;
     uint32_t queue_capacity = 1024;
     bool direct_io = false;    ///< O_DIRECT (requires 512-B aligned bufs).
   };
@@ -46,10 +48,10 @@ class FileDevice : public BlockDevice {
   DeviceStats stats() const override;
   void ResetStats() override;
 
-  /// Each queue gets a private pread-thread slice and a private
-  /// completion ring over the shared fd (pread carries its own offset,
-  /// so fd sharing is race-free). One queue's submit/poll never touches
-  /// another queue's pool, lock, or completions.
+  /// Each queue gets a private pool of `io_threads` pread workers and a
+  /// private completion ring over the shared fd (pread carries its own
+  /// offset, so fd sharing is race-free). One queue's submit/poll never
+  /// touches another queue's pool, lock, or completions.
   QueueResult CreateQueue(const QueueOptions& options) override;
 
  private:
@@ -64,6 +66,7 @@ class FileDevice : public BlockDevice {
   int fd_;
   uint64_t capacity_;
   bool direct_io_;
+  uint32_t io_threads_;
   uint32_t align_ = kSectorBytes;
   mutable std::mutex mu_;
   DeviceStats stats_;  ///< Writes only: reads count on their queue.

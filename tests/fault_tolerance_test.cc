@@ -46,8 +46,7 @@ struct Fixture {
   std::unique_ptr<StorageIndex> index;
 };
 
-Fixture MakeFixture(uint64_t n = 3000, uint32_t dim = 24,
-                    bool checksums = true) {
+Fixture MakeFixture(uint64_t n = 3000, uint32_t dim = 24) {
   Fixture f;
   data::GeneratorSpec spec;
   spec.kind = data::GeneratorKind::kClustered;
@@ -67,9 +66,7 @@ Fixture MakeFixture(uint64_t n = 3000, uint32_t dim = 24,
   auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   EXPECT_TRUE(dev.ok());
   f.device = std::move(dev.value());
-  BuildOptions opt;
-  opt.checksums = checksums;
-  auto idx = IndexBuilder::Build(f.gen.base, f.params, f.device.get(), opt);
+  auto idx = IndexBuilder::Build(f.gen.base, f.params, f.device.get());
   EXPECT_TRUE(idx.ok());
   f.index = std::move(idx.value());
   return f;
@@ -148,7 +145,6 @@ TEST(FaultUri, OpenStacksFaultInsideRetry) {
 
 TEST(Checksums, CleanIndexVerifiesEverywhere) {
   auto f = MakeFixture();
-  ASSERT_TRUE(f.index->checksums_enabled());
   QueryEngine engine(f.index.get(), &f.gen.base);
   auto batch = engine.SearchBatch(f.gen.queries, 10);
   ASSERT_TRUE(batch.ok());
@@ -256,14 +252,6 @@ TEST(Checksums, CorruptedMetaIsRejected) {
   std::remove(path.c_str());
 }
 
-TEST(Checksums, DisabledBuildSkipsVerification) {
-  auto f = MakeFixture(1500, 24, /*checksums=*/false);
-  EXPECT_FALSE(f.index->checksums_enabled());
-  QueryEngine engine(f.index.get(), &f.gen.base);
-  auto batch = engine.SearchBatch(f.gen.queries, 5);
-  ASSERT_TRUE(batch.ok());
-}
-
 TEST(Checksums, PersistenceRoundTripsHeadAddressing) {
   auto f = MakeFixture(1500);
   // A far-away row lands in buckets that were empty at build time, so
@@ -281,7 +269,6 @@ TEST(Checksums, PersistenceRoundTripsHeadAddressing) {
   ASSERT_TRUE(SaveIndexMeta(*f.index, path).ok());
   auto loaded = LoadIndexMeta(path, f.device.get());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE((*loaded)->checksums_enabled());
   EXPECT_EQ((*loaded)->pair_bases(), f.index->pair_bases());
   ASSERT_EQ((*loaded)->born_live().size(), f.index->born_live().size());
   for (size_t i = 0; i < f.index->born_live().size(); ++i) {
@@ -301,17 +288,6 @@ TEST(Checksums, PersistenceRoundTripsHeadAddressing) {
   ASSERT_FALSE(hit->empty());
   EXPECT_EQ((*hit)[0].id, base.n() - 1);
   EXPECT_EQ((*hit)[0].dist, 0.f);
-  std::remove(path.c_str());
-}
-
-TEST(Checksums, PersistenceRoundTripsChecksumlessIndex) {
-  auto f = MakeFixture(1500, 24, /*checksums=*/false);
-  const std::string path = ::testing::TempDir() + "ft_meta_v2ish_" +
-                           std::to_string(::getpid()) + ".bin";
-  ASSERT_TRUE(SaveIndexMeta(*f.index, path).ok());
-  auto loaded = LoadIndexMeta(path, f.device.get());
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_FALSE((*loaded)->checksums_enabled());
   std::remove(path.c_str());
 }
 

@@ -4,10 +4,10 @@
 //   * Per-queue isolation and device-level stats aggregation across
 //     queues, including queues already destroyed (their counters fold
 //     into the device), on every backend and layer.
-//   * A device that cannot create queues fails multi-shard serving with
-//     its own status; one shard still serves on the direct path.
+//   * A device that cannot create queues fails every sharded engine, a
+//     1-shard one included, with its own status.
 //   * Parity: sharded query results over per-shard queues are
-//     bit-identical to the 1-shard direct engine across
+//     bit-identical to a plain QueryEngine on the bare device across
 //     mem:/sim:cssd*4/file:/uring: backends at 1 and 4 shards.
 //   * Concurrency hammer: one thread per queue, each submit-and-polling
 //     its own queue (the zero-shared-lock hot path; run under TSan in
@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builder.h"
+#include "core/query_engine.h"
 #include "core/query_stream.h"
 #include "core/sharded_engine.h"
 #include "core/streaming_server.h"
@@ -339,13 +340,9 @@ void RunParity(BlockDevice* dev, const ParityFixture& fx, const char* what) {
   auto idx = core::IndexBuilder::Build(fx.gen.base, fx.params, dev);
   ASSERT_TRUE(idx.ok()) << what << ": " << idx.status().message();
 
-  // The single-queue reference: one engine straight on the device.
-  core::ShardOptions direct_opts;
-  direct_opts.total_contexts = 8;
-  direct_opts.total_inflight_ios = 64;
-  core::ShardedQueryEngine direct_engine(idx->get(), &fx.gen.base,
-                                         direct_opts);
-  EXPECT_EQ(direct_engine.shard_device(0), dev) << what;
+  // The single-queue reference: a plain engine on the bare device.
+  core::QueryEngine direct_engine(idx->get(), &fx.gen.base,
+                                  core::EngineOptions{8, 64});
   auto direct = direct_engine.SearchBatch(fx.gen.queries, 5);
   ASSERT_TRUE(direct.ok()) << what;
 
@@ -354,10 +351,6 @@ void RunParity(BlockDevice* dev, const ParityFixture& fx, const char* what) {
     opts.num_shards = shards;
     opts.total_contexts = 8 * shards;
     opts.total_inflight_ios = 64 * shards;
-    // Force the queue layer even at 1 shard (the degenerate direct path
-    // would bypass it and prove nothing).
-    opts.wrap_shard_device =
-        [](std::unique_ptr<storage::BlockDevice> q) { return q; };
     core::ShardedQueryEngine engine(idx->get(), &fx.gen.base, opts);
     ASSERT_TRUE(engine.status().ok())
         << what << ": " << engine.status().ToString();
@@ -424,9 +417,8 @@ TEST(MultiQueueParity, UringDevice) {
 }
 
 // ---------------------------------------------------------------------------
-// A device that cannot create queues: multi-shard serving fails with the
-// device's status instead of falling back; one shard still serves on the
-// direct path.
+// A device that cannot create queues: every sharded engine, a lone shard
+// included, fails with the device's status instead of falling back.
 // ---------------------------------------------------------------------------
 
 /// Pass-through over a `mem:` device that keeps BlockDevice's default
@@ -462,54 +454,30 @@ TEST(QueueCreationFailure, MultiShardServingReturnsTheDeviceStatus) {
   auto idx = core::IndexBuilder::Build(fx.gen.base, fx.params, &dev);
   ASSERT_TRUE(idx.ok());
 
-  core::ShardOptions opts;
-  opts.num_shards = 2;
-  core::ShardedQueryEngine engine(idx->get(), &fx.gen.base, opts);
-  EXPECT_EQ(engine.status().code(), StatusCode::kUnimplemented);
-  EXPECT_EQ(engine.num_shards(), 0u);
-  EXPECT_EQ(engine.SearchBatch(fx.gen.queries, 5).status().code(),
-            StatusCode::kUnimplemented);
-
-  core::ServerOptions so;
-  so.k = 5;
-  core::StreamingServer server(&engine, so);
-  core::SubmissionQueue stream(fx.gen.queries.dim(), 16);
-  EXPECT_EQ(server.Start(&stream).code(), StatusCode::kUnimplemented);
-  EXPECT_FALSE(server.running());
-
-  // A wrapped single shard needs a queue too.
+  core::ShardOptions two;
+  two.num_shards = 2;
+  core::ShardOptions one;
   core::ShardOptions wrapped;
   wrapped.wrap_shard_device =
       [](std::unique_ptr<storage::BlockDevice> q) { return q; };
-  core::ShardedQueryEngine wrapped_engine(idx->get(), &fx.gen.base, wrapped);
-  EXPECT_EQ(wrapped_engine.SearchBatch(fx.gen.queries, 5).status().code(),
-            StatusCode::kUnimplemented);
-}
+  for (const core::ShardOptions& opts : {two, one, wrapped}) {
+    const std::string what = std::to_string(opts.num_shards) + " shard(s)" +
+                             (opts.wrap_shard_device ? ", wrapped" : "");
+    core::ShardedQueryEngine engine(idx->get(), &fx.gen.base, opts);
+    EXPECT_EQ(engine.status().code(), StatusCode::kUnimplemented) << what;
+    EXPECT_EQ(engine.num_shards(), 0u) << what;
+    EXPECT_EQ(engine.SearchBatch(fx.gen.queries, 5).status().code(),
+              StatusCode::kUnimplemented)
+        << what;
 
-TEST(QueueCreationFailure, OneShardServesOnTheDirectPath) {
-  ParityFixture fx = MakeParityFixture();
-  auto mem = SimulatedDevice::Create(MemoryModel(256 << 20));
-  ASSERT_TRUE(mem.ok());
-  NoQueueDevice dev(mem->get());
-  auto idx = core::IndexBuilder::Build(fx.gen.base, fx.params, &dev);
-  ASSERT_TRUE(idx.ok());
-
-  core::ShardedQueryEngine engine(idx->get(), &fx.gen.base, {});
-  ASSERT_TRUE(engine.status().ok());
-  EXPECT_EQ(engine.shard_device(0), &dev);
-  auto batch = engine.SearchBatch(fx.gen.queries, 5);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(batch->results.size(), fx.gen.queries.n());
-
-  core::ServerOptions so;
-  so.k = 5;
-  core::StreamingServer server(&engine, so);
-  core::SubmissionQueue stream(fx.gen.queries.dim(), 16);
-  ASSERT_TRUE(server.Start(&stream).ok());
-  ASSERT_TRUE(stream.Submit(fx.gen.queries.Row(0), 5).ok());
-  stream.Close();
-  server.Wait();
-  EXPECT_EQ(server.stats().completed, 1u);
+    core::ServerOptions so;
+    so.k = 5;
+    core::StreamingServer server(&engine, so);
+    core::SubmissionQueue stream(fx.gen.queries.dim(), 16);
+    EXPECT_EQ(server.Start(&stream).code(), StatusCode::kUnimplemented)
+        << what;
+    EXPECT_FALSE(server.running()) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -528,6 +528,43 @@ TEST(Daemon, FrameCapRefusesExactlyTheResponsesAboveIt) {
   }
 }
 
+// A client whose frame cap is below the daemon's refuses an oversize
+// response without reading its payload. It must drop the connection
+// then, or the next call reads those bytes as a length prefix.
+TEST(Daemon, ClientThatRefusesAnOversizeResponseReconnects) {
+  const TestData t = MakeData();
+  const uint32_t k = 10;
+  const uint32_t count = static_cast<uint32_t>(t.gen.queries.n());
+  const uint32_t response_bytes =
+      net::kHeaderBytes + net::kSearchPreambleBytes +
+      count * (net::kQueryResultFixedBytes + k * net::kNeighborBytes);
+  auto index = BuildIndex(t, "mem:");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  auto local = (*index)->SearchBatch(t.gen.queries, k);
+  ASSERT_TRUE(local.ok());
+  for (const auto& answer : local->results) ASSERT_EQ(answer.size(), k);
+
+  const std::string sock = SockPath("clientcap");
+  net::Daemon daemon(UnixOptions(sock));
+  ASSERT_TRUE(daemon.AddIndex("default", std::move(*index)).ok());
+  ASSERT_TRUE(daemon.Start().ok());
+  auto client = net::Client::Connect("unix:" + sock, response_bytes - 1);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto remote = (*client)->SearchBatch("default", t.gen.queries.Row(0), count,
+                                       t.gen.queries.dim(), k);
+  ASSERT_FALSE(remote.ok());
+  EXPECT_EQ(remote.status().code(), StatusCode::kInvalidArgument)
+      << remote.status().ToString();
+
+  auto one = (*client)->Search("default", t.gen.queries.Row(0),
+                               t.gen.queries.dim(), k);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ExpectParity({*one}, {local->results[0]}, "after the refused response");
+  EXPECT_EQ((*client)->reconnects(), 1u);
+  daemon.RequestStop();
+  daemon.Wait();
+}
+
 // A kFlagNoWait batch against a one-slot queue on a hard disk: while the
 // first queries are served, the rest of the frame is refused at
 // admission. Every query still answers, in frame order, and the

@@ -194,7 +194,9 @@ TEST(Persistence, TruncatedFileRejected) {
 TEST(Persistence, RejectsAllocationCursorInsideImage) {
   // The builder and LiveUpdater::Flush leave the allocation cursor at the
   // image's end. A cursor inside the image would hand built blocks to
-  // later inserts, so it is refused even under a valid file checksum.
+  // later inserts, so it is refused even under a valid file checksum. So
+  // is a checksum flag of 0: every image carries block CRCs, and one
+  // recorded without them must be rebuilt.
   auto t = MakeData(800);
   auto dev = storage::SimulatedDevice::Create(storage::MemoryModel(2ULL << 30));
   ASSERT_TRUE(dev.ok());
@@ -220,22 +222,35 @@ TEST(Persistence, RejectsAllocationCursorInsideImage) {
   std::memcpy(pattern.data() + 8, &no_tombstones, 8);
   std::memcpy(pattern.data() + 16, &checksums, 1);
   std::memcpy(pattern.data() + 17, (*idx)->pair_bases().data(), 8);
-  const auto at = std::search(file.begin(), file.end(), pattern.begin(),
-                              pattern.end());
-  ASSERT_NE(at, file.end());
+  const auto found = std::search(file.begin(), file.end(), pattern.begin(),
+                                 pattern.end());
+  ASSERT_NE(found, file.end());
+  const size_t at = static_cast<size_t>(found - file.begin());
+
+  // Each case patches one field, re-seals the file checksum and loads.
+  const auto load_patched = [&](size_t offset, const void* bytes,
+                                size_t len) {
+    std::vector<uint8_t> patched = file;
+    std::memcpy(patched.data() + offset, bytes, len);
+    const size_t body = patched.size() - sizeof(uint32_t);
+    const uint32_t crc = util::Crc32c(patched.data(), body);
+    std::memcpy(patched.data() + body, &crc, sizeof(crc));
+    std::ofstream(meta, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(patched.data()),
+               static_cast<std::streamsize>(patched.size()));
+    return LoadIndexMeta(meta, dev->get()).status();
+  };
 
   const uint64_t lowered = cursor / 2;
-  std::memcpy(&*at, &lowered, 8);
-  const size_t body = file.size() - sizeof(uint32_t);
-  const uint32_t crc = util::Crc32c(file.data(), body);
-  std::memcpy(file.data() + body, &crc, sizeof(crc));
-  std::ofstream(meta, std::ios::binary | std::ios::trunc)
-      .write(reinterpret_cast<const char*>(file.data()),
-             static_cast<std::streamsize>(file.size()));
-  const Status st = LoadIndexMeta(meta, dev->get()).status();
+  Status st = load_patched(at, &lowered, 8);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   EXPECT_NE(st.message().find("allocation cursor"), std::string::npos)
       << st.ToString();
+
+  const uint8_t no_checksums = 0;
+  st = load_patched(at + 16, &no_checksums, 1);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_NE(st.message().find("rebuild"), std::string::npos) << st.ToString();
   std::remove(meta.c_str());
 }
 

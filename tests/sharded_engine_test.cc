@@ -1,16 +1,21 @@
 // Tests for ShardedQueryEngine: sharded execution over a shared device
 // must return exactly the results of a single QueryEngine — same ids,
-// same distances, in the same query order — for any shard count, and the
-// merged BatchResult must aggregate stats and wall time correctly.
+// same distances, in the same query order — for any shard count, the
+// batch's BatchResult must carry per-query stats and one wall clock
+// around all shards, and shards pulling from one row cursor must share
+// the rows by speed, not in fixed halves.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "core/builder.h"
 #include "core/query_engine.h"
 #include "core/sharded_engine.h"
 #include "data/generators.h"
 #include "storage/simulated_device.h"
+#include "util/clock.h"
 
 namespace e2lshos::core {
 namespace {
@@ -163,66 +168,18 @@ TEST(ResolveShardCount, MatchesEngineResolution) {
   EXPECT_LE(auto_resolved, kMaxShards);
 }
 
-TEST(PartitionBatch, ContiguousNearEqualRanges) {
-  auto r = PartitionBatch(10, 4);
-  ASSERT_EQ(r.size(), 4u);
-  EXPECT_EQ(r[0].begin, 0u);
-  EXPECT_EQ(r[0].size(), 3u);
-  EXPECT_EQ(r[1].size(), 3u);
-  EXPECT_EQ(r[2].size(), 2u);
-  EXPECT_EQ(r[3].size(), 2u);
-  EXPECT_EQ(r[3].end, 10u);
-  for (size_t s = 1; s < r.size(); ++s) EXPECT_EQ(r[s].begin, r[s - 1].end);
-
-  // Batch smaller than the shard count: trailing shards get nothing.
-  r = PartitionBatch(3, 7);
-  ASSERT_EQ(r.size(), 7u);
-  for (size_t s = 0; s < 3; ++s) EXPECT_EQ(r[s].size(), 1u);
-  for (size_t s = 3; s < 7; ++s) EXPECT_EQ(r[s].size(), 0u);
-
-  // Empty batch.
-  r = PartitionBatch(0, 4);
-  for (const auto& range : r) EXPECT_EQ(range.size(), 0u);
-}
-
-TEST(MergeShardResults, WallTimeIsWholeBatchNotSumOfShards) {
-  // Regression: under sharding the batch wall time must come from one
-  // clock spanning all shards. Two shards that each ran ~in parallel for
-  // 100 and 200 ns within a 250 ns window must merge to 250, not 300.
-  std::vector<BatchResult> shards(2);
-  shards[0].results.resize(2);
-  shards[0].stats.resize(2);
-  shards[0].wall_ns = 100;
-  shards[0].compute_ns = 40;
-  shards[0].results[0] = {{7, 1.0f}};
-  shards[0].results[1] = {{8, 2.0f}};
-  shards[1].results.resize(1);
-  shards[1].stats.resize(1);
-  shards[1].wall_ns = 200;
-  shards[1].compute_ns = 60;
-  shards[1].results[0] = {{9, 3.0f}};
-
-  const std::vector<ShardRange> ranges = {{0, 2}, {2, 3}};
-  const uint64_t sum_of_shards = shards[0].wall_ns + shards[1].wall_ns;
-  BatchResult merged = MergeShardResults(std::move(shards), ranges, 250);
-
-  EXPECT_EQ(merged.wall_ns, 250u);
-  EXPECT_NE(merged.wall_ns, sum_of_shards);
-  EXPECT_EQ(merged.compute_ns, 100u);
-  ASSERT_EQ(merged.results.size(), 3u);
-  EXPECT_EQ(merged.results[0][0].id, 7u);
-  EXPECT_EQ(merged.results[1][0].id, 8u);
-  EXPECT_EQ(merged.results[2][0].id, 9u);
-}
-
 TEST(ShardedQueryEngine, MergedStatsSatisfyInvariants) {
   Fixture* f = GetFixture();
   ShardOptions opts;
   opts.num_shards = 4;
   ShardedQueryEngine engine(f->index.get(), &f->gen.base, opts);
+  const uint64_t before = util::NowNs();
   auto batch = engine.SearchBatch(f->gen.queries, 10);
+  const uint64_t after = util::NowNs();
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->stats.size(), f->gen.queries.n());
+  // One clock around all shards, never the sum of per-shard times.
+  EXPECT_LE(batch->wall_ns, after - before);
 
   uint64_t total_ios = 0;
   uint64_t total_radii = 0;
@@ -242,6 +199,64 @@ TEST(ShardedQueryEngine, MergedStatsSatisfyInvariants) {
   EXPECT_DOUBLE_EQ(batch->QueriesPerSecond(),
                    n * 1e9 / static_cast<double>(batch->wall_ns));
   EXPECT_GT(batch->compute_ns, 0u);
+}
+
+/// Sleeps 1 ms before passing on each read: a shard on a slow queue.
+class SlowSubmits : public storage::BlockDevice {
+ public:
+  explicit SlowSubmits(std::unique_ptr<storage::BlockDevice> inner)
+      : inner_(std::move(inner)) {}
+  Status SubmitRead(const storage::IoRequest& req) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return inner_->SubmitRead(req);
+  }
+  size_t PollCompletions(storage::IoCompletion* out, size_t max) override {
+    return inner_->PollCompletions(out, max);
+  }
+  Status Write(uint64_t offset, const void* data, uint32_t length) override {
+    return inner_->Write(offset, data, length);
+  }
+  uint64_t capacity() const override { return inner_->capacity(); }
+  uint32_t io_alignment() const override { return inner_->io_alignment(); }
+  uint32_t outstanding() const override { return inner_->outstanding(); }
+  std::string name() const override { return "slow(" + inner_->name() + ")"; }
+  storage::DeviceStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+ private:
+  std::unique_ptr<storage::BlockDevice> inner_;
+};
+
+TEST(ShardedQueryEngine, FastShardTakesTheRowsASlowOneCannot) {
+  // Both shards pull rows from one cursor, one query at a time: the shard
+  // whose every submission stalls answers a few rows while the other
+  // answers the rest, where fixed halves would hold the batch on the
+  // slow one.
+  Fixture* f = GetFixture();
+  QueryEngine single(f->index.get(), &f->gen.base);
+  auto ref = single.SearchBatch(f->gen.queries, 10);
+  ASSERT_TRUE(ref.ok());
+
+  ShardOptions opts;
+  opts.num_shards = 2;
+  opts.total_contexts = 2;
+  uint32_t wrapped = 0;
+  opts.wrap_shard_device =
+      [&wrapped](std::unique_ptr<storage::BlockDevice> q) {
+        if (wrapped++ == 0) return q;
+        return std::unique_ptr<storage::BlockDevice>(
+            std::make_unique<SlowSubmits>(std::move(q)));
+      };
+  ShardedQueryEngine engine(f->index.get(), &f->gen.base, opts);
+  ASSERT_EQ(engine.num_shards(), 2u);
+  auto got = engine.SearchBatch(f->gen.queries, 10);
+  ASSERT_TRUE(got.ok());
+  ExpectBatchesEqual(*got, *ref);
+
+  const uint64_t fast = engine.shard_device(0)->stats().reads_completed;
+  const uint64_t slow = engine.shard_device(1)->stats().reads_completed;
+  EXPECT_GE(fast, 3 * slow) << "fast shard " << fast << " reads, slow shard "
+                            << slow;
 }
 
 }  // namespace
