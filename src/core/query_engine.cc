@@ -11,10 +11,15 @@
 namespace e2lshos::core {
 
 QueryEngine::QueryEngine(const StorageIndex* index, const data::Dataset* base,
-                         const EngineOptions& options)
-    : index_(index), base_(base), options_(options) {
+                         const EngineOptions& options,
+                         std::atomic<uint64_t>* latency_floor)
+    : index_(index),
+      base_(base),
+      options_(options),
+      floor_(latency_floor != nullptr ? latency_floor : &own_floor_) {
   if (options_.num_contexts == 0) options_.num_contexts = 1;
   if (options_.max_inflight_ios == 0) options_.max_inflight_ios = 1;
+  cap_ = options_.max_inflight_ios;
 
   contexts_.resize(options_.num_contexts);
   for (auto& ctx : contexts_) {
@@ -157,6 +162,9 @@ bool QueryEngine::Submit(Context* ctx, std::deque<PendingIssue>* queue,
   const bool ahead = radius != ctx->radius_idx;
   bool issued = false;
   while (!queue->empty() && free_slots_.size() > reserve) {
+    // At the cap the rest wait here, where a rung that reaches S drops
+    // them before they cost the device anything.
+    if (inflight_ >= cap_ && (ahead || ctx->pending_ios > 0)) break;
     const PendingIssue p = queue->front();
     const uint32_t slot_idx = free_slots_.back();
     IoSlot& slot = slots_[slot_idx];
@@ -216,6 +224,20 @@ bool QueryEngine::Submit(Context* ctx, std::deque<PendingIssue>* queue,
     issued = true;
   }
   return issued;
+}
+
+void QueryEngine::AdjustCap(uint64_t latency_ns, bool backlog) {
+  if (latency_ns == 0) return;  // a cache hit or DRAM: no device time
+  uint64_t lowest = floor_->load();
+  while (latency_ns < lowest &&
+         !floor_->compare_exchange_weak(lowest, latency_ns)) {
+  }
+  lowest = std::min(lowest, latency_ns);
+  if (latency_ns <= 2 * lowest) {
+    cap_ = std::min(cap_ + 1, options_.max_inflight_ios);
+  } else if (backlog && cap_ > 1) {
+    --cap_;  // it waited in the device longer than it took to serve
+  }
 }
 
 void QueryEngine::ProcessBucketBlock(Context* ctx, const IoSlot& slot) {
@@ -384,6 +406,9 @@ void QueryEngine::Run(QuerySource* source) {
   bool open = true;
   uint32_t idle_spins = 0;
   for (;;) {
+    // An empty engine holds nothing back: a cap that a past burst shrank
+    // must not serialize the next lone query.
+    if (busy_ == 0 && inflight_ == 0) cap_ = options_.max_inflight_ios;
     bool progressed = false;
     // Idle round: a free context found the stream open and empty, so the
     // device has room for next rungs issued ahead.
@@ -422,7 +447,11 @@ void QueryEngine::Run(QuerySource* source) {
       }
     }
     const size_t n = index_->device()->PollCompletions(comps, 64);
-    for (size_t i = 0; i < n; ++i) HandleCompletion(comps[i], source);
+    const bool backlog = open && !idle;
+    for (size_t i = 0; i < n; ++i) {
+      AdjustCap(comps[i].latency_ns, backlog);
+      HandleCompletion(comps[i], source);
+    }
     source->EndPoll();
     progressed |= n > 0;
     if (progressed) {

@@ -30,6 +30,23 @@
 // backlog nothing is issued ahead, and an ahead read leaves a free slot
 // for every busy context, so each can always issue its current rung.
 //
+// While the device queues, a query's further reads wait in the engine:
+// a rung that reaches S drops them there before they are issued, instead
+// of throwing away their bytes on completion. A context may always have
+// one read of its current rung in flight; every other read (the rung's
+// other probes, chain follow-ups, reads issued ahead) waits while the
+// engine's reads in flight are at its cap. The cap follows completion
+// latencies against the floor, the lowest nonzero latency the device has
+// shown: a read that took more than twice the floor waited in the device
+// longer than it took to serve, and in a backlog round (the source open
+// and no free context found it empty) it lowers the cap by one; a read at
+// or under twice the floor raises it by one. Zero-latency completions
+// (cache hits, DRAM) move neither. The cap starts at max_inflight_ios and
+// returns there whenever the engine holds no query and no read, so a lone
+// query is never serialized by a burst that has passed. A query's reads
+// go out in the same order, only later, so on a device that completes a
+// query's reads in submission order it examines the same blocks.
+//
 // One loop (Run) serves every caller: between device polls it pulls from
 // a QuerySource into every free context, so a query starts as soon as a
 // context is free, never at a batch boundary (iteration-level
@@ -46,6 +63,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -176,9 +194,13 @@ class RowSource : public QuerySource {
 class QueryEngine {
  public:
   /// The index and base dataset must outlive the engine. The device used
-  /// is the one the index was built on.
+  /// is the one the index was built on. `latency_floor`, when not null,
+  /// is the lowest read latency seen on that device, shared with the
+  /// other engines reading it (see the file comment); it must outlive
+  /// the engine. When null the engine keeps a floor of its own.
   QueryEngine(const StorageIndex* index, const data::Dataset* base,
-              const EngineOptions& options = {});
+              const EngineOptions& options = {},
+              std::atomic<uint64_t>* latency_floor = nullptr);
 
   /// Run top-k ANNS for every query in `queries`: Run over a RowSource
   /// of all its rows.
@@ -188,7 +210,10 @@ class QueryEngine {
   /// answered; idle (no read in flight, kPending) costs a 20 us sleep.
   /// A poll round in which a free context pulled kPending issues next
   /// rungs ahead (see the file comment); a source that never reports
-  /// kPending, as a RowSource does not, runs rung by rung. A query
+  /// kPending, as a RowSource does not, runs rung by rung. Every other
+  /// round with the source open is a backlog round, in which reads that
+  /// queued in the device lower the engine's in-flight cap, so further
+  /// reads wait in their contexts (see the file comment). A query
   /// pins the current epoch (core/epoch.h) from admission to answer, so
   /// every query admitted after an Insert returned sees it.
   void Run(QuerySource* source);
@@ -286,9 +311,11 @@ class QueryEngine {
   /// if anything was submitted.
   bool IssueFrom(Context* ctx, bool idle);
   /// Submit from `queue` (rung `radius`) while more than `reserve` slots
-  /// are free.
+  /// are free and the cap allows.
   bool Submit(Context* ctx, std::deque<PendingIssue>* queue, uint32_t radius,
               size_t reserve);
+  /// Count one completion's latency toward the floor and the cap.
+  void AdjustCap(uint64_t latency_ns, bool backlog);
   /// True while at least half the queries that took rung r's terminal
   /// test climbed past it (an empty history counts as climbing).
   bool Climbs(uint32_t r) const;
@@ -311,6 +338,13 @@ class QueryEngine {
   std::vector<IoSlot> slots_;
   std::vector<uint32_t> free_slots_;
   uint32_t inflight_ = 0;
+  /// Reads in flight past which a context issues only the one read of
+  /// its current rung it may always have; 1..max_inflight_ios.
+  uint32_t cap_ = 0;
+  /// The lowest nonzero completion latency seen: own_floor_, or the one
+  /// the engines on this engine's device share.
+  std::atomic<uint64_t> own_floor_{std::numeric_limits<uint64_t>::max()};
+  std::atomic<uint64_t>* floor_;
   uint32_t busy_ = 0;  ///< Contexts holding a query.
   /// Per rung: queries that took its terminal test, and those that
   /// climbed past it (the history Climbs reads).

@@ -51,8 +51,8 @@ ShardedQueryEngine::ShardedQueryEngine(const StorageIndex* index,
     }
     shard_devices_.push_back(std::move(device));
     views_.push_back(index_->WithDevice(shard_devices_.back().get()));
-    engines_.push_back(std::make_unique<QueryEngine>(views_.back().get(), base_,
-                                                     shard_opts_));
+    engines_.push_back(std::make_unique<QueryEngine>(
+        views_.back().get(), base_, shard_opts_, &latency_floor_));
   }
   if (shards > 1) pool_ = std::make_unique<util::ThreadPool>(shards - 1);
 }

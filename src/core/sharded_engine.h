@@ -15,6 +15,10 @@
 //   * per-shard context / inflight budgets are derived from global
 //     budgets, so the device-visible queue depth stays at the configured
 //     cap no matter how many shards poll it;
+//   * the shards learn one latency floor for their one device, each
+//     shard's in-flight cap reading it (query_engine.h): a shard whose
+//     first reads queued behind another's burst would otherwise take
+//     that queueing for the device's service time and never hold back;
 //   * SearchBatch runs every shard's QueryEngine::Run loop over one
 //     shared RowSource, as StreamingServer runs them over its
 //     SubmissionQueue: a shard pulls the next row whenever it has a free
@@ -23,7 +27,9 @@
 //     compute time, and wall_ns is one clock around all of them.
 #pragma once
 
+#include <atomic>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -119,6 +125,9 @@ class ShardedQueryEngine {
   Status status_;
   std::vector<std::unique_ptr<storage::BlockDevice>> shard_devices_;
   std::vector<std::unique_ptr<StorageIndex>> views_;
+  /// The lowest nonzero read latency any shard has seen; declared before
+  /// engines_, which point at it.
+  std::atomic<uint64_t> latency_floor_{std::numeric_limits<uint64_t>::max()};
   std::vector<std::unique_ptr<QueryEngine>> engines_;
   /// Runs shards 1..N-1 during SearchBatch; null with one shard.
   std::unique_ptr<util::ThreadPool> pool_;

@@ -74,8 +74,9 @@ class StreamingServer::ShardSource : public QuerySource {
         // histogram: the percentiles describe served traffic.
         if (out.status.ok()) {
           state_->recorder.Record(out.latency_ns, now);
-          state_->ahead_reads += out.stats.ahead_reads;
-          state_->ahead_unused += out.stats.ahead_unused;
+          StreamingSnapshot::ForEachReadCounter([&](auto sum, auto count) {
+            state_->sums.*sum += out.stats.*count;
+          });
         } else {
           ++state_->rejected;
         }
@@ -132,8 +133,7 @@ Status StreamingServer::Start(SubmissionQueue* queue) {
     shard->rejected = 0;
     shard->admitting_polls = 0;
     shard->admitted = 0;
-    shard->ahead_reads = 0;
-    shard->ahead_unused = 0;
+    shard->sums = StreamingSnapshot{};
   }
   start_ns_ = util::NowNs();
   live_workers_.store(engine_->num_shards(), std::memory_order_relaxed);
@@ -192,8 +192,8 @@ StreamingSnapshot StreamingServer::stats() const {
     snap.rejected += shard->rejected;
     snap.batches += shard->admitting_polls;
     admitted += shard->admitted;
-    snap.ahead_reads += shard->ahead_reads;
-    snap.ahead_unused += shard->ahead_unused;
+    StreamingSnapshot::ForEachReadCounter(
+        [&](auto sum, auto) { snap.*sum += shard->sums.*sum; });
   }
   if (snap.batches > 0) {
     snap.mean_batch_size =

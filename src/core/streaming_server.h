@@ -81,7 +81,11 @@ struct StreamingSnapshot {
   uint64_t max_ns = 0;
   double sustained_qps = 0.0;  ///< Completions/sec over a sliding window.
   double overall_qps = 0.0;    ///< Completions / time since Start.
-  /// QueryStats::ahead_reads and ahead_unused, summed over the answers.
+  /// QueryStats::ios, empty_reads, late_reads, ahead_reads and
+  /// ahead_unused, summed over the answers (ForEachReadCounter).
+  uint64_t reads = 0;
+  uint64_t empty_reads = 0;
+  uint64_t late_reads = 0;
   uint64_t ahead_reads = 0;
   uint64_t ahead_unused = 0;
 
@@ -101,8 +105,22 @@ struct StreamingSnapshot {
     fn("max_ns", &StreamingSnapshot::max_ns);
     fn("sustained_qps", &StreamingSnapshot::sustained_qps);
     fn("overall_qps", &StreamingSnapshot::overall_qps);
+    fn("reads", &StreamingSnapshot::reads);
+    fn("empty_reads", &StreamingSnapshot::empty_reads);
+    fn("late_reads", &StreamingSnapshot::late_reads);
     fn("ahead_reads", &StreamingSnapshot::ahead_reads);
     fn("ahead_unused", &StreamingSnapshot::ahead_unused);
+  }
+
+  /// The read counters summed over answers: calls fn(member, source)
+  /// once per snapshot member and the QueryStats member it sums.
+  template <class Fn>
+  static constexpr void ForEachReadCounter(Fn&& fn) {
+    fn(&StreamingSnapshot::reads, &QueryStats::ios);
+    fn(&StreamingSnapshot::empty_reads, &QueryStats::empty_reads);
+    fn(&StreamingSnapshot::late_reads, &QueryStats::late_reads);
+    fn(&StreamingSnapshot::ahead_reads, &QueryStats::ahead_reads);
+    fn(&StreamingSnapshot::ahead_unused, &QueryStats::ahead_unused);
   }
 };
 
@@ -152,8 +170,8 @@ class StreamingServer {
     uint64_t rejected = 0;
     uint64_t admitting_polls = 0;
     uint64_t admitted = 0;
-    uint64_t ahead_reads = 0;
-    uint64_t ahead_unused = 0;
+    /// The read counters of its answers, in the ForEachReadCounter members.
+    StreamingSnapshot sums;
   };
   /// A shard's view of the queue as a QuerySource (defined in the .cc).
   class ShardSource;

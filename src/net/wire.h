@@ -62,12 +62,12 @@
 namespace e2lshos::net {
 
 inline constexpr uint16_t kWireMagic = 0x4C45;  // "EL"
-/// v4: each query result carries a flags byte, and the Stats block
-/// (WireStats::ForEachField, every DeviceStats counter included) the
-/// ahead-read counters. The check is strict equality, so peers of
-/// different versions do not interoperate — client and daemon ship from
-/// the same tree.
-inline constexpr uint8_t kWireVersion = 4;
+/// v5: the Stats block (WireStats::ForEachField, every DeviceStats
+/// counter included) carries the engine's read counters: reads,
+/// empty_reads, late_reads, ahead_reads and ahead_unused. The check is
+/// strict equality, so peers of different versions do not interoperate
+/// — client and daemon ship from the same tree.
+inline constexpr uint8_t kWireVersion = 5;
 /// Frame-payload bytes before the body: magic + version + type + id.
 inline constexpr uint32_t kHeaderBytes = 12;
 /// Fixed sizes of an OK Search* response body (layout above), so a

@@ -72,7 +72,7 @@ Status RetryDevice::SubmitRead(const IoRequest& req) {
       Track t;
       t.req = req;
       t.attempts = 1;
-      t.first_ns = now;
+      t.first_ns = t.last_ns = now;
       t.ticket = ++ticket_seq_;
       ticket = t.ticket;
       tracked_.emplace(req.user_data, t);
@@ -120,9 +120,11 @@ size_t RetryDevice::PollCompletions(IoCompletion* out, size_t max) {
       if (c.code != StatusCode::kOk && Retryable(c.code)) {
         ++stats_.retries_exhausted;
       }
-      // Report the whole span — backoffs included — so a retried read
-      // looks like a slow read, not a fast one.
-      c.latency_ns = std::max<uint64_t>(c.latency_ns, now - t.first_ns);
+      // The device's latency plus the backoffs before the last attempt:
+      // a retried read looks like a slow read, not a fast one, and a
+      // read served at once keeps the device's latency, not however
+      // long its caller took to poll.
+      c.latency_ns += t.last_ns - t.first_ns;
     }
     out[kept++] = c;
   }
@@ -172,6 +174,7 @@ void RetryDevice::ResubmitDue() {
     ++t.attempts;
     ++stats_.retries;
     t.ticket = ++ticket_seq_;
+    t.last_ns = now;
     const bool collision = tracked_.count(t.req.user_data) != 0;
     if (!collision) tracked_.emplace(t.req.user_data, t);
     const Status st = collision ? Status::ResourceExhausted("tag busy")

@@ -21,7 +21,9 @@
 //     last error (counted in DeviceStats::retries_exhausted).
 // Each resubmit bumps DeviceStats::retries. A retried read that finally
 // succeeds is indistinguishable from a slow one: same bytes, same OK
-// completion, latency covering the whole span including backoff.
+// completion, latency the last attempt's plus the span from the first
+// submit to the last (the backoffs); a read that needed no retry keeps
+// the device's latency.
 //
 // First-class URI layer: `retry=N[,backoff:USEC][,deadline:USEC]` on any
 // scheme, stacked outside `fault=` (see storage/device_registry.h).
@@ -94,6 +96,7 @@ class RetryDevice : public BlockDevice {
     IoRequest req;
     uint32_t attempts = 0;  ///< Submits that reached (or tried) the device.
     uint64_t first_ns = 0;
+    uint64_t last_ns = 0;  ///< The latest submit; first_ns until a retry.
     uint64_t ticket = 0;
     StatusCode last_code = StatusCode::kIoError;
   };

@@ -11,7 +11,8 @@
 //    corrupt chain head;
 //  * RetryDevice makes transient faults invisible: with retries enabled
 //    and the same engine seed, results are bit-identical to a
-//    fault-free run;
+//    fault-free run; a read served at once reports the device's
+//    latency, a retried one its backoffs too;
 //  * sharded vs single engine report identical per-query corruption
 //    accounting under the same deterministic fault seed, across
 //    mem: / sim:cssd*4 / file: backends at shard counts 1 and 4.
@@ -20,9 +21,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/builder.h"
@@ -396,6 +399,77 @@ TEST(RetryInvisibility, RetriedTransientFaultsDoNotChangeResults) {
   }
   // Bit-identical to the fault-free run.
   ExpectBatchesEqual(*got, *want);
+}
+
+// ---------------------------------------------------------------------------
+// Retry latency: the device's, plus the backoffs a retried read waited
+// ---------------------------------------------------------------------------
+
+/// One unit of 200 us: an idle read takes exactly the service time.
+storage::DeviceModel OneUnitModel() {
+  return storage::DeviceModel{"one-unit", 1, 200 * 1000, 64, 1ULL << 20};
+}
+
+/// Submit one read through `dev`, then poll it every `gap_us` until it
+/// completes.
+storage::IoCompletion ReadOnce(storage::BlockDevice* dev, uint64_t gap_us) {
+  std::vector<uint8_t> buf(storage::kSectorBytes);
+  storage::IoRequest req;
+  req.offset = 0;
+  req.length = storage::kSectorBytes;
+  req.buf = buf.data();
+  req.user_data = 1;
+  EXPECT_TRUE(dev->SubmitRead(req).ok());
+  storage::IoCompletion comp;
+  for (int polls = 0; polls < 1000; ++polls) {
+    std::this_thread::sleep_for(std::chrono::microseconds(gap_us));
+    if (dev->PollCompletions(&comp, 1) == 1) return comp;
+  }
+  ADD_FAILURE() << "the read never completed";
+  return comp;
+}
+
+// A read served at once reports the device's latency, not how long its
+// caller took to poll: here the poll comes 2 ms after the read is due.
+TEST(RetryLatency, ReadServedAtOnceKeepsTheDeviceLatency) {
+  auto dev = storage::SimulatedDevice::Create(OneUnitModel());
+  ASSERT_TRUE(dev.ok());
+  storage::RetryDevice retry(dev->get(), storage::RetryDevice::Options{});
+  const storage::IoCompletion comp = ReadOnce(&retry, 2200);
+  EXPECT_EQ(comp.code, StatusCode::kOk);
+  EXPECT_EQ(comp.latency_ns, OneUnitModel().service_time_ns);
+}
+
+// A retried read still looks slow: its latency covers the backoffs before
+// its last attempt.
+TEST(RetryLatency, RetriedReadReportsItsBackoff) {
+  auto dev = storage::SimulatedDevice::Create(OneUnitModel());
+  ASSERT_TRUE(dev.ok());
+  storage::FaultyDevice::Options fopt;
+  fopt.submit_fail_rate = 0.5;
+  fopt.seed = 5;
+  storage::FaultyDevice faulty(dev->get(), fopt);
+  storage::RetryDevice::Options ropt;
+  ropt.max_attempts = 8;
+  ropt.backoff_usec = 1000;
+  ropt.jitter = 0;
+  storage::RetryDevice retry(&faulty, ropt);
+  const uint64_t service_ns = OneUnitModel().service_time_ns;
+  uint64_t retried = 0, at_once = 0;
+  for (int i = 0; i < 16; ++i) {
+    const uint64_t retries_before = retry.stats().retries;
+    const storage::IoCompletion comp = ReadOnce(&retry, 500);
+    ASSERT_EQ(comp.code, StatusCode::kOk) << i;
+    if (retry.stats().retries > retries_before) {
+      ++retried;
+      EXPECT_GE(comp.latency_ns, ropt.backoff_usec * 1000 + service_ns) << i;
+    } else {
+      ++at_once;
+      EXPECT_EQ(comp.latency_ns, service_ns) << i;
+    }
+  }
+  EXPECT_GT(retried, 0u);
+  EXPECT_GT(at_once, 0u);
 }
 
 // ---------------------------------------------------------------------------
